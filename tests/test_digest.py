@@ -1,0 +1,91 @@
+"""Byte pins: corpus and eval-record files are a pure function of (config, seed).
+
+A refactor must leave these digests unchanged.  Only a deliberate format
+change, which also bumps SCHEMA_VERSION, may re-pin them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+from dataclasses import replace
+
+from pricetree.corpus_io import SCHEMA_VERSION, dataset_from_lines, dataset_to_lines
+from pricetree.formulas import CONDITION_ORDERS
+from pricetree.harness.scoring import read_records, run_eval, write_records
+from pricetree.harness.transport import ReplayTransport
+from pricetree.pipeline import GenConfig, generate_corpus
+from pricetree.wording import DEFAULT_DISHES, QUESTION_PHRASINGS
+
+from factories import make_corpus, make_profile
+
+CORPUS_SHA256 = "10101f603fb8b9fb64d5a7589d703726332fd2272b2ee174a685796f92ba9334"
+RECORDS_SHA256 = "c7fe98782549996e1b6b2cbdfa5725791c5ded77053e43a41d442a1ef71e48b3"
+
+
+def digest_grid() -> list[GenConfig]:
+    """Depths 2..8, widths d and d+2, every cut, both namings, orders and phrasings."""
+    shapes = [
+        (num_vars, depth, cut, composite)
+        for depth in range(2, 9)
+        for num_vars in (depth, depth + 2)
+        for cut in range(1, depth)
+        for composite in (False, True)
+        if composite or num_vars <= len(DEFAULT_DISHES)
+    ]
+    cells = [
+        dict(num_vars=v, ans_depth=d, cut_depth=c, composite_name=comp, order=o, question_phrasing=q)
+        for (v, d, c, comp), o, q in itertools.product(shapes, CONDITION_ORDERS, QUESTION_PHRASINGS)
+    ]
+    cells += [
+        dict(num_vars=45, ans_depth=8, cut_depth=4, composite_name=True, order="random"),
+        dict(num_vars=45, ans_depth=40, cut_depth=20, composite_name=True, order="random"),
+    ]
+    return [GenConfig(count=2, corpus_seed=seed, **cell) for seed, cell in enumerate(cells)]
+
+
+def test_schema_version_is_pinned():
+    assert SCHEMA_VERSION == 1
+
+
+def test_corpus_bytes_are_pinned_and_reserialize():
+    grid = digest_grid()
+    assert len(grid) == 632
+    digest = hashlib.sha256()
+    for config in grid:
+        lines = dataset_to_lines(generate_corpus(config))
+        assert dataset_to_lines(dataset_from_lines(lines)) == lines, config
+        digest.update(("\n".join(lines) + "\n").encode("utf-8"))
+    assert digest.hexdigest() == CORPUS_SHA256
+
+
+def _scripted_responses(dataset) -> dict[str, str]:
+    """Every outcome bucket once in a while; the last instance has no response."""
+    responses = {}
+    for k, inst in enumerate(dataset.instances[:-1]):
+        gold = inst.gold_answer if inst.gold_answer is not None else 9
+        responses[inst.id] = (
+            "Answer: unknown.",
+            f"Working through the facts. Answer: {gold}",
+            f"The answer is ${gold + 1},000.",
+            "I cannot tell.",
+            "answer: 12.5",
+        )[k % 5]
+    return responses
+
+
+def test_record_bytes_are_pinned_and_reserialize(tmp_path):
+    corpus = make_corpus(num_vars=6, ans_depth=4, cut_depth=2, composite_name=True, order="random", count=6)
+    pool = make_corpus(corpus_seed=12, count=4)
+    transport = ReplayTransport(_scripted_responses(corpus))
+    profile = make_profile(concurrency=1, max_retries=0)
+    records = run_eval(corpus, profile, "zero", transport)
+    records += run_eval(corpus, profile, "few", transport, pool=pool, eval_seed=3)
+    # latency is wall time, the one field that is not a function of the inputs
+    records = [replace(r, latency_ms=None if r.transport_failed else 0.0) for r in records]
+    path = tmp_path / "records.jsonl"
+    write_records(records, path)
+    again = tmp_path / "again.jsonl"
+    write_records(read_records(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDS_SHA256
