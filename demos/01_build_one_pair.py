@@ -2,7 +2,6 @@
 """Walk through every stage of building one answerable/unanswerable pair."""
 
 from pricetree import (
-    CutSpec,
     GenConfig,
     bfs_edges,
     build_tree,
@@ -39,8 +38,8 @@ print("\n== breadth-first edges (condition order before shuffling) ==")
 for edge in bfs_edges(tree):
     print(f"  ({'root' if edge.parent == 0 else f'x{edge.parent}'}, x{edge.child})")
 
-cut = CutSpec(ans_depth=config.ans_depth, cut_depth=config.cut_depth)
-print(f"\n== the cut removes the edge whose child is x{cut.cut_child} ==")
+# the cut drops the spine edge cutDepth steps above the questioned variable
+print(f"\n== the cut removes the edge whose child is x{config.ans_depth - config.cut_depth} ==")
 
 # now the full pipeline, same seed, both variants
 answerable, unanswerable = generate_pair(config, 0)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The whole evaluation loop without a network: mocks, replay, reports.
+"""The whole evaluation loop without a network: mock responses, replay, reports.
 
 The `unknown` mock refuses every question (never hallucinates, never
 answers), the `five` mock answers 5 to everything (always hallucinates),
@@ -13,11 +13,11 @@ from pathlib import Path
 
 from pricetree import GenConfig, generate_corpus
 from pricetree.harness import (
-    MockTransport,
     ReplayTransport,
     aggregate,
     build_zero_shot_prompt,
     format_text_table,
+    mock_responses,
     run_eval,
 )
 from pricetree.harness.prompts import ModelProfile
@@ -39,7 +39,7 @@ for message in build_zero_shot_prompt(dataset.instances[1], profile):
     print(f"[{message.role}] {message.content}\n")
 
 for name in ("unknown", "five", "gold"):
-    records = run_eval(dataset, profile, "zero", MockTransport.for_dataset(name, dataset))
+    records = run_eval(dataset, profile, "zero", ReplayTransport(mock_responses(name, dataset)))
     table = aggregate(records, ["ansDepth"])
     print(f"== mock:{name} ==")
     print(format_text_table(table))

@@ -17,11 +17,9 @@ from .errors import (
 from .formulas import (
     COEFFICIENT_CHOICES,
     CONDITION_ORDERS,
-    CutSpec,
     Formula,
     Linear,
     RootValue,
-    apply_cut,
     order_formulas,
     sample_formula,
 )
@@ -58,7 +56,6 @@ from .wording import (
     Vocabulary,
     assign_items,
     load_vocabulary,
-    render_formula,
     render_gold_solution,
     render_question,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "COEFFICIENT_CHOICES",
     "CONDITION_ORDERS",
     "CertificationError",
-    "CutSpec",
     "DEFAULT_DISHES",
     "DEFAULT_RESTAURANTS",
     "Dataset",
@@ -95,7 +91,6 @@ __all__ = [
     "UNANSWERABLE",
     "VerificationReport",
     "Vocabulary",
-    "apply_cut",
     "assign_items",
     "bfs_edges",
     "build_pair",
@@ -110,7 +105,6 @@ __all__ = [
     "order_formulas",
     "preset",
     "read_dataset",
-    "render_formula",
     "render_gold_solution",
     "render_question",
     "sample_formula",

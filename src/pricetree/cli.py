@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .corpus_io import load_gen_config, read_dataset, write_dataset
 from .errors import PricetreeError
-from .formulas import RootValue
+from .formulas import formula_edges
 from .harness.prompts import load_profile
 from .harness.report import write_report
 from .harness.scoring import read_records, run_eval, write_records
@@ -27,12 +27,21 @@ from .pipeline import (
     generate_corpus,
     preset,
 )
-from .tree import ROOT
+from .tree import ROOT, children_by_parent
+from .wording import check_vocabulary, load_vocabulary
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    overrides = {
+        field: value
+        for field, value in (("corpus_seed", args.seed), ("count", args.count))
+        if value is not None
+    }
     if args.preset:
-        configs = preset(args.preset, corpus_seed=args.seed, count=args.count or 500)
+        configs = preset(args.preset, **overrides)
+        for config in configs:  # fail before the first file is written
+            vocab = load_vocabulary(config.dish_vocab, config.restaurant_vocab)
+            check_vocabulary(vocab, config.num_vars, config.composite_name)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for config in configs:
@@ -41,14 +50,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             write_dataset(dataset, path)
             print(f"wrote {len(dataset.instances)} instances to {path}")
         return 0
-    config = load_gen_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["corpus_seed"] = args.seed
-    if args.count is not None:
-        overrides["count"] = args.count
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = dataclasses.replace(load_gen_config(args.config), **overrides)
     dataset = generate_corpus(config)
     write_dataset(dataset, args.out)
     print(f"wrote {len(dataset.instances)} instances to {args.out}")
@@ -76,10 +78,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _render_tree(instance: ProblemInstance) -> list[str]:
-    children: dict[int, list[int]] = {}
-    for f in instance.formulas:
-        parent = ROOT if isinstance(f, RootValue) else f.parent
-        children.setdefault(parent, []).append(f.child_var)
+    children = children_by_parent(formula_edges(instance.formulas))
 
     def describe(var: int) -> str:
         name = instance.item_map.names[var].display
@@ -92,7 +91,7 @@ def _render_tree(instance: ProblemInstance) -> list[str]:
     seen: set[int] = set()
 
     def walk(node: int, prefix: str) -> None:
-        kids = sorted(children.get(node, []))
+        kids = children.get(node, [])
         for i, child in enumerate(kids):
             seen.add(child)
             last = i == len(kids) - 1

@@ -1,16 +1,15 @@
-"""Linear price constraints sampled for tree edges, plus the cut.
+"""Linear price constraints sampled for tree edges.
 
 A root edge pins a variable to its hidden value.  Any other edge (x_i, x_j)
 becomes ``a*x_i + b*x_j = a*v_i + b*v_j`` with a, b drawn from the nonzero
 integers in [-3, 3], so every formula is satisfied exactly by the hidden
-values.  Removing the spine formula whose child sits `cut_depth` steps above
-the questioned variable makes that variable underdetermined.
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Iterable, Iterator, Union
 
 from .errors import InvalidConfigError
 from .rng import PcgStream
@@ -25,6 +24,7 @@ CONDITION_ORDERS = ("forward", "backward", "random")
 class RootValue:
     """Direct unit-price statement for one variable: x_var = value."""
 
+    kind: ClassVar[str] = "rootValue"  # tag of the serialized form
     var: int
     value: int
 
@@ -43,6 +43,7 @@ class RootValue:
 class Linear:
     """Two-variable relation: parent_coeff*x_parent + child_coeff*x_child = rhs."""
 
+    kind: ClassVar[str] = "linear"  # tag of the serialized form
     parent: int
     child: int
     parent_coeff: int
@@ -63,38 +64,9 @@ class Linear:
 Formula = Union[RootValue, Linear]
 
 
-@dataclass(frozen=True)
-class CutSpec:
-    """Which spine edge to drop: the one whose child is x_(ans_depth - cut_depth)."""
-
-    ans_depth: int
-    cut_depth: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.cut_depth < self.ans_depth:
-            raise InvalidConfigError(
-                f"cut_depth must satisfy 1 <= cut_depth < ans_depth, "
-                f"got cut_depth={self.cut_depth} ans_depth={self.ans_depth}"
-            )
-
-    @property
-    def cut_child(self) -> int:
-        """Child endpoint of the removed edge (x_0 being the root)."""
-        return self.ans_depth - self.cut_depth
-
-
-def apply_cut(edges: list[Edge], cut: CutSpec) -> list[Edge]:
-    """Drop exactly the cut spine edge, preserving the order of the rest."""
-    child = cut.cut_child
-    kept = [e for e in edges if e.child != child]
-    if len(kept) != len(edges) - 1:
-        raise InvalidConfigError(f"edge with child x{child} not found or not unique")
-    (removed,) = [e for e in edges if e.child == child]
-    if removed.parent != child - 1:  # spine parent of x_c is x_(c-1), with x_0 = root
-        raise InvalidConfigError(
-            f"cut edge ({removed.parent}, {removed.child}) is not on the spine"
-        )
-    return kept
+def formula_edges(formulas: Iterable[Formula]) -> Iterator[tuple[int, int]]:
+    """The (parent, child) tree edge of each formula; a direct value hangs off the root."""
+    return ((ROOT if isinstance(f, RootValue) else f.parent, f.child_var) for f in formulas)
 
 
 def sample_formula(edge: Edge, values: dict[int, int], rng: PcgStream) -> Formula:

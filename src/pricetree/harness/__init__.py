@@ -20,10 +20,10 @@ from .scoring import (
 )
 from .transport import (
     LiveTransport,
-    MockTransport,
     ReplayTransport,
     build_payload,
     make_transport,
+    mock_responses,
     query_model,
 )
 
@@ -33,7 +33,6 @@ __all__ = [
     "LiveTransport",
     "Message",
     "MetricsTable",
-    "MockTransport",
     "ModelProfile",
     "ParsedAnswer",
     "ReplayTransport",
@@ -46,6 +45,7 @@ __all__ = [
     "format_text_table",
     "load_profile",
     "make_transport",
+    "mock_responses",
     "query_model",
     "read_records",
     "run_eval",

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import InvalidConfigError
+from ..jsonmap import from_file_json
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
 from ..rng import PcgStream
 
@@ -36,21 +37,6 @@ class Message:
     content: str
 
 
-_PROFILE_KEYS = (
-    ("endpoint", "endpoint"),
-    ("model", "model"),
-    ("isReasoning", "is_reasoning"),
-    ("maxTokens", "max_tokens"),
-    ("temperature", "temperature"),
-    ("maxCompletionTokens", "max_completion_tokens"),
-    ("reasoningEffort", "reasoning_effort"),
-    ("apiKeyEnv", "api_key_env"),
-    ("concurrency", "concurrency"),
-    ("maxRetries", "max_retries"),
-    ("timeoutSeconds", "timeout_seconds"),
-)
-
-
 @dataclass(frozen=True)
 class ModelProfile:
     """Endpoint plus decoding parameters for one evaluated model."""
@@ -69,14 +55,7 @@ class ModelProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelProfile":
-        known = {json_key: attr for json_key, attr in _PROFILE_KEYS}
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise InvalidConfigError(f"unknown profile keys: {', '.join(unknown)}")
-        missing = [k for k in ("endpoint", "model") if k not in data]
-        if missing:
-            raise InvalidConfigError(f"missing profile keys: {', '.join(missing)}")
-        return cls(**{known[k]: v for k, v in data.items()})
+        return from_file_json(cls, data, "profile")
 
 
 def load_profile(path: str | Path) -> ModelProfile:

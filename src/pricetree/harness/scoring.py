@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import DatasetParseError, InvalidConfigError, TransportError
+from ..jsonmap import from_json, to_json
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
 from ..rng import substream
 from .prompts import ModelProfile, build_few_shot_prompt, build_zero_shot_prompt
@@ -105,41 +106,11 @@ class EvalRecord:
     exemplar_ids: Optional[list[str]] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "instanceId": self.instance_id,
-            "pairId": self.pair_id,
-            "variant": self.variant,
-            "mode": self.mode,
-            "outcome": self.outcome,
-            "verdict": self.verdict,
-            "value": self.value,
-            "rawTail": self.raw_tail,
-            "response": self.response,
-            "latencyMs": self.latency_ms,
-            "transportFailed": self.transport_failed,
-            "configCell": self.config_cell,
-            "goldAnswer": self.gold_answer,
-            "exemplarIds": self.exemplar_ids,
-        }
+        return to_json(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EvalRecord":
-        return cls(
-            instance_id=data["instanceId"],
-            pair_id=data["pairId"],
-            variant=data["variant"],
-            mode=data["mode"],
-            outcome=data["outcome"],
-            verdict=data["verdict"],
-            value=data["value"],
-            raw_tail=data["rawTail"],
-            response=data["response"],
-            latency_ms=data["latencyMs"],
-            transport_failed=data["transportFailed"],
-            config_cell=data["configCell"],
-            gold_answer=data["goldAnswer"],
-            exemplar_ids=data["exemplarIds"],
-        )
+        return from_json(cls, data)
 
 
 def _config_cell(instance: ProblemInstance) -> dict:

@@ -1,8 +1,9 @@
-"""Model transports: live chat-completion HTTP, file replay, scripted mocks.
+"""Model transports: live chat-completion HTTP and replay of recorded responses.
 
 The harness never needs network access to be exercised: replay transports
-serve recorded responses keyed by instance id, and the named mocks cover
-the degenerate all-unknown / all-number / echo-gold behaviours.
+serve recorded responses keyed by instance id, and the named mocks are
+response maps for the degenerate all-unknown / all-number / echo-gold
+behaviours.
 """
 
 from __future__ import annotations
@@ -111,39 +112,27 @@ class ReplayTransport:
         return self.responses[instance_id]
 
 
-class MockTransport:
-    """Named scripted behaviours for offline pipeline checks.
+MOCK_NAMES = ("unknown", "five", "gold")
+
+
+def mock_responses(name: str, dataset: Dataset) -> dict[str, str]:
+    """Scripted responses per instance id, for a ReplayTransport.
 
     unknown   answers "Answer: unknown." to everything
     five      answers "Answer: 5" to everything
     gold      echoes each instance's gold answer, "unknown." when there is none
     """
-
-    NAMES = ("unknown", "five", "gold")
-
-    def __init__(self, name: str, gold_answers: Optional[dict[str, Optional[int]]] = None):
-        if name not in self.NAMES:
-            raise InvalidConfigError(f"unknown mock {name!r}, expected one of {self.NAMES}")
-        if name == "gold" and gold_answers is None:
-            raise InvalidConfigError("mock 'gold' needs the dataset's gold answers")
-        self.name = name
-        self.gold_answers = gold_answers or {}
-
-    @classmethod
-    def for_dataset(cls, name: str, dataset: Dataset) -> "MockTransport":
-        gold = {
-            inst.id: inst.gold_answer if inst.variant == ANSWERABLE else None
-            for inst in dataset.instances
-        }
-        return cls(name, gold)
-
-    def complete(self, messages: list[Message], instance_id: Optional[str] = None) -> str:
-        if self.name == "unknown":
-            return "Answer: unknown."
-        if self.name == "five":
-            return "Answer: 5"
-        gold = self.gold_answers.get(instance_id)
-        return "Answer: unknown." if gold is None else f"Answer: {gold}"
+    if name not in MOCK_NAMES:
+        raise InvalidConfigError(f"unknown mock {name!r}, expected one of {MOCK_NAMES}")
+    responses = {}
+    for inst in dataset.instances:
+        if name == "five":
+            responses[inst.id] = "Answer: 5"
+        elif name == "gold" and inst.variant == ANSWERABLE:
+            responses[inst.id] = f"Answer: {inst.gold_answer}"
+        else:
+            responses[inst.id] = "Answer: unknown."
+    return responses
 
 
 def make_transport(spec: str, profile: ModelProfile, dataset: Dataset):
@@ -154,7 +143,7 @@ def make_transport(spec: str, profile: ModelProfile, dataset: Dataset):
     if kind == "replay" and sep:
         return ReplayTransport.from_file(arg)
     if kind == "mock" and sep:
-        return MockTransport.for_dataset(arg, dataset)
+        return ReplayTransport(mock_responses(arg, dataset))
     raise InvalidConfigError(
         f"transport must be live, replay:<file> or mock:<name>, got {spec!r}"
     )

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .errors import NotForwardSolvableError
-from .formulas import Formula, Linear, RootValue
-from .tree import ROOT
+from .formulas import Formula, Linear, RootValue, formula_edges
+from .tree import breadth_first
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import ProblemInstance
@@ -184,18 +184,7 @@ def forward_order(formulas: list[Formula]) -> list[Formula]:
     recoverable from any ordering of a complete instance.
     """
     by_child = {f.child_var: f for f in formulas}
-    children: dict[int, list[int]] = {}
-    for f in formulas:
-        parent = ROOT if isinstance(f, RootValue) else f.parent
-        children.setdefault(parent, []).append(f.child_var)
-    ordered: list[Formula] = []
-    queue = [ROOT]
-    while queue:
-        node = queue.pop(0)
-        for child in sorted(children.get(node, [])):
-            ordered.append(by_child[child])
-            queue.append(child)
-    return ordered
+    return [by_child[child] for _, child in breadth_first(formula_edges(formulas))]
 
 
 def constraint_component(formulas: list[Formula], target_var: int) -> tuple[set[int], int]:

@@ -13,16 +13,16 @@ from typing import Optional
 from .errors import CertificationError, InvalidConfigError
 from .formulas import (
     CONDITION_ORDERS,
-    CutSpec,
     Formula,
     Linear,
     RootValue,
     order_formulas,
     sample_formula,
 )
+from .jsonmap import from_file_json, from_json, to_json
 from .oracle import solve_exact, verify_instance
 from .rng import PcgStream, substream
-from .tree import bfs_edges, build_tree, sample_var_values
+from .tree import bfs_edges, build_tree, check_shape, sample_var_values
 from .wording import (
     QUESTION_PHRASINGS,
     ItemMap,
@@ -45,19 +45,6 @@ UNANSWERABLE = "unanswerable"
 # Configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    ("numVars", "num_vars"),
-    ("ansDepth", "ans_depth"),
-    ("cutDepth", "cut_depth"),
-    ("compositeName", "composite_name"),
-    ("order", "order"),
-    ("count", "count"),
-    ("corpusSeed", "corpus_seed"),
-    ("questionPhrasing", "question_phrasing"),
-    ("dishVocab", "dish_vocab"),
-    ("restaurantVocab", "restaurant_vocab"),
-)
-
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -73,17 +60,7 @@ class GenConfig:
     restaurant_vocab: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.ans_depth < 2:
-            raise InvalidConfigError(f"ansDepth must be >= 2, got {self.ans_depth}")
-        if self.num_vars < self.ans_depth:
-            raise InvalidConfigError(
-                f"numVars must be >= ansDepth, got numVars={self.num_vars} ansDepth={self.ans_depth}"
-            )
-        if not 1 <= self.cut_depth < self.ans_depth:
-            raise InvalidConfigError(
-                f"cutDepth must satisfy 1 <= cutDepth < ansDepth, "
-                f"got cutDepth={self.cut_depth} ansDepth={self.ans_depth}"
-            )
+        check_shape(self.num_vars, self.ans_depth, self.cut_depth)
         if self.order not in CONDITION_ORDERS:
             raise InvalidConfigError(f"order must be one of {CONDITION_ORDERS}, got {self.order!r}")
         if self.count < 1:
@@ -96,18 +73,11 @@ class GenConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {json_key: getattr(self, attr) for json_key, attr in _CONFIG_KEYS}
+        return to_json(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GenConfig":
-        known = {json_key: attr for json_key, attr in _CONFIG_KEYS}
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
-        missing = [k for k in ("numVars", "ansDepth", "cutDepth", "compositeName") if k not in data]
-        if missing:
-            raise InvalidConfigError(f"missing config keys: {', '.join(missing)}")
-        return cls(**{known[k]: v for k, v in data.items()})
+        return from_file_json(cls, data, "config")
 
 
 def cell_label(config: GenConfig) -> str:
@@ -123,49 +93,7 @@ def cell_label(config: GenConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _formula_to_json(f: Formula) -> dict:
-    if isinstance(f, RootValue):
-        return {"kind": "rootValue", "var": f.var, "value": f.value}
-    return {
-        "kind": "linear",
-        "parent": f.parent,
-        "child": f.child,
-        "parentCoeff": f.parent_coeff,
-        "childCoeff": f.child_coeff,
-        "rhs": f.rhs,
-    }
-
-
-def _formula_from_json(data: dict) -> Formula:
-    if data["kind"] == "rootValue":
-        return RootValue(var=data["var"], value=data["value"])
-    if data["kind"] == "linear":
-        return Linear(
-            parent=data["parent"],
-            child=data["child"],
-            parent_coeff=data["parentCoeff"],
-            child_coeff=data["childCoeff"],
-            rhs=data["rhs"],
-        )
-    raise InvalidConfigError(f"unknown formula kind {data.get('kind')!r}")
-
-
-def _item_map_to_json(items: ItemMap) -> dict:
-    return {
-        "composite": items.composite,
-        "names": {
-            str(var): {"dish": n.dish, "plural": n.plural, "restaurant": n.restaurant}
-            for var, n in sorted(items.names.items())
-        },
-    }
-
-
-def _item_map_from_json(data: dict) -> ItemMap:
-    names = {
-        int(var): ItemName(d["dish"], d["plural"], d["restaurant"])
-        for var, d in data["names"].items()
-    }
-    return ItemMap(names=names, composite=data["composite"])
+_FORMULA_KINDS = {cls.kind: cls for cls in (RootValue, Linear)}
 
 
 @dataclass(frozen=True)
@@ -183,36 +111,30 @@ class ProblemInstance:
     metadata: dict
 
     def to_json_dict(self) -> dict:
-        record = {
-            "id": self.id,
-            "variant": self.variant,
-            "fullText": self.full_text,
-            "conditionSentences": list(self.condition_sentences),
-            "formulas": [_formula_to_json(f) for f in self.formulas],
-            "itemMap": _item_map_to_json(self.item_map),
-            "questionedVar": self.questioned_var,
+        record = to_json(self)
+        record["formulas"] = [{"kind": f.kind, **to_json(f)} for f in self.formulas]
+        record["itemMap"] = {
+            **to_json(self.item_map),
+            "names": {str(var): to_json(n) for var, n in sorted(self.item_map.names.items())},
         }
-        if self.gold_answer is not None:
-            record["goldAnswer"] = self.gold_answer
-        record["goldSolutionText"] = self.gold_solution_text
-        record["pairId"] = self.pair_id
-        record["metadata"] = self.metadata
+        if self.gold_answer is None:
+            del record["goldAnswer"]
         return record
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
-        return cls(
-            id=data["id"],
-            variant=data["variant"],
-            full_text=data["fullText"],
+        items = data["itemMap"]
+        return from_json(
+            cls,
+            data,
             condition_sentences=tuple(data["conditionSentences"]),
-            formulas=tuple(_formula_from_json(f) for f in data["formulas"]),
-            item_map=_item_map_from_json(data["itemMap"]),
-            questioned_var=data["questionedVar"],
+            formulas=tuple(from_json(_FORMULA_KINDS[f["kind"]], f) for f in data["formulas"]),
+            item_map=from_json(
+                ItemMap,
+                items,
+                names={int(var): from_json(ItemName, n) for var, n in items["names"].items()},
+            ),
             gold_answer=data.get("goldAnswer"),
-            gold_solution_text=data["goldSolutionText"],
-            pair_id=data["pairId"],
-            metadata=data["metadata"],
         )
 
 
@@ -267,8 +189,7 @@ def build_pair(
     questioned = config.ans_depth
     question = render_question(items, questioned, config.question_phrasing)
 
-    cut = CutSpec(ans_depth=config.ans_depth, cut_depth=config.cut_depth)
-    cut_child = cut.cut_child
+    cut_child = config.ans_depth - config.cut_depth  # the spine edge cutDepth above the question
     kept = [(f, s) for f, s in zip(ordered, sentences) if f.child_var != cut_child]
     if len(kept) != len(ordered) - 1:
         raise CertificationError(f"cut removed {len(ordered) - len(kept)} formulas, expected 1")

@@ -8,7 +8,9 @@ to any node created before them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import InvalidConfigError
 from .rng import PcgStream
@@ -34,8 +36,20 @@ class Tree:
     def parent_of(self, var: int) -> int:
         return self.parent[var - 1]
 
-    def children_of(self, node: int) -> list[int]:
-        return [i + 1 for i, p in enumerate(self.parent) if p == node]
+
+def check_shape(num_vars: int, ans_depth: int, cut_depth: int) -> None:
+    """The shapes a config may ask for: 2 <= ansDepth <= numVars, 1 <= cutDepth < ansDepth."""
+    if ans_depth < 2:
+        raise InvalidConfigError(f"ansDepth must be >= 2, got {ans_depth}")
+    if num_vars < ans_depth:
+        raise InvalidConfigError(
+            f"numVars must be >= ansDepth, got numVars={num_vars} ansDepth={ans_depth}"
+        )
+    if not 1 <= cut_depth < ans_depth:
+        raise InvalidConfigError(
+            f"cutDepth must satisfy 1 <= cutDepth < ansDepth, "
+            f"got cutDepth={cut_depth} ansDepth={ans_depth}"
+        )
 
 
 def sample_var_values(num_vars: int, rng: PcgStream) -> dict[int, int]:
@@ -53,16 +67,11 @@ def build_tree(
 ) -> Tree:
     """Spine first, then each extra variable picks a uniformly random parent.
 
-    `allow_root_extras` controls whether the root is a candidate parent for
-    the extra variables; extras attached to the root get a direct value
-    sentence instead of a two-item relation.
+    The shape must pass `check_shape`.  `allow_root_extras` controls
+    whether the root is a candidate parent for the extra variables; extras
+    attached to the root get a direct value sentence instead of a two-item
+    relation.
     """
-    if ans_depth < 2:
-        raise InvalidConfigError(f"ans_depth must be >= 2, got {ans_depth}")
-    if num_vars < ans_depth:
-        raise InvalidConfigError(
-            f"num_vars must be >= ans_depth, got num_vars={num_vars} ans_depth={ans_depth}"
-        )
     parent = [ROOT] + [i - 1 for i in range(2, ans_depth + 1)]
     for i in range(ans_depth + 1, num_vars + 1):
         first = ROOT if allow_root_extras else 1
@@ -71,19 +80,36 @@ def build_tree(
     return Tree(num_vars=num_vars, ans_depth=ans_depth, parent=tuple(parent))
 
 
-def bfs_edges(tree: Tree) -> list[Edge]:
-    """All edges in breadth-first order from the root.
+def children_by_parent(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """Parent node -> its children in ascending index order, from (parent, child) pairs."""
+    children: dict[int, list[int]] = {}
+    for parent, child in edges:
+        children.setdefault(parent, []).append(child)
+    for kids in children.values():
+        kids.sort()
+    return children
+
+
+def breadth_first(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (parent, child) pairs reachable from the root, in breadth-first order.
 
     Siblings are visited in ascending variable index, so the list always has
-    the prefix property: an edge's parent is the root or appeared earlier as
+    the prefix property: a pair's parent is the root or appeared earlier as
     a child.  Scanning the list left to right therefore meets at most one
-    new variable per edge.
+    new variable per pair.
     """
-    edges: list[Edge] = []
-    queue = [ROOT]
+    children = children_by_parent(edges)
+    order = []
+    queue = deque([ROOT])
     while queue:
-        node = queue.pop(0)
-        for child in tree.children_of(node):
-            edges.append(Edge(parent=node, child=child))
+        node = queue.popleft()
+        for child in children.get(node, ()):
+            order.append((node, child))
             queue.append(child)
-    return edges
+    return order
+
+
+def bfs_edges(tree: Tree) -> list[Edge]:
+    """All edges of the tree in `breadth_first` order."""
+    pairs = ((parent, child) for child, parent in enumerate(tree.parent, start=1))
+    return [Edge(parent=parent, child=child) for parent, child in breadth_first(pairs)]

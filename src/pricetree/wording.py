@@ -132,12 +132,12 @@ class ItemName:
 
 @dataclass(frozen=True)
 class ItemMap:
-    names: dict[int, ItemName]
     composite: bool
+    names: dict[int, ItemName]
 
 
-def assign_items(num_vars: int, composite: bool, vocab: Vocabulary, rng: PcgStream) -> ItemMap:
-    """Injective uniform draw of display names for x1..x_num_vars."""
+def check_vocabulary(vocab: Vocabulary, num_vars: int, composite: bool) -> None:
+    """Raise unless the vocabulary can name num_vars distinct items in this mode."""
     if composite:
         pool = len(vocab.dishes) * len(vocab.restaurants)
         if num_vars > pool:
@@ -145,24 +145,30 @@ def assign_items(num_vars: int, composite: bool, vocab: Vocabulary, rng: PcgStre
                 f"composite naming needs at least {num_vars} dish/restaurant pairs, "
                 f"vocabulary offers {pool}"
             )
-        picks = rng.distinct_indices(pool, num_vars)
+    elif num_vars > len(vocab.dishes):
+        raise InvalidConfigError(
+            f"simple naming needs at least {num_vars} dishes, "
+            f"vocabulary offers {len(vocab.dishes)}"
+        )
+
+
+def assign_items(num_vars: int, composite: bool, vocab: Vocabulary, rng: PcgStream) -> ItemMap:
+    """Injective uniform draw of display names for x1..x_num_vars."""
+    check_vocabulary(vocab, num_vars, composite)
+    if composite:
+        picks = rng.distinct_indices(len(vocab.dishes) * len(vocab.restaurants), num_vars)
         names = {}
         for var, k in enumerate(picks, start=1):
             dish = vocab.dishes[k // len(vocab.restaurants)]
             restaurant = vocab.restaurants[k % len(vocab.restaurants)]
             names[var] = ItemName(dish.singular, dish.plural, restaurant)
     else:
-        if num_vars > len(vocab.dishes):
-            raise InvalidConfigError(
-                f"simple naming needs at least {num_vars} dishes, "
-                f"vocabulary offers {len(vocab.dishes)}"
-            )
         picks = rng.distinct_indices(len(vocab.dishes), num_vars)
         names = {
             var: ItemName(vocab.dishes[k].singular, vocab.dishes[k].plural)
             for var, k in enumerate(picks, start=1)
         }
-    return ItemMap(names=names, composite=composite)
+    return ItemMap(composite=composite, names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +253,6 @@ def render_formula_fixed(f: Formula, items: ItemMap, phrasing: Optional[str] = N
         f"{_quantity(n2, item2, capitalize=True)} {_cost_verb(n2)} "
         f"{amount} dollars less than {_quantity(n1, item1)}"
     )
-
-
-def render_formula(f: Formula, items: ItemMap, rng: PcgStream) -> str:
-    """One sentence for one formula; the difference wording is a fair coin."""
-    phrasing = None
-    if needs_phrasing_coin(f):
-        phrasing = PHRASING_MORE if rng.coin() else PHRASING_LESS
-    return render_formula_fixed(f, items, phrasing)
 
 
 QUESTION_PHRASINGS = ("how-much", "price-of")

@@ -75,6 +75,28 @@ class TestGenerate:
         ]
 
 
+    def test_preset_without_seed_uses_seed_zero(self, tmp_path):
+        out_dir = tmp_path / "grid"
+        assert main(["generate", "--preset", "table-main", "--out", str(out_dir), "--count", "1"]) == 0
+        seeds = sorted(read_dataset(p).config.corpus_seed for p in out_dir.glob("*.jsonl"))
+        assert seeds == [0, 1, 2, 3]
+
+    def test_preset_count_zero_is_rejected(self, tmp_path, capsys):
+        out_dir = tmp_path / "grid"
+        code = main(["generate", "--preset", "table-main", "--out", str(out_dir), "--count", "0"])
+        assert code == 1
+        assert "count must be >= 1" in capsys.readouterr().err
+        assert list(out_dir.glob("*")) == []
+
+    def test_preset_fails_before_writing_any_file(self, tmp_path, capsys):
+        # fig-structure asks for 10 simple-named items; the built-in vocabulary has 9 dishes
+        out_dir = tmp_path / "grid"
+        code = main(["generate", "--preset", "fig-structure", "--out", str(out_dir), "--count", "1"])
+        assert code == 1
+        assert "simple naming needs at least 10 dishes" in capsys.readouterr().err
+        assert list(out_dir.glob("*")) == []
+
+
 class TestVerify:
     def test_clean_corpus_passes(self, tmp_path, config_file, capsys):
         out = generate(tmp_path, config_file)

@@ -5,51 +5,63 @@ import pytest
 from pricetree.errors import InvalidConfigError
 from pricetree.formulas import (
     COEFFICIENT_CHOICES,
-    CutSpec,
     Linear,
     RootValue,
-    apply_cut,
     order_formulas,
     sample_formula,
 )
+from pricetree.pipeline import GenConfig, generate_pair
 from pricetree.rng import PcgStream
 from pricetree.tree import ROOT, Edge, bfs_edges, build_tree, sample_var_values
 
+from factories import make_config
 from streams import ScriptedStream
 
 
-def reference_edges():
-    return [Edge(ROOT, 1), Edge(1, 2), Edge(1, 4), Edge(2, 3)]
+def cut_formulas(**overrides):
+    """(answerable formulas, unanswerable formulas, the one removed) of a generated pair."""
+    answerable, unanswerable = generate_pair(make_config(count=1, **overrides), 0)
+    removed = [f for f in answerable.formulas if f not in unanswerable.formulas]
+    assert len(removed) == 1
+    return list(answerable.formulas), list(unanswerable.formulas), removed[0]
 
 
 class TestApplyCut:
+    """The cut that build_pair applies to the answerable formulas."""
+
     def test_removes_the_spine_edge_above_the_question(self):
-        cut = CutSpec(ans_depth=3, cut_depth=1)
-        assert apply_cut(reference_edges(), cut) == [Edge(ROOT, 1), Edge(1, 4), Edge(2, 3)]
+        _, _, removed = cut_formulas(num_vars=4, ans_depth=3, cut_depth=1)
+        assert isinstance(removed, Linear)
+        assert (removed.parent, removed.child) == (1, 2)
 
     def test_cut_reaching_the_root_edge(self):
-        cut = CutSpec(ans_depth=3, cut_depth=2)
-        assert apply_cut(reference_edges(), cut) == [Edge(1, 2), Edge(1, 4), Edge(2, 3)]
+        _, unanswerable, removed = cut_formulas(num_vars=4, ans_depth=3, cut_depth=2)
+        assert isinstance(removed, RootValue) and removed.var == 1
+        assert len(unanswerable) == 3
 
     def test_cut_child_sweep(self):
         # deeper cuts land closer to the root, never on the last spine edge
-        assert [CutSpec(8, d).cut_child for d in range(1, 8)] == [7, 6, 5, 4, 3, 2, 1]
-        edges = bfs_edges(build_tree(8, 8, ScriptedStream([])))
         for depth in range(1, 8):
-            kept = apply_cut(edges, CutSpec(8, depth))
-            assert len(kept) == 7
-            assert Edge(7, 8) in kept
-            missing = set(edges) - set(kept)
-            assert missing == {Edge(8 - depth - 1, 8 - depth)}
+            _, unanswerable, removed = cut_formulas(
+                num_vars=8, ans_depth=8, cut_depth=depth, order="random"
+            )
+            assert len(unanswerable) == 7
+            assert removed.child_var == 8 - depth
+            parent = ROOT if isinstance(removed, RootValue) else removed.parent
+            assert parent == 8 - depth - 1
+            assert any(f.child_var == 8 for f in unanswerable)
 
     def test_order_preserved(self):
-        kept = apply_cut(reference_edges(), CutSpec(3, 1))
-        assert kept == [e for e in reference_edges() if e.child != 2]
+        for index in range(10):
+            answerable, unanswerable = generate_pair(
+                make_config(num_vars=7, ans_depth=4, cut_depth=2, order="random", count=1), index
+            )
+            assert list(unanswerable.formulas) == [f for f in answerable.formulas if f.child_var != 2]
 
     @pytest.mark.parametrize("depth", [0, 3, 5])
     def test_invalid_cut_depth_rejected(self, depth):
-        with pytest.raises(InvalidConfigError):
-            CutSpec(ans_depth=3, cut_depth=depth)
+        with pytest.raises(InvalidConfigError, match="cutDepth"):
+            GenConfig(num_vars=4, ans_depth=3, cut_depth=depth, composite_name=False)
 
 
 class TestSampleFormula:

@@ -20,7 +20,7 @@ from pricetree.harness.scoring import (
     score_outcome,
     write_records,
 )
-from pricetree.harness.transport import MockTransport
+from pricetree.harness.transport import ReplayTransport, mock_responses
 
 from factories import make_corpus, make_profile
 
@@ -106,10 +106,14 @@ class FailingTransport:
         return self.response
 
 
+def mock(name: str, corpus) -> ReplayTransport:
+    return ReplayTransport(mock_responses(name, corpus))
+
+
 class TestRunEval:
     def test_mock_unknown_outcomes(self):
         corpus = make_corpus(count=3)
-        records = run_eval(corpus, make_profile(), "zero", MockTransport.for_dataset("unknown", corpus))
+        records = run_eval(corpus, make_profile(), "zero", mock("unknown", corpus))
         assert [r.instance_id for r in records] == [i.id for i in corpus.instances]
         by_variant = {r.instance_id: r for r in records}
         for instance in corpus.instances:
@@ -123,7 +127,7 @@ class TestRunEval:
 
     def test_mock_gold_is_all_correct(self):
         corpus = make_corpus(count=3)
-        records = run_eval(corpus, make_profile(), "zero", MockTransport.for_dataset("gold", corpus))
+        records = run_eval(corpus, make_profile(), "zero", mock("gold", corpus))
         assert all(
             r.outcome in (OUTCOME_CORRECT_ANSWER, OUTCOME_CORRECT_UNANSWERABLE) for r in records
         )
@@ -145,7 +149,7 @@ class TestRunEval:
             corpus,
             make_profile(),
             "few",
-            MockTransport.for_dataset("unknown", corpus),
+            mock("unknown", corpus),
             pool=pool,
             eval_seed=9,
         )
@@ -154,7 +158,7 @@ class TestRunEval:
             corpus,
             make_profile(),
             "few",
-            MockTransport.for_dataset("unknown", corpus),
+            mock("unknown", corpus),
             pool=pool,
             eval_seed=9,
         )
@@ -163,18 +167,18 @@ class TestRunEval:
     def test_few_shot_requires_pool(self):
         corpus = make_corpus(count=1)
         with pytest.raises(InvalidConfigError, match="pool"):
-            run_eval(corpus, make_profile(), "few", MockTransport.for_dataset("unknown", corpus))
+            run_eval(corpus, make_profile(), "few", mock("unknown", corpus))
 
     def test_invalid_mode_rejected(self):
         corpus = make_corpus(count=1)
         with pytest.raises(InvalidConfigError, match="mode"):
-            run_eval(corpus, make_profile(), "one", MockTransport.for_dataset("unknown", corpus))
+            run_eval(corpus, make_profile(), "one", mock("unknown", corpus))
 
 
 class TestRecordsIO:
     def test_round_trip(self, tmp_path):
         corpus = make_corpus(count=2)
-        records = run_eval(corpus, make_profile(), "zero", MockTransport.for_dataset("gold", corpus))
+        records = run_eval(corpus, make_profile(), "zero", mock("gold", corpus))
         path = tmp_path / "records.jsonl"
         write_records(records, path)
         assert read_records(path) == records
@@ -182,7 +186,7 @@ class TestRecordsIO:
     def test_rescoring_from_persisted_responses(self, tmp_path):
         # responses are stored verbatim, so the scoring rule can be re-applied
         corpus = make_corpus(count=2)
-        records = run_eval(corpus, make_profile(), "zero", MockTransport.for_dataset("gold", corpus))
+        records = run_eval(corpus, make_profile(), "zero", mock("gold", corpus))
         path = tmp_path / "records.jsonl"
         write_records(records, path)
         for record in read_records(path):

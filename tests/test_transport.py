@@ -10,10 +10,10 @@ from pricetree.errors import InvalidConfigError, TransientTransportError, Transp
 from pricetree.harness.prompts import Message
 from pricetree.harness.transport import (
     LiveTransport,
-    MockTransport,
     ReplayTransport,
     build_payload,
     make_transport,
+    mock_responses,
     query_model,
 )
 
@@ -67,17 +67,20 @@ class TestMocks:
     def test_named_behaviours(self):
         corpus = make_corpus(count=1)
         answerable, unanswerable = corpus.instances
-        unknown = MockTransport.for_dataset("unknown", corpus)
-        five = MockTransport.for_dataset("five", corpus)
-        gold = MockTransport.for_dataset("gold", corpus)
+        unknown = ReplayTransport(mock_responses("unknown", corpus))
+        five = ReplayTransport(mock_responses("five", corpus))
+        gold = ReplayTransport(mock_responses("gold", corpus))
         assert unknown.complete([], answerable.id) == "Answer: unknown."
         assert five.complete([], answerable.id) == "Answer: 5"
         assert gold.complete([], answerable.id) == f"Answer: {answerable.gold_answer}"
         assert gold.complete([], unanswerable.id) == "Answer: unknown."
 
     def test_unknown_mock_name_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            MockTransport("sometimes")
+        corpus = make_corpus(count=1)
+        with pytest.raises(InvalidConfigError, match="sometimes"):
+            mock_responses("sometimes", corpus)
+        with pytest.raises(InvalidConfigError, match="sometimes"):
+            make_transport("mock:sometimes", make_profile(), corpus)
 
 
 class TestMakeTransport:
@@ -88,7 +91,9 @@ class TestMakeTransport:
         replay = tmp_path / "r.jsonl"
         replay.write_text("")
         assert isinstance(make_transport(f"replay:{replay}", profile, corpus), ReplayTransport)
-        assert isinstance(make_transport("mock:gold", profile, corpus), MockTransport)
+        mock = make_transport("mock:gold", profile, corpus)
+        assert isinstance(mock, ReplayTransport)
+        assert mock.responses == mock_responses("gold", corpus)
         with pytest.raises(InvalidConfigError):
             make_transport("telepathy", profile, corpus)
 

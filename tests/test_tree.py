@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from pricetree.errors import InvalidConfigError
+from pricetree.pipeline import GenConfig
 from pricetree.rng import PcgStream
 from pricetree.tree import ROOT, Edge, bfs_edges, build_tree, sample_var_values
 
@@ -60,10 +61,11 @@ class TestBuildTree:
             assert all(tree.parent_of(i) != ROOT for i in range(3, 7))
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            build_tree(4, 1, PcgStream.from_seed(0))
-        with pytest.raises(InvalidConfigError):
-            build_tree(2, 3, PcgStream.from_seed(0))
+        # the shape is checked once, by the config that build_tree is fed from
+        with pytest.raises(InvalidConfigError, match="ansDepth must be >= 2"):
+            GenConfig(num_vars=4, ans_depth=1, cut_depth=1, composite_name=False)
+        with pytest.raises(InvalidConfigError, match="numVars must be >= ansDepth"):
+            GenConfig(num_vars=2, ans_depth=3, cut_depth=1, composite_name=False)
 
 
 class TestBfsEdges:

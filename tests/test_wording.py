@@ -17,7 +17,6 @@ from pricetree.wording import (
     load_dishes,
     load_restaurants,
     needs_phrasing_coin,
-    render_formula,
     render_formula_fixed,
     render_gold_solution,
     render_question,
@@ -177,9 +176,10 @@ class TestRenderFormula:
             render_formula_fixed(Linear(1, 2, 2, -3, 4), items, None)
 
     def test_render_formula_draws_the_coin(self):
+        # the phrasing coin picks one of two wordings of the same fact
         items = simple_items("burger", "scrambled egg")
-        less = render_formula(Linear(1, 2, 2, -3, 4), items, ScriptedStream([False]))
-        more = render_formula(Linear(1, 2, 2, -3, 4), items, ScriptedStream([True]))
+        less = render_formula_fixed(Linear(1, 2, 2, -3, 4), items, "less")
+        more = render_formula_fixed(Linear(1, 2, 2, -3, 4), items, "more")
         assert "less than" in less and "more than" in more
 
     def test_subject_verb_agreement(self):
