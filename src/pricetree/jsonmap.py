@@ -25,16 +25,17 @@ def json_keys(cls: type) -> dict[str, str]:
 
 def to_json(obj) -> dict:
     """Every field of a dataclass instance under its camelCase key."""
-    return {key: getattr(obj, name) for key, name in json_keys(type(obj)).items()}
+    values = vars(obj)
+    return {key: values[name] for key, name in json_keys(type(obj)).items()}
 
 
-def from_json(cls: type, data: dict, **converted):
-    """Build `cls` from data this package wrote; a missing key raises KeyError.
+def from_json(cls: type, data: dict):
+    """Build `cls` from data this package wrote, passing fields in field order.
 
-    `converted` supplies the fields whose stored form needs more than a copy.
+    A missing key raises KeyError and data that is not an object TypeError,
+    which the file readers report as a malformed line.
     """
-    fields = {name: data[key] for key, name in json_keys(cls).items() if name not in converted}
-    return cls(**fields, **converted)
+    return cls(*[data[key] for key in json_keys(cls)])
 
 
 def from_file_json(cls: type, data: dict, what: str):

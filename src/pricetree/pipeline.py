@@ -124,17 +124,16 @@ class ProblemInstance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
         items = data["itemMap"]
+        names = {int(var): from_json(ItemName, n) for var, n in items["names"].items()}
         return from_json(
             cls,
-            data,
-            condition_sentences=tuple(data["conditionSentences"]),
-            formulas=tuple(from_json(_FORMULA_KINDS[f["kind"]], f) for f in data["formulas"]),
-            item_map=from_json(
-                ItemMap,
-                items,
-                names={int(var): from_json(ItemName, n) for var, n in items["names"].items()},
-            ),
-            gold_answer=data.get("goldAnswer"),
+            {
+                **data,
+                "conditionSentences": tuple(data["conditionSentences"]),
+                "formulas": tuple(from_json(_FORMULA_KINDS[f["kind"]], f) for f in data["formulas"]),
+                "itemMap": from_json(ItemMap, {**items, "names": names}),
+                "goldAnswer": data.get("goldAnswer"),
+            },
         )
 
 
