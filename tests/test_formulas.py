@@ -19,30 +19,30 @@ from streams import ScriptedStream
 
 
 def cut_formulas(**overrides):
-    """(answerable formulas, unanswerable formulas, the one removed) of a generated pair."""
+    """(unanswerable formulas, the one formula the cut removed) of a generated pair."""
     answerable, unanswerable = generate_pair(make_config(count=1, **overrides), 0)
     removed = [f for f in answerable.formulas if f not in unanswerable.formulas]
     assert len(removed) == 1
-    return list(answerable.formulas), list(unanswerable.formulas), removed[0]
+    return list(unanswerable.formulas), removed[0]
 
 
 class TestApplyCut:
     """The cut that build_pair applies to the answerable formulas."""
 
     def test_removes_the_spine_edge_above_the_question(self):
-        _, _, removed = cut_formulas(num_vars=4, ans_depth=3, cut_depth=1)
+        _, removed = cut_formulas(num_vars=4, ans_depth=3, cut_depth=1)
         assert isinstance(removed, Linear)
         assert (removed.parent, removed.child) == (1, 2)
 
     def test_cut_reaching_the_root_edge(self):
-        _, unanswerable, removed = cut_formulas(num_vars=4, ans_depth=3, cut_depth=2)
+        unanswerable, removed = cut_formulas(num_vars=4, ans_depth=3, cut_depth=2)
         assert isinstance(removed, RootValue) and removed.var == 1
         assert len(unanswerable) == 3
 
     def test_cut_child_sweep(self):
         # deeper cuts land closer to the root, never on the last spine edge
         for depth in range(1, 8):
-            _, unanswerable, removed = cut_formulas(
+            unanswerable, removed = cut_formulas(
                 num_vars=8, ans_depth=8, cut_depth=depth, order="random"
             )
             assert len(unanswerable) == 7
