@@ -63,12 +63,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     path_disagreements = 0
     for instance in dataset.instances:
         report = verify_instance(instance)
-        if not report.label_confirmed:
-            failures += 1
-            print(f"FAIL {instance.id}: {report.failure}")
-        elif report.path_solver_agrees is False:
+        if report.label_confirmed:
+            continue
+        print(f"FAIL {instance.id}: {report.failure}")
+        if report.path_solver_agrees is False:
             path_disagreements += 1
-            print(f"FAIL {instance.id}: path solver disagrees with elimination")
+        else:
+            failures += 1
     total = len(dataset.instances)
     print(
         f"certified {total - failures - path_disagreements}/{total} instances "

@@ -56,6 +56,9 @@ def dataset_from_lines(lines: list[str], source: str = "<memory>") -> Dataset:
         raise DatasetParseError(
             f"{source} line {first_n}: unsupported schemaVersion {header['schemaVersion']!r}"
         )
+    for key in ("config", "certification"):
+        if not isinstance(header.get(key), dict):
+            raise DatasetParseError(f"{source} line {first_n}: header {key!r} must be a JSON object")
     config = GenConfig.from_json_dict(header["config"])
 
     instances = []

@@ -20,7 +20,7 @@ from .formulas import (
     sample_formula,
 )
 from .jsonmap import from_file_json, from_json, to_json
-from .oracle import solve_exact, verify_instance
+from .oracle import verify_instance
 from .rng import PcgStream, substream
 from .tree import bfs_edges, build_tree, check_shape, sample_var_values
 from .wording import (
@@ -167,7 +167,9 @@ def build_pair(
     variable values, tree attachment, edge coefficients (breadth-first),
     condition-order permutation, item assignment, then one phrasing coin per
     difference sentence in condition order.  The two variants share every
-    draw; the unanswerable one just drops the cut sentence.
+    draw; the unanswerable one just drops the cut sentence.  Each variant
+    is certified by `verify_instance`, one exact elimination apiece, before
+    either is returned.
     """
     values = sample_var_values(config.num_vars, rng)
     tree = build_tree(config.num_vars, config.ans_depth, rng)
@@ -198,11 +200,9 @@ def build_pair(
     ans_text = assemble_text(sentences, question)
     una_text = assemble_text(una_sentences, question)
 
-    det_ans = solve_exact(ordered, questioned)
-    det_una = solve_exact(una_formulas, questioned)
     gold = values[questioned]
-    ans_solution = render_gold_solution(ordered, sentences, items, questioned, True, det_ans)
-    una_solution = render_gold_solution(una_formulas, una_sentences, items, questioned, False, det_una)
+    ans_solution = render_gold_solution(ordered, sentences, items, questioned, True)
+    una_solution = render_gold_solution(una_formulas, una_sentences, items, questioned, False)
 
     pair_id = f"s{config.corpus_seed}-p{index:06d}"  # unique across corpus seeds
     metadata = {

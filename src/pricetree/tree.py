@@ -59,24 +59,16 @@ def sample_var_values(num_vars: int, rng: PcgStream) -> dict[int, int]:
     return {i: rng.int_between(PRICE_MIN, PRICE_MAX) for i in range(1, num_vars + 1)}
 
 
-def build_tree(
-    num_vars: int,
-    ans_depth: int,
-    rng: PcgStream,
-    allow_root_extras: bool = True,
-) -> Tree:
+def build_tree(num_vars: int, ans_depth: int, rng: PcgStream) -> Tree:
     """Spine first, then each extra variable picks a uniformly random parent.
 
-    The shape must pass `check_shape`.  `allow_root_extras` controls
-    whether the root is a candidate parent for the extra variables; extras
-    attached to the root get a direct value sentence instead of a two-item
+    The shape must pass `check_shape`.  The root is a candidate parent too;
+    extras attached to it get a direct value sentence instead of a two-item
     relation.
     """
     parent = [ROOT] + [i - 1 for i in range(2, ans_depth + 1)]
     for i in range(ans_depth + 1, num_vars + 1):
-        first = ROOT if allow_root_extras else 1
-        candidates = list(range(first, i))
-        parent.append(rng.pick(candidates))
+        parent.append(rng.pick(range(ROOT, i)))
     return Tree(num_vars=num_vars, ans_depth=ans_depth, parent=tuple(parent))
 
 

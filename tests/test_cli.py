@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from pricetree import oracle
 from pricetree.cli import main
 from pricetree.corpus_io import read_dataset
 
@@ -123,6 +125,12 @@ class TestVerify:
         lines[1] = json.dumps(record, ensure_ascii=False)
         out.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--in", str(out)]) == 1
+
+    def test_path_solver_disagreement_tallied_once(self, tmp_path, config_file, capsys, monkeypatch):
+        out = generate(tmp_path, config_file)
+        monkeypatch.setattr(oracle, "solve_by_path", lambda formulas, target: Fraction(-1))
+        assert main(["verify", "--in", str(out)]) == 1
+        assert "certified 4/8 instances (0 label failures, 4 solver disagreements)" in capsys.readouterr().out
 
 
 class TestRender:

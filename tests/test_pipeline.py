@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -12,7 +13,9 @@ from pricetree.corpus_io import (
     read_dataset,
     write_dataset,
 )
-from pricetree.errors import DatasetParseError, InvalidConfigError
+from pricetree import oracle
+from pricetree.errors import CertificationError, DatasetParseError, InvalidConfigError
+from pricetree.oracle import Determination, verify_instance
 from pricetree.pipeline import (
     GenConfig,
     cell_label,
@@ -90,6 +93,44 @@ class TestGeneratePair:
             assert 5 <= answerable.gold_answer <= 15
             assert unanswerable.gold_answer is None
 
+    def test_label_not_confirmed_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "solve_exact", lambda formulas, target: Determination.underdetermined())
+        with pytest.raises(CertificationError, match="label answerable but oracle says underdetermined"):
+            generate_pair(make_config(), 0)
+
+
+class TestEliminationCount:
+    """Each label is certified once: one exact elimination per instance."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # count through every module that imported solve_exact, not just the oracle
+        calls = []
+        original = oracle.solve_exact
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "pricetree" or module is None:
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    def test_two_per_generated_pair(self, calls):
+        generate_corpus(make_config(num_vars=7, ans_depth=4, cut_depth=2, count=5))
+        assert len(calls) == 2 * 5
+
+    def test_one_per_verified_instance(self, calls):
+        dataset = generate_corpus(make_config(count=3))
+        calls.clear()
+        for instance in dataset.instances:
+            assert verify_instance(instance).label_confirmed
+        assert len(calls) == len(dataset.instances)
+
 
 class TestGenerateCorpus:
     def test_counts(self):
@@ -158,6 +199,17 @@ class TestSerialization:
         lines = dataset_to_lines(dataset)[1:]
         with pytest.raises(DatasetParseError, match="schemaVersion"):
             dataset_from_lines(lines)
+
+    @pytest.mark.parametrize("key", ["config", "certification"])
+    @pytest.mark.parametrize("value", [None, 5], ids=["missing", "not-an-object"])
+    def test_bad_header_section_names_line_one(self, key, value):
+        header = json.loads(dataset_to_lines(generate_corpus(make_config(count=1)))[0])
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        with pytest.raises(DatasetParseError, match=f"line 1: header '{key}'"):
+            dataset_from_lines([json.dumps(header)])
 
 
 class TestConfigFile:

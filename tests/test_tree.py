@@ -55,11 +55,6 @@ class TestBuildTree:
             for i in range(5, 9):
                 assert tree.parent_of(i) < i
 
-    def test_root_can_be_excluded_from_extras(self):
-        for seed in range(200):
-            tree = build_tree(6, 2, PcgStream.from_seed(seed), allow_root_extras=False)
-            assert all(tree.parent_of(i) != ROOT for i in range(3, 7))
-
     def test_invalid_configs_rejected(self):
         # the shape is checked once, by the config that build_tree is fed from
         with pytest.raises(InvalidConfigError, match="ansDepth must be >= 2"):

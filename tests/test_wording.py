@@ -4,7 +4,6 @@ import pytest
 
 from pricetree.errors import CertificationError, InvalidConfigError
 from pricetree.formulas import Linear, RootValue
-from pricetree.oracle import Determination
 from pricetree.rng import PcgStream
 from pricetree.wording import (
     DEFAULT_DISHES,
@@ -241,31 +240,9 @@ class TestGoldSolutions:
             items,
             4,
             answerable=False,
-            determination=Determination.underdetermined(),
         )
         assert "There are 3 variables but only 2 linear formulas" in text
         assert text.startswith("All we know about the prices of lasagna, pizza and burger is: ")
-
-    def test_label_verdict_mismatch_raises(self):
-        answerable, unanswerable = reference_pair.build_reference_pair()
-        with pytest.raises(CertificationError):
-            render_gold_solution(
-                list(answerable.formulas),
-                list(answerable.condition_sentences),
-                answerable.item_map,
-                answerable.questioned_var,
-                answerable=True,
-                determination=Determination.underdetermined(),
-            )
-        with pytest.raises(CertificationError):
-            render_gold_solution(
-                list(unanswerable.formulas),
-                list(unanswerable.condition_sentences),
-                unanswerable.item_map,
-                unanswerable.questioned_var,
-                answerable=False,
-                determination=Determination.unique(11),
-            )
 
 
 class TestSentenceRoundTrip:
