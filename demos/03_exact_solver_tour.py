@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The rational solver on hand-built systems.
+"""The exact solver on hand-built systems.
 
 Everything is exact integer/fraction arithmetic; verdicts are per target
 variable, so one system can pin some prices while leaving others open.

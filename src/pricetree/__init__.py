@@ -2,7 +2,7 @@
 
 Problems are random trees of linear price constraints; removing one edge on
 the path to the questioned item makes the question unanswerable.  An exact
-rational solver certifies every label, and an evaluation harness measures
+integer solver certifies every label, and an evaluation harness measures
 how often a language model invents an answer anyway.
 """
 

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .errors import DatasetParseError, InvalidConfigError
-from .pipeline import Dataset, GenConfig, ProblemInstance
+from .pipeline import ANSWERABLE, UNANSWERABLE, Dataset, GenConfig, ProblemInstance
 
 SCHEMA_VERSION = 1
 
@@ -59,15 +59,21 @@ def dataset_from_lines(lines: list[str], source: str = "<memory>") -> Dataset:
     for key in ("config", "certification"):
         if not isinstance(header.get(key), dict):
             raise DatasetParseError(f"{source} line {first_n}: header {key!r} must be a JSON object")
-    config = GenConfig.from_json_dict(header["config"])
+    try:
+        config = GenConfig.from_json_dict(header["config"])
+    except InvalidConfigError as exc:
+        raise DatasetParseError(f"{source} line {first_n}: invalid header config ({exc})") from exc
 
     instances = []
     for n, line in stripped[1:]:
         data = parse(n, line)
         try:
-            instances.append(ProblemInstance.from_json_dict(data))
+            instance = ProblemInstance.from_json_dict(data)
         except (KeyError, TypeError) as exc:
             raise DatasetParseError(f"{source} line {n}: malformed instance ({exc})") from exc
+        if instance.variant not in (ANSWERABLE, UNANSWERABLE):
+            raise DatasetParseError(f"{source} line {n}: unknown variant {instance.variant!r}")
+        instances.append(instance)
     return Dataset(config=config, instances=instances, certification=header["certification"])
 
 

@@ -1,15 +1,18 @@
 """Exact-arithmetic certification of instance labels.
 
-Two independent solvers: full Gaussian elimination over rationals (total on
-any formula list) and a forward-substitution pass that only works on
-complete instances in forward order.  Certification cross-checks them and
-the stated label; nothing here ever touches floating point.
+Two independent solvers: a sparse, fraction-free integer elimination (total
+on any formula list) and a forward-substitution pass over rationals that
+only works on complete instances in forward order.  Certification
+cross-checks them and the stated label; nothing here ever touches floating
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import TYPE_CHECKING, Optional
 
 from .errors import NotForwardSolvableError
@@ -18,6 +21,10 @@ from .tree import breadth_first
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import ProblemInstance
+
+# Instance labels: an answerable target must be unique, an unanswerable one underdetermined.
+ANSWERABLE = "answerable"
+UNANSWERABLE = "unanswerable"
 
 UNIQUE = "unique"
 UNDERDETERMINED = "underdetermined"
@@ -61,91 +68,114 @@ class VerificationReport:
     failure: Optional[str] = None
 
 
-_RHS = -1  # sparse-row key for the right-hand side
+_RHS = -1  # sparse-row key of the right-hand side
+_TARGET = 0  # sparse-row key of the target; the other variables get keys 1, 2, ...
 
 
-def _rows_for(formulas: list[Formula], columns: dict[int, int]) -> list[dict[int, object]]:
-    """Sparse rows: column -> coefficient, with the RHS under the _RHS key.
-
-    Entries start as plain ints and are promoted to Fraction only when a
-    pivot normalization divides them; zero entries are never stored.
-    """
-    rows: list[dict[int, object]] = []
+def _integer_rows(formulas: list[Formula], target_var: int) -> list[dict[int, int]]:
+    """Sparse integer rows, key -> coefficient; zero entries are never stored."""
+    keys = {target_var: _TARGET}
+    rows: list[dict[int, int]] = []
     for f in formulas:
-        row: dict[int, object] = {}
         if isinstance(f, RootValue):
-            terms = [(columns[f.var], 1)]
-            rhs = f.value
+            terms, rhs = ((f.var, 1),), f.value
         else:
+            terms, rhs = ((f.parent, f.parent_coeff), (f.child, f.child_coeff)), f.rhs
+        row = {_RHS: rhs} if rhs else {}
+        for var, coeff in terms:
             # accumulate: a degenerate relation may name one variable twice
-            terms = [(columns[f.parent], f.parent_coeff), (columns[f.child], f.child_coeff)]
-            rhs = f.rhs
-        for col, coeff in terms:
-            total = row.get(col, 0) + coeff
+            key = keys.setdefault(var, len(keys))
+            total = row.get(key, 0) + coeff
             if total:
-                row[col] = total
+                row[key] = total
             else:
-                row.pop(col, None)
-        if rhs:
-            row[_RHS] = rhs
+                row.pop(key, None)
         rows.append(row)
     return rows
 
 
 def solve_exact(formulas: list[Formula], target_var: int) -> Determination:
-    """Decide the target variable by Gaussian elimination over rationals.
+    """Decide the target variable by fraction-free sparse integer elimination.
 
-    Reduces the full system to reduced row echelon form, pivoting on the
-    first nonzero entry per column.  The target is Unique exactly when its
-    column is a pivot column and that pivot row involves no free variable.
-    Rows are sparse; these systems are tree-shaped, so eliminations touch a
-    handful of entries each.
+    Every variable but the target is eliminated in turn, in integers as in
+    Bareiss (1968), with rows kept small by gcd division.  The pivot is the
+    active row with the fewest entries, on its variable held by the fewest
+    other rows; each of those rows becomes ``a*row - b*pivot`` with ``a, b``
+    reduced by their gcd, and is then divided by the gcd of its entries.
+    The pivot row leaves the system: it alone still holds its variable, so
+    it can be met whatever values the other rows take.  The rows left over
+    involve the target alone.  Any ``0 = nonzero`` row, or two rows giving
+    the target different values, make the system inconsistent; otherwise a
+    target coefficient makes the target unique, and its ``Fraction`` is
+    built only then.
     """
-    variables = sorted({v for f in formulas for v in f.variables()} | {target_var})
-    columns = {v: i for i, v in enumerate(variables)}
-    rows = _rows_for(formulas, columns)
-    n_cols = len(variables)
+    active: dict[int, dict[int, int]] = {}  # rows that still hold a non-target variable
+    holding: dict[int, set[int]] = {}  # non-target key -> active rows holding it
+    left: list[dict[int, int]] = []  # rows in the target alone
+    for i, row in enumerate(_integer_rows(formulas, target_var)):
+        if max(row, default=_RHS) > _TARGET:
+            active[i] = row
+            for key in row:
+                if key > _TARGET:
+                    holding.setdefault(key, set()).add(i)
+        else:
+            left.append(row)
 
-    pivot_row_of: dict[int, int] = {}  # column -> row index
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if c in rows[i]), None)
-        if pivot is None:
+    queue = [(len(row), i) for i, row in active.items()]  # (size, row); stale entries skipped
+    heapify(queue)
+    while queue:
+        size, p = heappop(queue)
+        pivot = active.get(p)
+        if pivot is None or len(pivot) != size:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pivot_row = rows[r]
-        pivot_value = pivot_row[c]
-        if pivot_value != 1:
-            scale = Fraction(1, pivot_value) if isinstance(pivot_value, int) else 1 / pivot_value
-            for k in pivot_row:
-                pivot_row[k] = pivot_row[k] * scale
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            row = rows[i]
-            factor = row.get(c)
-            if not factor:
-                continue
-            for k, v in pivot_row.items():
-                updated = row.get(k, 0) - factor * v
-                if updated:
-                    row[k] = updated
+        del active[p]
+        keys = [key for key in pivot if key > _TARGET]
+        for key in keys:
+            holding[key].discard(p)
+        col = min(keys, key=lambda key: len(holding[key]))
+        keys.remove(col)
+        pivot_coeff = pivot[col]
+        for i in holding.pop(col):
+            row = active[i]
+            g = gcd(pivot_coeff, row[col])
+            a, b = pivot_coeff // g, row[col] // g
+            if a != 1:
+                for key in row:
+                    row[key] *= a
+            for key, v in pivot.items():
+                total = row.get(key, 0) - b * v
+                if total:
+                    row[key] = total
                 else:
-                    row.pop(k, None)
-        pivot_row_of[c] = r
-        r += 1
+                    row.pop(key, None)
+            g = gcd(*row.values())
+            if g > 1:
+                for key in row:
+                    row[key] //= g
+            for key in keys:
+                if key in row:
+                    holding[key].add(i)
+                else:
+                    holding[key].discard(i)
+            if max(row, default=_RHS) > _TARGET:
+                heappush(queue, (len(row), i))
+            else:
+                left.append(active.pop(i))
 
-    for row in rows[r:]:
-        if row.get(_RHS):
+    values = set()  # (coefficient, rhs) of each row in the target, reduced
+    for row in left:
+        a, b = row.get(_TARGET, 0), row.get(_RHS, 0)
+        if a:
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
+            values.add((a // g, b // g))
+        elif b:
             return Determination.inconsistent()
-
-    target_col = columns[target_var]
-    if target_col not in pivot_row_of:
+    if len(values) > 1:
+        return Determination.inconsistent()
+    if not values:
         return Determination.underdetermined()
-    row = rows[pivot_row_of[target_col]]
-    if any(k not in (target_col, _RHS) for k in row):
-        return Determination.underdetermined()
-    return Determination.unique(Fraction(row.get(_RHS, 0)))
+    a, b = values.pop()
+    return Determination.unique(Fraction(b, a))
 
 
 def solve_by_path(formulas: list[Formula], target_var: int) -> Fraction:
@@ -228,7 +258,7 @@ def verify_instance(instance: "ProblemInstance") -> VerificationReport:
 
     failure = None
     path_agrees: Optional[bool] = None
-    if instance.variant == "answerable":
+    if instance.variant == ANSWERABLE:
         if not det.is_unique:
             failure = f"label answerable but oracle says {det.kind}"
         elif det.value != instance.gold_answer:
@@ -242,9 +272,11 @@ def verify_instance(instance: "ProblemInstance") -> VerificationReport:
                 failure = f"path solver failed: {exc}"
             if path_agrees is False and failure is None:
                 failure = "path solver disagrees with elimination"
-    else:
+    elif instance.variant == UNANSWERABLE:
         if det.kind != UNDERDETERMINED:
             failure = f"label unanswerable but oracle says {det.kind}"
+    else:
+        failure = f"unknown variant {instance.variant!r}"
 
     return VerificationReport(
         target_var=target,

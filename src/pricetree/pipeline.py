@@ -20,7 +20,7 @@ from .formulas import (
     sample_formula,
 )
 from .jsonmap import from_file_json, from_json, to_json
-from .oracle import verify_instance
+from .oracle import ANSWERABLE, UNANSWERABLE, verify_instance
 from .rng import PcgStream, substream
 from .tree import bfs_edges, build_tree, check_shape, sample_var_values
 from .wording import (
@@ -36,10 +36,6 @@ from .wording import (
     render_gold_solution,
     render_question,
 )
-
-ANSWERABLE = "answerable"
-UNANSWERABLE = "unanswerable"
-
 
 # ---------------------------------------------------------------------------
 # Configuration

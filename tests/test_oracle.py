@@ -133,6 +133,13 @@ class TestVerifyInstance:
         assert not report.label_confirmed
         assert "unanswerable" in report.failure
 
+    @pytest.mark.parametrize("variant", ["answerabel", "", "Unanswerable"])
+    def test_unknown_variant_is_a_failure(self, variant):
+        for instance in generate_pair(make_config(count=1), 0):
+            report = verify_instance(dataclasses.replace(instance, variant=variant))
+            assert not report.label_confirmed
+            assert report.failure == f"unknown variant {variant!r}"
+
     def test_negative_control_wrong_gold_value(self):
         answerable, _ = generate_pair(make_config(count=1), 0)
         forged = dataclasses.replace(answerable, gold_answer=answerable.gold_answer + 1)

@@ -211,6 +211,21 @@ class TestSerialization:
         with pytest.raises(DatasetParseError, match=f"line 1: header '{key}'"):
             dataset_from_lines([json.dumps(header)])
 
+    @pytest.mark.parametrize("config", [{"numVars": 3}, {**make_config().to_json_dict(), "ansDepth": 0}])
+    def test_invalid_header_config_names_line_one(self, config):
+        header = json.loads(dataset_to_lines(generate_corpus(make_config(count=1)))[0])
+        header["config"] = config
+        with pytest.raises(DatasetParseError, match="corpus.jsonl line 1: invalid header config"):
+            dataset_from_lines([json.dumps(header)], source="corpus.jsonl")
+
+    def test_unknown_variant_names_the_line(self):
+        lines = dataset_to_lines(generate_corpus(make_config(count=2)))
+        record = json.loads(lines[3])
+        record["variant"] = "answerabel"
+        lines[3] = json.dumps(record)
+        with pytest.raises(DatasetParseError, match="line 4: unknown variant 'answerabel'"):
+            dataset_from_lines(lines)
+
 
 class TestConfigFile:
     def test_load_flat_config(self, tmp_path):

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pricetree.corpus_io import dataset_from_lines, dataset_to_lines
+from pricetree.formulas import Formula, Linear, RootValue
 from pricetree.harness.scoring import extract_answer
-from pricetree.oracle import forward_order, solve_by_path, solve_exact, verify_instance
+from pricetree.oracle import Determination, forward_order, solve_by_path, solve_exact, verify_instance
 from pricetree.pipeline import GenConfig, generate_corpus, generate_pair
 from pricetree.wording import DEFAULT_DISHES
 
@@ -90,6 +91,77 @@ def test_sentences_round_trip(config: GenConfig, index: int):
     answerable, _ = generate_pair(config, index)
     for formula, sentence in zip(answerable.formulas, answerable.condition_sentences):
         assert sentence_parser.roundtrips(formula, sentence, answerable.item_map)
+
+
+@st.composite
+def formula_lists(draw: st.DrawFn) -> tuple[list[Formula], int]:
+    """Arbitrary small systems, mostly true of some hidden values so that
+    unique and underdetermined verdicts show up beside inconsistent ones.
+    Self-relations, zero coefficients, repeated or conflicting direct
+    values, and a target that no formula names are all in reach."""
+    num_vars = draw(st.integers(1, 7))
+    var = st.integers(0, num_vars - 1)
+    coeff = st.integers(-3, 3)
+    hidden = draw(st.lists(st.integers(-20, 20), min_size=num_vars, max_size=num_vars))
+    formulas: list[Formula] = []
+    for _ in range(draw(st.integers(0, 9))):
+        noise = draw(st.sampled_from((0, 0, 0, 1, -2)))
+        if draw(st.booleans()):
+            v = draw(var)
+            formulas.append(RootValue(v, hidden[v] + noise))
+        else:
+            p, c, a, b = draw(var), draw(var), draw(coeff), draw(coeff)
+            formulas.append(Linear(p, c, a, b, a * hidden[p] + b * hidden[c] + noise))
+    return formulas, draw(st.integers(0, num_vars))  # num_vars itself is in no formula
+
+
+def dense_rref(formulas: list[Formula], target_var: int) -> Determination:
+    """Reference verdict: dense reduced row echelon form over Fractions."""
+    variables = sorted({v for f in formulas for v in f.variables()} | {target_var})
+    col = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
+    matrix = []
+    for f in formulas:
+        row = [Fraction(0)] * (n + 1)
+        if isinstance(f, RootValue):
+            row[col[f.var]] += 1
+            row[n] = Fraction(f.value)
+        else:
+            row[col[f.parent]] += f.parent_coeff
+            row[col[f.child]] += f.child_coeff
+            row[n] = Fraction(f.rhs)
+        matrix.append(row)
+    pivot_cols: list[int] = []
+    for c in range(n):
+        r = len(pivot_cols)
+        p = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
+        if p is None:
+            continue
+        matrix[r], matrix[p] = matrix[p], matrix[r]
+        matrix[r] = [x / matrix[r][c] for x in matrix[r]]
+        for i, row in enumerate(matrix):
+            if i != r and row[c]:
+                matrix[i] = [x - row[c] * y for x, y in zip(row, matrix[r])]
+        pivot_cols.append(c)
+    if any(row[n] for row in matrix[len(pivot_cols):]):
+        return Determination.inconsistent()
+    t = col[target_var]
+    if t not in pivot_cols:
+        return Determination.underdetermined()
+    row = matrix[pivot_cols.index(t)]
+    if any(row[c] for c in range(n) if c != t):
+        return Determination.underdetermined()
+    return Determination.unique(row[n])
+
+
+@settings(deadline=None, max_examples=400)
+@given(system=formula_lists(), data=st.data())
+def test_solve_exact_matches_dense_reference_in_any_order(system, data):
+    formulas, target = system
+    verdict = solve_exact(formulas, target)
+    assert verdict == dense_rref(formulas, target)
+    shuffled = data.draw(st.permutations(formulas))
+    assert solve_exact(shuffled, target) == verdict
 
 
 @settings(deadline=None, max_examples=20)
