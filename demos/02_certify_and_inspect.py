@@ -30,8 +30,9 @@ for instance in dataset.instances:
     verdicts[(instance.variant, report.determination.kind)] += 1
     if instance.variant == "unanswerable":
         # m variables held together by m-1 equations: underdetermined by counting
-        assert report.equation_count == report.component_size - 1
-        component_sizes[report.component_size] += 1
+        component, equations = constraint_component(list(instance.formulas), instance.questioned_var)
+        assert equations == len(component) - 1
+        component_sizes[len(component)] += 1
 
 print("\nverdicts by variant:")
 for (variant, kind), n in sorted(verdicts.items()):

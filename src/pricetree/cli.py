@@ -16,10 +16,10 @@ from .corpus_io import load_gen_config, read_dataset, write_dataset
 from .errors import PricetreeError
 from .formulas import formula_edges
 from .harness.prompts import load_profile
-from .harness.report import write_report
+from .harness.report import format_text_table, write_report
 from .harness.scoring import read_records, run_eval, write_records
 from .harness.transport import make_transport
-from .oracle import solve_exact, verify_instance
+from .oracle import constraint_component, solve_exact, verify_instance
 from .pipeline import (
     PRESET_NAMES,
     ProblemInstance,
@@ -44,16 +44,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             check_vocabulary(vocab, config.num_vars, config.composite_name)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for config in configs:
-            dataset = generate_corpus(config)
-            path = out_dir / f"{cell_label(config)}.jsonl"
-            write_dataset(dataset, path)
-            print(f"wrote {len(dataset.instances)} instances to {path}")
-        return 0
-    config = dataclasses.replace(load_gen_config(args.config), **overrides)
-    dataset = generate_corpus(config)
-    write_dataset(dataset, args.out)
-    print(f"wrote {len(dataset.instances)} instances to {args.out}")
+        outputs = [(config, out_dir / f"{cell_label(config)}.jsonl") for config in configs]
+    else:
+        outputs = [(dataclasses.replace(load_gen_config(args.config), **overrides), args.out)]
+    for config, path in outputs:
+        dataset = generate_corpus(config)
+        write_dataset(dataset, path)
+        print(f"wrote {len(dataset.instances)} instances to {path}")
     return 0
 
 
@@ -128,10 +125,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     print(f"gold solution: {instance.gold_solution_text}")
     report = verify_instance(instance)
     status = "confirmed" if report.label_confirmed else f"FAILED ({report.failure})"
-    print(
-        f"certification: {status}; component {report.component_size} variables / "
-        f"{report.equation_count} formulas"
-    )
+    component, equations = constraint_component(list(instance.formulas), instance.questioned_var)
+    print(f"certification: {status}; component {len(component)} variables / {equations} formulas")
     return 0 if report.label_confirmed else 1
 
 
@@ -153,7 +148,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     records = read_records(args.input)
     group_by = [key.strip() for key in args.group.split(",") if key.strip()]
     table = write_report(records, group_by, args.out)
-    print((Path(args.out) / "metrics.txt").read_text(encoding="utf-8"), end="")
+    print(format_text_table(table))
     print(f"report written to {args.out} ({len(table.cells)} cells)")
     return 0
 

@@ -8,13 +8,12 @@ worked examples drawn from a held-out pool, interleaved in stream order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from ..errors import InvalidConfigError
-from ..jsonmap import from_file_json
+from ..jsonmap import read_json_file
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
 from ..rng import PcgStream
 
@@ -53,19 +52,9 @@ class ModelProfile:
     max_retries: int = 3
     timeout_seconds: float = 120.0
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ModelProfile":
-        return from_file_json(cls, data, "profile")
-
 
 def load_profile(path: str | Path) -> ModelProfile:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise InvalidConfigError(f"{path}: profile must be a JSON object")
-    return ModelProfile.from_json_dict(data)
+    return read_json_file(ModelProfile, path, "profile")
 
 
 def build_zero_shot_prompt(instance: ProblemInstance, profile: ModelProfile) -> list[Message]:

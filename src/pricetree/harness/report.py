@@ -28,6 +28,10 @@ from .scoring import (
 MISSING = "—"  # em dash: a rate with no eligible records is missing, not 0%
 
 
+def _rate(count: int, eligible: int) -> Optional[Fraction]:
+    return Fraction(count, eligible) if eligible else None
+
+
 @dataclass
 class CellMetrics:
     key: dict
@@ -42,21 +46,15 @@ class CellMetrics:
 
     @property
     def hallucination_rate(self) -> Optional[Fraction]:
-        if self.n_unanswerable == 0:
-            return None
-        return Fraction(self.hallucinations, self.n_unanswerable)
+        return _rate(self.hallucinations, self.n_unanswerable)
 
     @property
     def accuracy(self) -> Optional[Fraction]:
-        if self.n_answerable == 0:
-            return None
-        return Fraction(self.correct, self.n_answerable)
+        return _rate(self.correct, self.n_answerable)
 
     @property
     def false_unanswerable_rate(self) -> Optional[Fraction]:
-        if self.n_answerable == 0:
-            return None
-        return Fraction(self.false_unanswerable, self.n_answerable)
+        return _rate(self.false_unanswerable, self.n_answerable)
 
 
 @dataclass

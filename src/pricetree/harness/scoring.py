@@ -9,7 +9,6 @@ or no usable number, are unparseable.
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..errors import DatasetParseError, InvalidConfigError, TransportError
-from ..jsonmap import from_json, to_json
+from ..errors import InvalidConfigError, TransportError
+from ..jsonmap import from_json, json_line, read_json_lines, to_json, write_json_lines
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
 from ..rng import substream
 from .prompts import ModelProfile, build_few_shot_prompt, build_zero_shot_prompt
@@ -105,13 +104,6 @@ class EvalRecord:
     gold_answer: Optional[int]
     exemplar_ids: Optional[list[str]] = None
 
-    def to_json_dict(self) -> dict:
-        return to_json(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EvalRecord":
-        return from_json(cls, data)
-
 
 def _config_cell(instance: ProblemInstance) -> dict:
     config = instance.metadata.get("config", {})
@@ -186,17 +178,8 @@ def run_eval(
 
 
 def write_records(records: list[EvalRecord], path: str | Path) -> None:
-    lines = [json.dumps(r.to_json_dict(), ensure_ascii=False) for r in records]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_json_lines(path, (json_line(to_json(r)) for r in records))
 
 
 def read_records(path: str | Path) -> list[EvalRecord]:
-    records = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(EvalRecord.from_json_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DatasetParseError(f"{path} line {n}: {exc}") from exc
-    return records
+    return read_json_lines(path, lambda data: from_json(EvalRecord, data))

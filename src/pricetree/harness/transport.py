@@ -8,7 +8,6 @@ behaviours.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -16,12 +15,8 @@ from typing import Optional
 
 import requests
 
-from ..errors import (
-    DatasetParseError,
-    InvalidConfigError,
-    TransientTransportError,
-    TransportError,
-)
+from ..errors import InvalidConfigError, TransientTransportError, TransportError
+from ..jsonmap import read_json_lines
 from ..pipeline import ANSWERABLE, Dataset
 from .prompts import Message, ModelProfile
 
@@ -87,6 +82,13 @@ class LiveTransport:
             raise TransportError(f"malformed completion response: {exc}") from exc
 
 
+def _replay_entry(data: dict) -> tuple[str, str]:
+    instance_id, text = data["instanceId"], data["responseText"]
+    if not isinstance(instance_id, str) or not isinstance(text, str):
+        raise TypeError("instanceId and responseText must be strings")
+    return instance_id, text
+
+
 class ReplayTransport:
     """Serves recorded responses keyed by instance id."""
 
@@ -95,16 +97,8 @@ class ReplayTransport:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayTransport":
-        responses: dict[str, str] = {}
-        for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                responses[data["instanceId"]] = data["responseText"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DatasetParseError(f"{path} line {n}: {exc}") from exc
-        return cls(responses)
+        """One ``{"instanceId": ..., "responseText": ...}`` object per line."""
+        return cls(dict(read_json_lines(path, _replay_entry)))
 
     def complete(self, messages: list[Message], instance_id: Optional[str] = None) -> str:
         if instance_id not in self.responses:

@@ -59,10 +59,7 @@ class Determination:
 class VerificationReport:
     """Outcome of certifying one instance against the oracle."""
 
-    target_var: int
     determination: Determination
-    component_size: int
-    equation_count: int
     path_solver_agrees: Optional[bool]
     label_confirmed: bool
     failure: Optional[str] = None
@@ -254,7 +251,6 @@ def verify_instance(instance: "ProblemInstance") -> VerificationReport:
     """Certify one instance's label; mismatches are reported, never fixed."""
     target = instance.questioned_var
     det = solve_exact(list(instance.formulas), target)
-    component, equations = constraint_component(list(instance.formulas), target)
 
     failure = None
     path_agrees: Optional[bool] = None
@@ -279,10 +275,7 @@ def verify_instance(instance: "ProblemInstance") -> VerificationReport:
         failure = f"unknown variant {instance.variant!r}"
 
     return VerificationReport(
-        target_var=target,
         determination=det,
-        component_size=len(component),
-        equation_count=equations,
         path_solver_agrees=path_agrees,
         label_confirmed=failure is None,
         failure=failure,

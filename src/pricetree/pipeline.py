@@ -19,7 +19,7 @@ from .formulas import (
     order_formulas,
     sample_formula,
 )
-from .jsonmap import from_file_json, from_json, to_json
+from .jsonmap import from_json, to_json
 from .oracle import ANSWERABLE, UNANSWERABLE, verify_instance
 from .rng import PcgStream, substream
 from .tree import bfs_edges, build_tree, check_shape, sample_var_values
@@ -68,13 +68,6 @@ class GenConfig:
                 f"questionPhrasing must be one of {QUESTION_PHRASINGS}, got {self.question_phrasing!r}"
             )
 
-    def to_json_dict(self) -> dict:
-        return to_json(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GenConfig":
-        return from_file_json(cls, data, "config")
-
 
 def cell_label(config: GenConfig) -> str:
     """Filesystem-friendly name for one configuration cell."""
@@ -90,6 +83,16 @@ def cell_label(config: GenConfig) -> str:
 
 
 _FORMULA_KINDS = {cls.kind: cls for cls in (RootValue, Linear)}
+
+
+def _formula_from_json(data: dict) -> Formula:
+    cls = _FORMULA_KINDS.get(data["kind"])
+    if cls is None:
+        raise ValueError(f"unknown formula kind {data['kind']!r}")
+    formula = from_json(cls, data)
+    if any(type(value) is not int for value in vars(formula).values()):
+        raise TypeError(f"{cls.kind} formula fields must be integers, got {data}")
+    return formula
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,8 @@ class ProblemInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
+        if data["variant"] not in (ANSWERABLE, UNANSWERABLE):
+            raise ValueError(f"unknown variant {data['variant']!r}")
         items = data["itemMap"]
         names = {int(var): from_json(ItemName, n) for var, n in items["names"].items()}
         return from_json(
@@ -126,7 +131,7 @@ class ProblemInstance:
             {
                 **data,
                 "conditionSentences": tuple(data["conditionSentences"]),
-                "formulas": tuple(from_json(_FORMULA_KINDS[f["kind"]], f) for f in data["formulas"]),
+                "formulas": tuple(_formula_from_json(f) for f in data["formulas"]),
                 "itemMap": from_json(ItemMap, {**items, "names": names}),
                 "goldAnswer": data.get("goldAnswer"),
             },
@@ -202,7 +207,7 @@ def build_pair(
 
     pair_id = f"s{config.corpus_seed}-p{index:06d}"  # unique across corpus seeds
     metadata = {
-        "config": config.to_json_dict(),
+        "config": to_json(config),
         "index": index,
         "cutEdge": {"parent": cut_child - 1, "child": cut_child},  # parent 0 is the root
         "phrasing": {str(var): coin for var, coin in sorted(phrasing.items())},

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import CertificationError, InvalidConfigError
 from .formulas import Formula, Linear, RootValue
+from .jsonmap import nonblank_lines, read_lines
 from .oracle import constraint_component
 from .rng import PcgStream
 
@@ -62,41 +63,32 @@ class Vocabulary:
         return cls(dishes=DEFAULT_DISHES, restaurants=DEFAULT_RESTAURANTS)
 
 
+def _vocabulary_entries(path: str | Path, what: str, parse) -> tuple:
+    """`parse(line)` -> (name, entry) for each non-blank line; names must be unique."""
+    entries = {}
+    for n, line in nonblank_lines(read_lines(path)):
+        name, entry = parse(line)
+        if name in entries:
+            raise InvalidConfigError(f"{path} line {n}: duplicate {what} entry {name!r}")
+        entries[name] = entry
+    if not entries:
+        raise InvalidConfigError(f"{path}: no {what} entries")
+    return tuple(entries.values())
+
+
+def _dish(line: str) -> tuple[str, Dish]:
+    singular, sep, plural = (part.strip() for part in line.partition("|"))
+    return singular, Dish(singular, plural if sep else singular + "s")
+
+
 def load_dishes(path: str | Path) -> tuple[Dish, ...]:
     """One dish per line as "singular|plural"; plural defaults to singular+"s"."""
-    dishes = []
-    seen = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        singular, sep, plural = line.partition("|")
-        singular = singular.strip()
-        plural = plural.strip() if sep else singular + "s"
-        if singular in seen:
-            raise InvalidConfigError(f"duplicate dish entry {singular!r} in {path}")
-        seen.add(singular)
-        dishes.append(Dish(singular, plural))
-    if not dishes:
-        raise InvalidConfigError(f"no dish entries in {path}")
-    return tuple(dishes)
+    return _vocabulary_entries(path, "dish", _dish)
 
 
 def load_restaurants(path: str | Path) -> tuple[str, ...]:
     """One restaurant display name per line."""
-    names = []
-    seen = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line in seen:
-            raise InvalidConfigError(f"duplicate restaurant entry {line!r} in {path}")
-        seen.add(line)
-        names.append(line)
-    if not names:
-        raise InvalidConfigError(f"no restaurant entries in {path}")
-    return tuple(names)
+    return _vocabulary_entries(path, "restaurant", lambda line: (line, line))
 
 
 def load_vocabulary(dish_path: Optional[str], restaurant_path: Optional[str]) -> Vocabulary:

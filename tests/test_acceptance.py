@@ -21,7 +21,7 @@ from pricetree.corpus_io import dataset_to_lines, read_dataset
 from pricetree.formulas import Linear
 from pricetree.harness.report import aggregate, format_rate
 from pricetree.harness.scoring import extract_answer, read_records
-from pricetree.oracle import verify_instance
+from pricetree.oracle import constraint_component, verify_instance
 from pricetree.pipeline import GenConfig, generate_corpus, generate_pair, preset
 from pricetree.wording import _template_form
 
@@ -116,7 +116,10 @@ def sweep() -> SweepStats:
             else:
                 if report.determination.kind == "underdetermined":
                     stats.unanswerable_underdetermined += 1
-                if report.equation_count == report.component_size - 1:
+                component, equations = constraint_component(
+                    list(instance.formulas), instance.questioned_var
+                )
+                if equations == len(component) - 1:
                     stats.component_law_holds += 1
     stats.elapsed = time.perf_counter() - start
     return stats
@@ -160,8 +163,9 @@ def test_criterion_4_reference_pair_reconstruction():
     assert struck == {reference_pair.STRUCK_SENTENCE}
     assert answerable.gold_solution_text == reference_pair.ANSWERABLE_SOLUTION
     assert unanswerable.gold_solution_text == reference_pair.UNANSWERABLE_SOLUTION
-    report = verify_instance(unanswerable)
-    assert report.component_size == 2 and report.equation_count == 1
+    assert verify_instance(unanswerable).label_confirmed
+    component, equations = constraint_component(list(unanswerable.formulas), unanswerable.questioned_var)
+    assert len(component) == 2 and equations == 1
     print(
         "PASS criterion 4: pinned seed fixture reproduced the reference pair "
         "byte-for-byte (texts, struck sentence, gold 11, both solutions)"

@@ -8,6 +8,7 @@ import pytest
 from pricetree import oracle
 from pricetree.cli import main
 from pricetree.corpus_io import read_dataset
+from pricetree.errors import DatasetParseError
 
 
 @pytest.fixture
@@ -132,6 +133,24 @@ class TestVerify:
         assert main(["verify", "--in", str(out)]) == 1
         assert "certified 4/8 instances (0 label failures, 4 solver disagreements)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field", ["parentCoeff", "itemMap key"])
+    def test_mistyped_corpus_field_names_the_line(self, tmp_path, config_file, capsys, field):
+        out = generate(tmp_path, config_file)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        if field == "parentCoeff":
+            linear = next(f for f in record["formulas"] if f["kind"] == "linear")
+            linear["parentCoeff"] = 1.5
+        else:
+            names = record["itemMap"]["names"]
+            names["one"] = names.pop("1")
+        lines[2] = json.dumps(record, ensure_ascii=False)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetParseError, match="line 3"):
+            read_dataset(out)
+        assert main(["verify", "--in", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out} line 3: ")
+
 
 class TestRender:
     def test_prints_instance(self, tmp_path, config_file, capsys):
@@ -214,3 +233,43 @@ class TestEvalAndReport:
         assert code == 0
         records = [json.loads(line) for line in records_path.read_text().splitlines()]
         assert all(r["response"] == "Answer: unknown." for r in records)
+
+
+# each command that reads a file, with the file under test standing in for one of its inputs
+_FILE_INPUTS = {
+    "verify --in": lambda p, bad: ["verify", "--in", bad],
+    "render --in": lambda p, bad: ["render", "--in", bad, "--id", "x"],
+    "eval --in": lambda p, bad: ["eval", "--in", bad, "--profile", p["profile"], "--mode", "zero",
+                                 "--transport", "mock:gold", "--out", p["out"]],
+    "report --in": lambda p, bad: ["report", "--in", bad, "--group", "ansDepth", "--out", p["out"]],
+    "generate --config": lambda p, bad: ["generate", "--config", bad, "--out", p["out"]],
+    "eval --profile": lambda p, bad: ["eval", "--in", p["corpus"], "--profile", bad, "--mode", "zero",
+                                      "--transport", "mock:gold", "--out", p["out"]],
+    "eval --pool": lambda p, bad: ["eval", "--in", p["corpus"], "--profile", p["profile"], "--mode", "few",
+                                   "--pool", bad, "--transport", "mock:gold", "--out", p["out"]],
+    "replay file": lambda p, bad: ["eval", "--in", p["corpus"], "--profile", p["profile"], "--mode", "zero",
+                                   "--transport", f"replay:{bad}", "--out", p["out"]],
+    "vocabulary file": lambda p, bad: ["generate", "--config", p["vocab_config"], "--out", p["out"]],
+}
+
+
+@pytest.mark.parametrize("state", ["missing", "not-utf8"])
+@pytest.mark.parametrize("which", list(_FILE_INPUTS))
+def test_unreadable_input_file_is_a_clean_error(tmp_path, config_file, profile_file, capsys, which, state):
+    bad = tmp_path / "input.bad"
+    if state == "not-utf8":
+        bad.write_bytes(b"burger\n\xff\xfe\n")
+    vocab_config = tmp_path / "vocab_config.json"
+    vocab_config.write_text(json.dumps({**json.loads(config_file.read_text()), "dishVocab": str(bad)}))
+    paths = {
+        "corpus": str(generate(tmp_path, config_file)),
+        "profile": str(profile_file),
+        "vocab_config": str(vocab_config),
+        "out": str(tmp_path / "out"),
+    }
+    capsys.readouterr()
+    assert main(_FILE_INPUTS[which](paths, str(bad))) == 1
+    err = capsys.readouterr().err
+    expected = "cannot read" if state == "missing" else "line 2: not UTF-8"
+    assert err.startswith(f"error: {bad}") and expected in err, err
+    assert not (tmp_path / "out").exists()

@@ -10,7 +10,7 @@ import hashlib
 import itertools
 from dataclasses import replace
 
-from pricetree.corpus_io import SCHEMA_VERSION, dataset_from_lines, dataset_to_lines
+from pricetree.corpus_io import SCHEMA_VERSION, dataset_from_lines, dataset_to_lines, write_dataset
 from pricetree.formulas import CONDITION_ORDERS
 from pricetree.harness.scoring import read_records, run_eval, write_records
 from pricetree.harness.transport import ReplayTransport
@@ -48,15 +48,22 @@ def test_schema_version_is_pinned():
     assert SCHEMA_VERSION == 1
 
 
-def test_corpus_bytes_are_pinned_and_reserialize():
+def test_corpus_bytes_are_pinned_and_reserialize(tmp_path):
     grid = digest_grid()
     assert len(grid) == 632
     digest = hashlib.sha256()
+    file_digest = hashlib.sha256()
+    path = tmp_path / "corpus.jsonl"
     for config in grid:
-        lines = dataset_to_lines(generate_corpus(config))
+        dataset = generate_corpus(config)
+        lines = dataset_to_lines(dataset)
         assert dataset_to_lines(dataset_from_lines(lines)) == lines, config
         digest.update(("\n".join(lines) + "\n").encode("utf-8"))
+        write_dataset(dataset, path)
+        file_digest.update(path.read_bytes())
     assert digest.hexdigest() == CORPUS_SHA256
+    # a corpus file is its lines, each ended by "\n", so the files hash alike
+    assert file_digest.hexdigest() == CORPUS_SHA256
 
 
 def _scripted_responses(dataset) -> dict[str, str]:

@@ -15,6 +15,7 @@ from pricetree.corpus_io import (
 )
 from pricetree import oracle
 from pricetree.errors import CertificationError, DatasetParseError, InvalidConfigError
+from pricetree.jsonmap import from_file_json, to_json
 from pricetree.oracle import Determination, verify_instance
 from pricetree.pipeline import (
     GenConfig,
@@ -46,17 +47,17 @@ class TestGenConfig:
 
     def test_json_round_trip(self):
         config = make_config(composite_name=True, order="random")
-        assert GenConfig.from_json_dict(config.to_json_dict()) == config
+        assert from_file_json(GenConfig, to_json(config), "config") == config
 
     def test_unknown_keys_rejected(self):
-        data = make_config().to_json_dict()
+        data = to_json(make_config())
         data["numvars"] = 3
         with pytest.raises(InvalidConfigError, match="numvars"):
-            GenConfig.from_json_dict(data)
+            from_file_json(GenConfig, data, "config")
 
     def test_missing_keys_reported(self):
         with pytest.raises(InvalidConfigError, match="cutDepth"):
-            GenConfig.from_json_dict({"numVars": 4, "ansDepth": 3, "compositeName": True})
+            from_file_json(GenConfig, {"numVars": 4, "ansDepth": 3, "compositeName": True}, "config")
 
 
 class TestGeneratePair:
@@ -100,36 +101,44 @@ class TestGeneratePair:
 
 
 class TestEliminationCount:
-    """Each label is certified once: one exact elimination per instance."""
+    """Each label is certified once: one exact elimination per instance.
+
+    The constraint component is computed once per pair, for the
+    unanswerable gold solution, and never during certification.
+    """
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # count through every module that imported solve_exact, not just the oracle
-        calls = []
-        original = oracle.solve_exact
+        # count through every module that imported a function, not just the oracle
+        calls = {"solve_exact": [], "constraint_component": []}
+        for name, log in calls.items():
+            original = getattr(oracle, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counted(*args, original=original, log=log, **kwargs):
+                log.append(args)
+                return original(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] != "pricetree" or module is None:
-                continue
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] != "pricetree" or module is None:
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
         return calls
 
     def test_two_per_generated_pair(self, calls):
         generate_corpus(make_config(num_vars=7, ans_depth=4, cut_depth=2, count=5))
-        assert len(calls) == 2 * 5
+        assert len(calls["solve_exact"]) == 2 * 5
+        assert len(calls["constraint_component"]) == 1 * 5
 
     def test_one_per_verified_instance(self, calls):
         dataset = generate_corpus(make_config(count=3))
-        calls.clear()
+        for log in calls.values():
+            log.clear()
         for instance in dataset.instances:
             assert verify_instance(instance).label_confirmed
-        assert len(calls) == len(dataset.instances)
+        assert len(calls["solve_exact"]) == len(dataset.instances)
+        assert calls["constraint_component"] == []
 
 
 class TestGenerateCorpus:
@@ -211,7 +220,7 @@ class TestSerialization:
         with pytest.raises(DatasetParseError, match=f"line 1: header '{key}'"):
             dataset_from_lines([json.dumps(header)])
 
-    @pytest.mark.parametrize("config", [{"numVars": 3}, {**make_config().to_json_dict(), "ansDepth": 0}])
+    @pytest.mark.parametrize("config", [{"numVars": 3}, {**to_json(make_config()), "ansDepth": 0}])
     def test_invalid_header_config_names_line_one(self, config):
         header = json.loads(dataset_to_lines(generate_corpus(make_config(count=1)))[0])
         header["config"] = config

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from pricetree.errors import InvalidConfigError, TransportError
+from pricetree.jsonmap import from_json, to_json
 from pricetree.harness.scoring import (
     OUTCOME_CORRECT_ANSWER,
     OUTCOME_CORRECT_UNANSWERABLE,
@@ -193,6 +194,16 @@ class TestRecordsIO:
             parsed = extract_answer(record.response)
             assert score_outcome(record.variant, record.gold_answer, parsed) == record.outcome
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_response_with_a_unicode_line_separator_round_trips(self, tmp_path, separator):
+        # JSON keeps these characters unescaped when non-ASCII is kept, so only "\n" ends a line
+        corpus = make_corpus(count=1)
+        responses = {inst.id: f"Step one.{separator}Answer: unknown." for inst in corpus.instances}
+        records = run_eval(corpus, make_profile(), "zero", ReplayTransport(responses))
+        path = tmp_path / "records.jsonl"
+        write_records(records, path)
+        assert read_records(path) == records
+
     def test_malformed_line_names_the_line(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text('{"instanceId": "a"}\n', encoding="utf-8")
@@ -216,4 +227,4 @@ def test_record_shape():
         config_cell={"ansDepth": 3},
         gold_answer=7,
     )
-    assert EvalRecord.from_json_dict(record.to_json_dict()) == record
+    assert from_json(EvalRecord, to_json(record)) == record

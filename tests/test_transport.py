@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from pricetree.errors import InvalidConfigError, TransientTransportError, TransportError
+from pricetree.errors import (
+    DatasetParseError,
+    InvalidConfigError,
+    TransientTransportError,
+    TransportError,
+)
 from pricetree.harness.prompts import Message
 from pricetree.harness.transport import (
     LiveTransport,
@@ -60,6 +66,14 @@ class TestReplay:
         path = tmp_path / "replay.jsonl"
         path.write_text('{"instanceId": "a", "responseText": "x"}\n{"nope": 1}\n')
         with pytest.raises(Exception, match="line 2"):
+            ReplayTransport.from_file(path)
+
+    @pytest.mark.parametrize("text", [None, 9, ["Answer: 9"]], ids=["null", "number", "list"])
+    def test_response_text_must_be_a_string(self, tmp_path, text):
+        path = tmp_path / "replay.jsonl"
+        lines = [{"instanceId": "a", "responseText": "x"}, {"instanceId": "b", "responseText": text}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(DatasetParseError, match="replay.jsonl line 2: .*responseText"):
             ReplayTransport.from_file(path)
 
 
@@ -203,6 +217,27 @@ class TestLiveTransport:
         with pytest.raises(TransportError) as excinfo:
             transport.complete([Message("user", "hello")])
         assert not isinstance(excinfo.value, TransientTransportError)
+
+    def test_ok_status_without_a_completion_is_permanent(self, chat_server):
+        _, url = chat_server
+        _ChatHandler.responses = [(200, {"error": "no choices here"})]
+        transport = LiveTransport(make_profile(endpoint=url))
+        with pytest.raises(TransportError, match="malformed completion") as excinfo:
+            transport.complete([Message("user", "hello")])
+        assert not isinstance(excinfo.value, TransientTransportError)
+
+    def test_refused_connection_is_transient_and_retried(self):
+        with socket.socket() as sock:  # a port that was bound, then closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        profile = make_profile(endpoint=f"http://127.0.0.1:{port}/v1/chat/completions", max_retries=2)
+        transport = LiveTransport(profile)
+        with pytest.raises(TransientTransportError):
+            transport.complete([Message("user", "hello")])
+        sleeps = []
+        with pytest.raises(TransientTransportError):
+            query_model(profile, [Message("user", "hi")], transport, sleep=sleeps.append)
+        assert sleeps == [0.5, 1.0]
 
     def test_retry_recovers_through_query_model(self, chat_server):
         _, url = chat_server
