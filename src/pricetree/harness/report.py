@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from ..errors import InvalidConfigError
+from ..errors import InvalidConfigError, PricetreeError
 from ..pipeline import ANSWERABLE
 from .scoring import (
     GROUPABLE_KEYS,
@@ -199,12 +199,15 @@ def _write_csv(rows: list[dict], path: Path) -> None:
 def write_report(records: list[EvalRecord], group_by: list[str], out_dir: str | Path) -> MetricsTable:
     """Emit metrics.txt, metrics.json and the two plot-data CSV series."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     table = aggregate(records, group_by)
-    (out / "metrics.txt").write_text(format_text_table(table) + "\n", encoding="utf-8")
-    (out / "metrics.json").write_text(
-        json.dumps(table.to_json_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
-    _write_csv(structure_series(records), out / "by_structure.csv")
-    _write_csv(cutdepth_series(records), out / "by_cut_depth.csv")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "metrics.txt").write_text(format_text_table(table) + "\n", encoding="utf-8")
+        (out / "metrics.json").write_text(
+            json.dumps(table.to_json_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+        )
+        _write_csv(structure_series(records), out / "by_structure.csv")
+        _write_csv(cutdepth_series(records), out / "by_cut_depth.csv")
+    except OSError as exc:
+        raise PricetreeError(f"{exc.filename or out}: cannot write ({exc.strerror or exc})") from exc
     return table

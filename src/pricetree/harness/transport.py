@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import requests
 
 from ..errors import InvalidConfigError, TransientTransportError, TransportError
-from ..jsonmap import read_json_lines
+from ..jsonmap import from_json, read_json_lines
 from ..pipeline import ANSWERABLE, Dataset
 from .prompts import Message, ModelProfile
 
@@ -82,11 +83,10 @@ class LiveTransport:
             raise TransportError(f"malformed completion response: {exc}") from exc
 
 
-def _replay_entry(data: dict) -> tuple[str, str]:
-    instance_id, text = data["instanceId"], data["responseText"]
-    if not isinstance(instance_id, str) or not isinstance(text, str):
-        raise TypeError("instanceId and responseText must be strings")
-    return instance_id, text
+@dataclass(frozen=True)
+class _ReplayLine:
+    instance_id: str
+    response_text: str
 
 
 class ReplayTransport:
@@ -98,7 +98,8 @@ class ReplayTransport:
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayTransport":
         """One ``{"instanceId": ..., "responseText": ...}`` object per line."""
-        return cls(dict(read_json_lines(path, _replay_entry)))
+        lines = read_json_lines(path, lambda data: from_json(_ReplayLine, data))
+        return cls({line.instance_id: line.response_text for line in lines})
 
     def complete(self, messages: list[Message], instance_id: Optional[str] = None) -> str:
         if instance_id not in self.responses:

@@ -1,4 +1,4 @@
-"""The package's file framings and the camelCase JSON keys of its dataclasses.
+"""The package's file framings and the JSON form of its dataclasses.
 
 A file is text lines (vocabularies), one JSON object (configs, profiles) or
 JSON Lines (corpora, records, replays: one object per line, blank lines
@@ -7,7 +7,12 @@ opens, decodes and splits files; a missing, unreadable, non-UTF-8 or badly
 framed file is a PricetreeError naming the path, and the line if there is one.
 
 A dataclass field ``snake_case`` is stored under the key ``snakeCase``, in
-field order; the key table is derived once per class.
+field order.  A plan built once per class from its annotations gives each
+field an encoder and a decoder that checks the JSON type, raising a TypeError
+naming the key.  It knows int (not bool), float (int too), bool, str, dict,
+Optional[T], tuple[T, ...], list[T], dict[int, T] (string keys), nested
+dataclasses and Unions of dataclasses told apart by a ``kind`` ClassVar; any
+other annotation raises when the plan is built.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import re
+import typing
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Optional, Union
 
 from .errors import DatasetParseError, InvalidConfigError, PricetreeError
 
@@ -85,29 +92,65 @@ def read_json_file(cls: type, path: str | Path, what: str):
         raise InvalidConfigError(f"{path}: {exc}") from exc
 
 
+_PLAIN = {int: (int,), float: (float, int), bool: (bool,), str: (str,), dict: (dict,)}
+
+
+def _expect(key: str, types: tuple, value):
+    """`value` if its type is one of `types` (so a bool is not an int), else a TypeError naming `key`."""
+    if type(value) in types:
+        return value
+    raise TypeError(f"{key} must be {types[0].__name__}, got {type(value).__name__}")
+
+
+def _codec(tp, key: str) -> tuple[Optional[Callable], Callable]:
+    """(encoder, None when the value is its own JSON form; checking decoder) of one annotation."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _PLAIN:  # values that are their own JSON form
+        return None, functools.partial(_expect, key, _PLAIN[tp])
+    if dataclasses.is_dataclass(tp):
+        return to_json, lambda value: from_json(tp, _expect(key, (dict,), value))
+    if origin is Union and type(None) in args:
+        enc, dec = _codec(Union[tuple(arg for arg in args if arg is not type(None))], key)
+        return enc and (lambda v: v if v is None else enc(v)), lambda v: v if v is None else dec(v)
+    if origin is Union and all(isinstance(getattr(c, "kind", None), str) for c in args):
+        kinds = {c.kind: c for c in args}
+        def decode_tagged(value):
+            tag = _expect(key, (dict,), value).get("kind")
+            if tag not in kinds:
+                raise ValueError(f"unknown {key.removesuffix('s')} kind {tag!r}")
+            return from_json(kinds[tag], value)
+        return (lambda v: {"kind": v.kind, **to_json(v)}), decode_tagged
+    if origin is list or (origin is tuple and args[1:] == (...,)):
+        enc, dec = _codec(args[0], key)
+        encode = enc and (lambda v: [enc(item) for item in v])
+        return encode, lambda value: origin(map(dec, _expect(key, (list,), value)))
+    if origin is dict and args[0] is int:  # JSON object keys are strings
+        enc, dec = _codec(args[1], key)
+        return (
+            lambda v: {str(k): item if enc is None else enc(item) for k, item in v.items()},
+            lambda value: {int(k): dec(item) for k, item in _expect(key, (dict,), value).items()},
+        )
+    raise NotImplementedError(f"{key}: no JSON form for the annotation {tp!r}")
+
+
 @functools.cache
-def json_keys(cls: type) -> dict[str, str]:
-    """camelCase JSON key -> dataclass field name, in field order."""
-    keys = {}
-    for field in dataclasses.fields(cls):
-        head, *rest = field.name.split("_")
-        keys[head + "".join(word.capitalize() for word in rest)] = field.name
-    return keys
+def _plan(cls: type) -> tuple:
+    """(camelCase key, field name, encoder, decoder) for each field of a dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    names = [field.name for field in dataclasses.fields(cls)]
+    keys = [re.sub("_(.)", lambda m: m[1].upper(), name) for name in names]
+    return tuple((key, name, *_codec(hints[name], key)) for key, name in zip(keys, names))
 
 
 def to_json(obj) -> dict:
-    """Every field of a dataclass instance under its camelCase key."""
+    """Every field of a dataclass instance under its camelCase key, in its JSON form."""
     values = vars(obj)
-    return {key: values[name] for key, name in json_keys(type(obj)).items()}
+    return {key: values[n] if enc is None else enc(values[n]) for key, n, enc, _ in _plan(type(obj))}
 
 
 def from_json(cls: type, data: dict):
-    """Build `cls` from data this package wrote, passing fields in field order.
-
-    A missing key raises KeyError and data that is not an object TypeError,
-    which the file readers report as a malformed line.
-    """
-    return cls(*[data[key] for key in json_keys(cls)])
+    """Build `cls` from data this package wrote; a missing key is a KeyError, a mistyped value a TypeError."""
+    return cls(*[decode(data[key]) for key, _, _, decode in _plan(cls)])
 
 
 def from_file_json(cls: type, data: dict, what: str):
@@ -116,17 +159,15 @@ def from_file_json(cls: type, data: dict, what: str):
     Unknown keys, and missing keys of fields without a default, raise
     InvalidConfigError naming them; other missing keys take the default.
     """
-    keys = json_keys(cls)
-    unknown = sorted(set(data) - set(keys))
+    plan = _plan(cls)
+    unknown = sorted(set(data) - {key for key, *_ in plan})
     if unknown:
         raise InvalidConfigError(f"unknown {what} keys: {', '.join(unknown)}")
     missing = [
         key
-        for key, field in zip(keys, dataclasses.fields(cls))
-        if key not in data
-        and field.default is dataclasses.MISSING
-        and field.default_factory is dataclasses.MISSING
+        for (key, *_), field in zip(plan, dataclasses.fields(cls))
+        if key not in data and field.default is field.default_factory is dataclasses.MISSING
     ]
     if missing:
         raise InvalidConfigError(f"missing {what} keys: {', '.join(missing)}")
-    return cls(**{keys[key]: value for key, value in data.items()})
+    return cls(**{name: decode(data[key]) for key, name, _, decode in plan if key in data})

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CertificationError, InvalidConfigError
-from .formulas import (
-    CONDITION_ORDERS,
-    Formula,
-    Linear,
-    RootValue,
-    order_formulas,
-    sample_formula,
-)
+from .formulas import CONDITION_ORDERS, Formula, order_formulas, sample_formula
 from .jsonmap import from_json, to_json
 from .oracle import ANSWERABLE, UNANSWERABLE, verify_instance
 from .rng import PcgStream, substream
@@ -26,7 +19,6 @@ from .tree import bfs_edges, build_tree, check_shape, sample_var_values
 from .wording import (
     QUESTION_PHRASINGS,
     ItemMap,
-    ItemName,
     Vocabulary,
     assemble_text,
     assign_items,
@@ -82,19 +74,6 @@ def cell_label(config: GenConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-_FORMULA_KINDS = {cls.kind: cls for cls in (RootValue, Linear)}
-
-
-def _formula_from_json(data: dict) -> Formula:
-    cls = _FORMULA_KINDS.get(data["kind"])
-    if cls is None:
-        raise ValueError(f"unknown formula kind {data['kind']!r}")
-    formula = from_json(cls, data)
-    if any(type(value) is not int for value in vars(formula).values()):
-        raise TypeError(f"{cls.kind} formula fields must be integers, got {data}")
-    return formula
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     id: str
@@ -110,32 +89,18 @@ class ProblemInstance:
     metadata: dict
 
     def to_json_dict(self) -> dict:
+        """`to_json`, leaving goldAnswer out when there is none."""
         record = to_json(self)
-        record["formulas"] = [{"kind": f.kind, **to_json(f)} for f in self.formulas]
-        record["itemMap"] = {
-            **to_json(self.item_map),
-            "names": {str(var): to_json(n) for var, n in sorted(self.item_map.names.items())},
-        }
         if self.gold_answer is None:
             del record["goldAnswer"]
         return record
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
+        """`from_json` of a corpus line, which may leave goldAnswer out; the variant must be known."""
         if data["variant"] not in (ANSWERABLE, UNANSWERABLE):
             raise ValueError(f"unknown variant {data['variant']!r}")
-        items = data["itemMap"]
-        names = {int(var): from_json(ItemName, n) for var, n in items["names"].items()}
-        return from_json(
-            cls,
-            {
-                **data,
-                "conditionSentences": tuple(data["conditionSentences"]),
-                "formulas": tuple(_formula_from_json(f) for f in data["formulas"]),
-                "itemMap": from_json(ItemMap, {**items, "names": names}),
-                "goldAnswer": data.get("goldAnswer"),
-            },
-        )
+        return from_json(cls, {**data, "goldAnswer": data.get("goldAnswer")})
 
 
 @dataclass

@@ -133,17 +133,23 @@ class TestVerify:
         assert main(["verify", "--in", str(out)]) == 1
         assert "certified 4/8 instances (0 label failures, 4 solver disagreements)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("field", ["parentCoeff", "itemMap key"])
+    @pytest.mark.parametrize("field", ["parentCoeff", "itemMap key", "questionedVar", "conditionSentences"])
     def test_mistyped_corpus_field_names_the_line(self, tmp_path, config_file, capsys, field):
+        # line 3 is an unanswerable instance, which a mistyped questionedVar used to leave certified
         out = generate(tmp_path, config_file)
         lines = out.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[2])
+        assert record["variant"] == "unanswerable"
         if field == "parentCoeff":
             linear = next(f for f in record["formulas"] if f["kind"] == "linear")
             linear["parentCoeff"] = 1.5
-        else:
+        elif field == "itemMap key":
             names = record["itemMap"]["names"]
             names["one"] = names.pop("1")
+        elif field == "questionedVar":
+            record["questionedVar"] = str(record["questionedVar"])
+        else:
+            record["conditionSentences"] = "abc"
         lines[2] = json.dumps(record, ensure_ascii=False)
         out.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DatasetParseError, match="line 3"):
@@ -191,6 +197,18 @@ class TestEvalAndReport:
         (cell,) = table["cells"]
         assert cell["hallucinationRate"] == 0.0
         assert cell["accuracy"] == 1.0
+
+    def test_report_out_naming_a_file_is_a_clean_error(self, tmp_path, config_file, profile_file, capsys):
+        corpus = generate(tmp_path, config_file)
+        records_path = tmp_path / "records.jsonl"
+        args = ["--profile", str(profile_file), "--mode", "zero", "--transport", "mock:gold"]
+        assert main(["eval", "--in", str(corpus), *args, "--out", str(records_path)]) == 0
+        taken = tmp_path / "taken"
+        taken.write_text("keep", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--in", str(records_path), "--group", "ansDepth", "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {taken}: cannot write")
+        assert taken.read_text(encoding="utf-8") == "keep"
 
     def test_few_shot_pool_sharing_seed_fails(self, tmp_path, config_file, profile_file, capsys):
         corpus = generate(tmp_path, config_file)
@@ -273,3 +291,31 @@ def test_unreadable_input_file_is_a_clean_error(tmp_path, config_file, profile_f
     expected = "cannot read" if state == "missing" else "line 2: not UTF-8"
     assert err.startswith(f"error: {bad}") and expected in err, err
     assert not (tmp_path / "out").exists()
+
+
+# a value whose JSON type differs from the field's annotation, in a hand-written config or profile
+_MISTYPED_FILES = {
+    "compositeName": ("config", {"compositeName": "false"}, "compositeName must be bool, got str"),
+    "numVars": ("config", {"numVars": 6.0}, "numVars must be int, got float"),
+    "concurrency": ("profile", {"concurrency": "8"}, "concurrency must be int, got str"),
+    "isReasoning": ("profile", {"isReasoning": "false"}, "isReasoning must be bool, got str"),
+}
+
+
+@pytest.mark.parametrize("key", list(_MISTYPED_FILES))
+def test_mistyped_config_or_profile_value_is_a_clean_error(tmp_path, config_file, profile_file, capsys, key):
+    which, change, message = _MISTYPED_FILES[key]
+    good = config_file if which == "config" else profile_file
+    bad = tmp_path / f"bad_{which}.json"
+    bad.write_text(json.dumps({**json.loads(good.read_text()), **change}), encoding="utf-8")
+    out = tmp_path / "out"
+    if which == "config":
+        argv = ["generate", "--config", str(bad), "--out", str(out)]
+    else:
+        corpus = generate(tmp_path, config_file)
+        argv = ["eval", "--in", str(corpus), "--profile", str(bad), "--mode", "zero",
+                "--transport", "mock:gold", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()

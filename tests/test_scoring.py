@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from pricetree.errors import InvalidConfigError, TransportError
+from pricetree.errors import DatasetParseError, InvalidConfigError, TransportError
 from pricetree.jsonmap import from_json, to_json
 from pricetree.harness.scoring import (
     OUTCOME_CORRECT_ANSWER,
@@ -205,10 +207,14 @@ class TestRecordsIO:
         assert read_records(path) == records
 
     def test_malformed_line_names_the_line(self, tmp_path):
+        corpus = make_corpus(count=1)
+        record = run_eval(corpus, make_profile(), "zero", mock("gold", corpus))[0]
+        mistyped = {**to_json(record), "configCell": 5}  # once read without a check; `report` then crashed
         path = tmp_path / "records.jsonl"
-        path.write_text('{"instanceId": "a"}\n', encoding="utf-8")
-        with pytest.raises(Exception, match="line 1"):
-            read_records(path)
+        for line, match in [({"instanceId": "a"}, "line 1"), (mistyped, "line 1: configCell must be dict, got int")]:
+            path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+            with pytest.raises(DatasetParseError, match=match):
+                read_records(path)
 
 
 def test_record_shape():
