@@ -48,9 +48,21 @@ class ModelProfile:
     max_completion_tokens: int = 32000
     reasoning_effort: str = "high"
     api_key_env: Optional[str] = None
-    concurrency: int = 8
+    concurrency: int = 8  # requests in flight at once
     max_retries: int = 3
     timeout_seconds: float = 120.0
+
+    def __post_init__(self) -> None:
+        for key, value, least in (
+            ("concurrency", self.concurrency, 1),
+            ("maxRetries", self.max_retries, 0),
+            ("maxTokens", self.max_tokens, 1),
+            ("maxCompletionTokens", self.max_completion_tokens, 1),
+        ):
+            if value < least:
+                raise InvalidConfigError(f"{key} must be >= {least}, got {value}")
+        if not self.timeout_seconds > 0:  # also rejects NaN
+            raise InvalidConfigError(f"timeoutSeconds must be > 0, got {self.timeout_seconds}")
 
 
 def load_profile(path: str | Path) -> ModelProfile:
@@ -85,29 +97,52 @@ class FewShotPrompt:
     exemplar_ids: list[str]
 
 
+@dataclass(frozen=True)
+class FewShotPool:
+    """A held-out exemplar pool checked against one target corpus, split by variant in pool order.
+
+    Build it with :meth:`prepare`, once per run, so the checks and the split
+    are not repeated for every prompt.
+    """
+
+    answerable: tuple[ProblemInstance, ...]
+    unanswerable: tuple[ProblemInstance, ...]
+
+    @classmethod
+    def prepare(cls, pool: Dataset, target: Dataset) -> "FewShotPool":
+        """Reject a pool that shares a pair with the target or lacks 3 instances of a variant.
+
+        Exemplars sharing a tree with a question under evaluation would leak
+        its solution.
+        """
+        pool_pairs = {p.pair_id for p in pool.instances}
+        leaked = next((t.pair_id for t in target.instances if t.pair_id in pool_pairs), None)
+        if leaked is not None:
+            raise InvalidConfigError(
+                f"few-shot pool contains the target's pair {leaked}; "
+                "use a pool generated from a distinct corpus seed"
+            )
+        answerable = tuple(p for p in pool.instances if p.variant == ANSWERABLE)
+        unanswerable = tuple(p for p in pool.instances if p.variant != ANSWERABLE)
+        if len(answerable) < 3 or len(unanswerable) < 3:
+            raise InvalidConfigError(
+                f"few-shot pool needs at least 3 instances of each variant, "
+                f"got {len(answerable)} answerable and {len(unanswerable)} unanswerable"
+            )
+        return cls(answerable, unanswerable)
+
+
 def build_few_shot_prompt(
     instance: ProblemInstance,
-    pool: Dataset,
+    pool: FewShotPool,
     rng: PcgStream,
     profile: ModelProfile,
 ) -> FewShotPrompt:
     """3 answerable + 3 unanswerable worked examples before the target question.
 
-    The pool must not contain the target's pair: exemplars sharing a tree
-    with the question under evaluation would leak its solution.
+    `pool` comes from :meth:`FewShotPool.prepare` on the corpus `instance` belongs to.
     """
-    if any(p.pair_id == instance.pair_id for p in pool.instances):
-        raise InvalidConfigError(
-            f"few-shot pool contains the target's pair {instance.pair_id}; "
-            "use a pool generated from a distinct corpus seed"
-        )
-    answerable = [p for p in pool.instances if p.variant == ANSWERABLE]
-    unanswerable = [p for p in pool.instances if p.variant != ANSWERABLE]
-    if len(answerable) < 3 or len(unanswerable) < 3:
-        raise InvalidConfigError(
-            f"few-shot pool needs at least 3 instances of each variant, "
-            f"got {len(answerable)} answerable and {len(unanswerable)} unanswerable"
-        )
+    answerable, unanswerable = pool.answerable, pool.unanswerable
     picked = [answerable[i] for i in rng.distinct_indices(len(answerable), 3)]
     picked += [unanswerable[i] for i in rng.distinct_indices(len(unanswerable), 3)]
     exemplars = [picked[i] for i in rng.permutation(6)]

@@ -10,8 +10,8 @@ or no usable number, are unparseable.
 from __future__ import annotations
 
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -20,7 +20,7 @@ from ..errors import InvalidConfigError, TransportError
 from ..jsonmap import from_json, json_line, read_json_lines, to_json, write_json_lines
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
 from ..rng import substream
-from .prompts import ModelProfile, build_few_shot_prompt, build_zero_shot_prompt
+from .prompts import FewShotPool, ModelProfile, build_few_shot_prompt, build_zero_shot_prompt
 from .transport import query_model
 
 TRIGGER = "answer"
@@ -119,24 +119,27 @@ def run_eval(
     eval_seed: int = 0,
     sleep=time.sleep,
 ) -> list[EvalRecord]:
-    """Score every instance of a dataset; requests run concurrently.
+    """Score every instance of a dataset with `profile.concurrency` requests in flight.
 
-    Records come back in dataset order regardless of completion order.
-    Transport failures (after retries) yield records flagged as excluded
-    rather than aborting the run.
+    The few-shot pool is checked once, before any request is sent.  Records
+    come back in dataset order regardless of completion order.  Transport
+    failures (after retries) yield records flagged as excluded rather than
+    aborting the run; any other exception stops every worker from taking
+    another instance and is re-raised here.
     """
     if mode not in ("zero", "few"):
         raise InvalidConfigError(f"mode must be 'zero' or 'few', got {mode!r}")
-    if mode == "few" and pool is None:
-        raise InvalidConfigError("few-shot mode needs an exemplar pool")
+    if mode == "few":
+        if pool is None:
+            raise InvalidConfigError("few-shot mode needs an exemplar pool")
+        exemplars = FewShotPool.prepare(pool, dataset)
 
-    def evaluate(indexed: tuple[int, ProblemInstance]) -> EvalRecord:
-        index, instance = indexed
+    def evaluate(index: int, instance: ProblemInstance) -> EvalRecord:
         exemplar_ids = None
         if mode == "zero":
             messages = build_zero_shot_prompt(instance, profile)
         else:
-            prompt = build_few_shot_prompt(instance, pool, substream(eval_seed, index), profile)
+            prompt = build_few_shot_prompt(instance, exemplars, substream(eval_seed, index), profile)
             messages = prompt.messages
             exemplar_ids = prompt.exemplar_ids
         base = dict(
@@ -173,8 +176,37 @@ def run_eval(
             **base,
         )
 
-    with ThreadPoolExecutor(max_workers=profile.concurrency) as executor:
-        return list(executor.map(evaluate, enumerate(dataset.instances)))
+    records: list[Optional[EvalRecord]] = [None] * len(dataset.instances)
+    todo = enumerate(dataset.instances)
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        while True:
+            with lock:
+                item = None if stop.is_set() else next(todo, None)
+            if item is None:
+                return
+            try:
+                records[item[0]] = evaluate(*item)
+            except BaseException as exc:  # re-raised by the caller
+                with lock:
+                    errors.append(exc)
+                    stop.set()
+
+    count = min(profile.concurrency, len(records))
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(count)]
+    for worker in workers:
+        worker.start()
+    try:
+        for worker in workers:
+            worker.join()
+    finally:
+        stop.set()  # an interrupted caller leaves only the requests already in flight
+    if errors:
+        raise errors[0]
+    return records
 
 
 def write_records(records: list[EvalRecord], path: str | Path) -> None:

@@ -99,6 +99,14 @@ class TestGenerate:
         assert "simple naming needs at least 10 dishes" in capsys.readouterr().err
         assert list(out_dir.glob("*")) == []
 
+    def test_preset_out_naming_a_file_is_a_clean_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep", encoding="utf-8")
+        code = main(["generate", "--preset", "table-main", "--out", str(taken), "--count", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {taken}: cannot write (File exists)\n"
+        assert taken.read_text(encoding="utf-8") == "keep"
+
 
 class TestVerify:
     def test_clean_corpus_passes(self, tmp_path, config_file, capsys):
@@ -293,12 +301,18 @@ def test_unreadable_input_file_is_a_clean_error(tmp_path, config_file, profile_f
     assert not (tmp_path / "out").exists()
 
 
-# a value whose JSON type differs from the field's annotation, in a hand-written config or profile
+# a value whose JSON type differs from the field's annotation, or that is out of the field's
+# range, in a hand-written config or profile
 _MISTYPED_FILES = {
     "compositeName": ("config", {"compositeName": "false"}, "compositeName must be bool, got str"),
     "numVars": ("config", {"numVars": 6.0}, "numVars must be int, got float"),
     "concurrency": ("profile", {"concurrency": "8"}, "concurrency must be int, got str"),
     "isReasoning": ("profile", {"isReasoning": "false"}, "isReasoning must be bool, got str"),
+    "concurrency-0": ("profile", {"concurrency": 0}, "concurrency must be >= 1, got 0"),
+    "maxRetries-negative": ("profile", {"maxRetries": -1}, "maxRetries must be >= 0, got -1"),
+    "timeoutSeconds-0": ("profile", {"timeoutSeconds": 0}, "timeoutSeconds must be > 0, got 0"),
+    "maxTokens-0": ("profile", {"maxTokens": 0}, "maxTokens must be >= 1, got 0"),
+    "maxCompletionTokens-0": ("profile", {"maxCompletionTokens": 0}, "maxCompletionTokens must be >= 1, got 0"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Byte pins: corpus and eval-record files are a pure function of (config, seed).
+"""Byte pins: corpus, eval-record and report files are a pure function of (config, seed).
 
 A refactor must leave these digests unchanged.  Only a deliberate format
 change, which also bumps SCHEMA_VERSION, may re-pin them.
@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from pricetree.corpus_io import SCHEMA_VERSION, dataset_from_lines, dataset_to_lines, write_dataset
 from pricetree.formulas import CONDITION_ORDERS
+from pricetree.harness.report import write_report
 from pricetree.harness.scoring import read_records, run_eval, write_records
 from pricetree.harness.transport import ReplayTransport
 from pricetree.pipeline import GenConfig, generate_corpus
@@ -21,6 +22,7 @@ from factories import make_corpus, make_profile
 
 CORPUS_SHA256 = "10101f603fb8b9fb64d5a7589d703726332fd2272b2ee174a685796f92ba9334"
 RECORDS_SHA256 = "c7fe98782549996e1b6b2cbdfa5725791c5ded77053e43a41d442a1ef71e48b3"
+METRICS_SHA256 = "538184bb5e1fa5e206bf0a41e009879ce52e58f2b1c45c962f3f450e77feedcb"
 
 
 def digest_grid() -> list[GenConfig]:
@@ -81,7 +83,8 @@ def _scripted_responses(dataset) -> dict[str, str]:
     return responses
 
 
-def test_record_bytes_are_pinned_and_reserialize(tmp_path):
+def _pinned_records():
+    """Zero- and few-shot replay records of one corpus, with wall-time latency set to 0."""
     corpus = make_corpus(num_vars=6, ans_depth=4, cut_depth=2, composite_name=True, order="random", count=6)
     pool = make_corpus(corpus_seed=12, count=4)
     transport = ReplayTransport(_scripted_responses(corpus))
@@ -89,10 +92,21 @@ def test_record_bytes_are_pinned_and_reserialize(tmp_path):
     records = run_eval(corpus, profile, "zero", transport)
     records += run_eval(corpus, profile, "few", transport, pool=pool, eval_seed=3)
     # latency is wall time, the one field that is not a function of the inputs
-    records = [replace(r, latency_ms=None if r.transport_failed else 0.0) for r in records]
+    return [replace(r, latency_ms=None if r.transport_failed else 0.0) for r in records]
+
+
+def test_record_bytes_are_pinned_and_reserialize(tmp_path):
     path = tmp_path / "records.jsonl"
-    write_records(records, path)
+    write_records(_pinned_records(), path)
     again = tmp_path / "again.jsonl"
     write_records(read_records(path), again)
     assert again.read_bytes() == path.read_bytes()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDS_SHA256
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(_pinned_records(), path)
+    write_report(read_records(path), ["ansDepth", "cutDepth"], tmp_path / "report")
+    metrics = (tmp_path / "report" / "metrics.json").read_bytes()
+    assert hashlib.sha256(metrics).hexdigest() == METRICS_SHA256

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from pricetree.errors import InvalidConfigError
 from pricetree.harness.prompts import (
     SYSTEM_MESSAGE,
+    FewShotPool,
     ModelProfile,
     build_few_shot_prompt,
     build_zero_shot_prompt,
@@ -74,18 +76,24 @@ class TestFewShot:
     def pool(self):
         return make_corpus(count=5, corpus_seed=777)
 
+    def target_corpus(self):
+        return make_corpus(count=1, corpus_seed=888)
+
     def target(self):
-        return make_corpus(count=1, corpus_seed=888).instances[1]
+        return self.target_corpus().instances[1]
+
+    def prepared(self):
+        return FewShotPool.prepare(self.pool(), self.target_corpus())
 
     def test_deterministic_given_stream(self):
-        pool, target, profile = self.pool(), self.target(), make_profile()
+        pool, target, profile = self.prepared(), self.target(), make_profile()
         first = build_few_shot_prompt(target, pool, PcgStream.from_seed(5), profile)
         second = build_few_shot_prompt(target, pool, PcgStream.from_seed(5), profile)
         assert first == second
 
     def test_three_of_each_variant(self):
         pool, target = self.pool(), self.target()
-        prompt = build_few_shot_prompt(target, pool, PcgStream.from_seed(1), make_profile())
+        prompt = build_few_shot_prompt(target, self.prepared(), PcgStream.from_seed(1), make_profile())
         assert len(prompt.exemplar_ids) == 6
         variants = [pool.by_id(i).variant for i in prompt.exemplar_ids]
         assert variants.count("answerable") == 3
@@ -93,7 +101,7 @@ class TestFewShot:
 
     def test_exemplars_carry_solution_and_answer(self):
         pool, target = self.pool(), self.target()
-        prompt = build_few_shot_prompt(target, pool, PcgStream.from_seed(1), make_profile())
+        prompt = build_few_shot_prompt(target, self.prepared(), PcgStream.from_seed(1), make_profile())
         body = prompt.messages[-1].content
         for exemplar_id in prompt.exemplar_ids:
             exemplar = pool.by_id(exemplar_id)
@@ -107,18 +115,27 @@ class TestFewShot:
 
     def test_pool_containing_target_pair_rejected(self):
         pool = self.pool()
-        target = pool.instances[0]
-        with pytest.raises(InvalidConfigError, match="pool contains the target's pair"):
-            build_few_shot_prompt(target, pool, PcgStream.from_seed(0), make_profile())
+        leaked = pool.instances[2].pair_id
+        target = self.target_corpus()
+        target = replace(target, instances=[*target.instances, pool.instances[2]])
+        with pytest.raises(InvalidConfigError, match=f"pool contains the target's pair {leaked};"):
+            FewShotPool.prepare(pool, target)
 
     def test_pool_too_small_rejected(self):
         pool = make_corpus(count=2, corpus_seed=777)
         with pytest.raises(InvalidConfigError, match="at least 3"):
-            build_few_shot_prompt(self.target(), pool, PcgStream.from_seed(0), make_profile())
+            FewShotPool.prepare(pool, self.target_corpus())
+
+    def test_pool_split_keeps_pool_order(self):
+        pool = self.pool()
+        prepared = self.prepared()
+        assert list(prepared.answerable) == [p for p in pool.instances if p.variant == "answerable"]
+        assert list(prepared.unanswerable) == [p for p in pool.instances if p.variant == "unanswerable"]
 
     def test_target_never_sampled_across_seeds(self):
         pool, target, profile = self.pool(), self.target(), make_profile()
+        prepared = self.prepared()
         for seed in range(1000):
-            prompt = build_few_shot_prompt(target, pool, substream(seed, 0), profile)
+            prompt = build_few_shot_prompt(target, prepared, substream(seed, 0), profile)
             assert target.id not in prompt.exemplar_ids
             assert all(pool.by_id(i).pair_id != target.pair_id for i in prompt.exemplar_ids)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -109,8 +113,47 @@ class FailingTransport:
         return self.response
 
 
+class CountingTransport:
+    """Replays responses and records each call's instance id; the `fail_at`-th call raises.
+
+    Responses for the ids in `slow` take 5 ms, so concurrent calls complete out of order.
+    """
+
+    def __init__(self, responses, fail_at=None, slow=()):
+        self.responses = responses
+        self.fail_at = fail_at
+        self.slow = set(slow)
+        self.calls = []
+        self._lock = threading.Lock()
+
+    def complete(self, messages, instance_id=None):
+        with self._lock:
+            self.calls.append(instance_id)
+            call = len(self.calls)
+        if call == self.fail_at:
+            raise RuntimeError(f"call {call} failed")
+        if instance_id in self.slow:
+            time.sleep(0.005)
+        return self.responses[instance_id]
+
+
 def mock(name: str, corpus) -> ReplayTransport:
     return ReplayTransport(mock_responses(name, corpus))
+
+
+def run_eval_bounded(*args, seconds=60, **kwargs):
+    """run_eval on a helper thread with threads switching every microsecond; fails if it hangs."""
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(run_eval(*args, **kwargs)), daemon=True)
+        runner.start()
+        runner.join(timeout=seconds)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and len(result) == 1
+    return result[0]
 
 
 class TestRunEval:
@@ -166,6 +209,37 @@ class TestRunEval:
             eval_seed=9,
         )
         assert [r.exemplar_ids for r in records] == [r.exemplar_ids for r in again]
+
+    @pytest.mark.parametrize("mode", ["zero", "few"])
+    def test_concurrency_changes_no_record(self, mode):
+        corpus = make_corpus(count=12, corpus_seed=12)
+        pool = make_corpus(count=5, corpus_seed=34) if mode == "few" else None
+        runs = []
+        for concurrency in (1, 4):
+            transport = CountingTransport(mock_responses("gold", corpus), slow=[i.id for i in corpus.instances[::3]])
+            records = run_eval_bounded(corpus, make_profile(concurrency=concurrency), mode, transport, pool=pool)
+            assert sorted(transport.calls) == sorted(i.id for i in corpus.instances)  # each sent once
+            assert [r.instance_id for r in records] == [i.id for i in corpus.instances]
+            runs.append([replace(r, latency_ms=0.0) for r in records])
+        assert runs[0] == runs[1]
+
+    def test_leaking_pool_rejected_before_any_request(self):
+        corpus = make_corpus(count=3, corpus_seed=12)
+        pool = make_corpus(count=5, corpus_seed=34)
+        leaked = corpus.instances[3]
+        pool = replace(pool, instances=[*pool.instances, leaked])
+        transport = CountingTransport(mock_responses("gold", corpus))
+        with pytest.raises(InvalidConfigError, match=f"target's pair {leaked.pair_id};"):
+            run_eval(corpus, make_profile(), "few", transport, pool=pool)
+        assert transport.calls == []
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_unexpected_error_stops_the_run(self, k):
+        corpus = make_corpus(count=3)
+        transport = CountingTransport(mock_responses("gold", corpus), fail_at=k)
+        with pytest.raises(RuntimeError, match=f"call {k} failed"):
+            run_eval(corpus, make_profile(concurrency=1), "zero", transport)
+        assert len(transport.calls) == k
 
     def test_few_shot_requires_pool(self):
         corpus = make_corpus(count=1)
