@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .corpus_io import load_gen_config, read_dataset, write_dataset
-from .errors import PricetreeError
+from .errors import InvalidConfigError, PricetreeError
 from .formulas import formula_edges
 from .harness.prompts import load_profile
 from .harness.report import format_text_table, write_report
@@ -134,6 +134,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.pool is not None and args.mode != "few":  # checked before any file is read
+        raise InvalidConfigError("--pool is only for --mode few")
     dataset = read_dataset(args.input)
     profile = load_profile(args.profile)
     pool = read_dataset(args.pool) if args.pool else None
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="corpus JSONL")
     p.add_argument("--profile", required=True, help="model profile JSON")
     p.add_argument("--mode", choices=("zero", "few"), required=True)
-    p.add_argument("--pool", default=None, help="held-out corpus for few-shot exemplars")
+    p.add_argument("--pool", default=None, help="held-out corpus for few-shot exemplars (--mode few only)")
     p.add_argument(
         "--transport",
         required=True,

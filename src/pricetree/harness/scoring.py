@@ -121,8 +121,9 @@ def run_eval(
 ) -> list[EvalRecord]:
     """Score every instance of a dataset with `profile.concurrency` requests in flight.
 
-    The few-shot pool is checked once, before any request is sent.  Records
-    come back in dataset order regardless of completion order.  Transport
+    The few-shot pool is checked once, before any request is sent; a pool
+    given in zero-shot mode is an error.  Records come back in dataset
+    order regardless of completion order.  Transport
     failures (after retries) yield records flagged as excluded rather than
     aborting the run; any other exception stops every worker from taking
     another instance and is re-raised here.
@@ -133,6 +134,8 @@ def run_eval(
         if pool is None:
             raise InvalidConfigError("few-shot mode needs an exemplar pool")
         exemplars = FewShotPool.prepare(pool, dataset)
+    elif pool is not None:
+        raise InvalidConfigError("zero-shot mode takes no exemplar pool")
 
     def evaluate(index: int, instance: ProblemInstance) -> EvalRecord:
         exemplar_ids = None

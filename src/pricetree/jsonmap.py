@@ -9,10 +9,12 @@ framed file is a PricetreeError naming the path, and the line if there is one.
 A dataclass field ``snake_case`` is stored under the key ``snakeCase``, in
 field order.  A plan built once per class from its annotations gives each
 field an encoder and a decoder that checks the JSON type, raising a TypeError
-naming the key.  It knows int (not bool), float (int too), bool, str, dict,
-Optional[T], tuple[T, ...], list[T], dict[int, T] (string keys), nested
-dataclasses and Unions of dataclasses told apart by a ``kind`` ClassVar; any
-other annotation raises when the plan is built.
+naming the key; from the plan each class gets one compiled encoder and one
+compiled decoder, which `to_json` and `from_json` use.  The plan knows int
+(not bool), float (int too), bool, str, dict, Optional[T], tuple[T, ...],
+list[T], dict[int, T] (string keys), nested dataclasses and Unions of
+dataclasses told apart by a ``kind`` ClassVar; any other annotation raises
+when the plan is built.
 """
 
 from __future__ import annotations
@@ -102,55 +104,88 @@ def _expect(key: str, types: tuple, value):
     raise TypeError(f"{key} must be {types[0].__name__}, got {type(value).__name__}")
 
 
-def _codec(tp, key: str) -> tuple[Optional[Callable], Callable]:
-    """(encoder, None when the value is its own JSON form; checking decoder) of one annotation."""
+def _codec(tp, key: str) -> tuple[Optional[Callable], Callable, Optional[tuple]]:
+    """(encoder, None when the value is its own JSON form; checking decoder;
+    checked types: the JSON types allowed when a type check is the whole
+    decoding, else None) of one annotation."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp in _PLAIN:  # values that are their own JSON form
-        return None, functools.partial(_expect, key, _PLAIN[tp])
+        return None, functools.partial(_expect, key, _PLAIN[tp]), _PLAIN[tp]
     if dataclasses.is_dataclass(tp):
-        return to_json, lambda value: from_json(tp, _expect(key, (dict,), value))
+        encode, decode = _compiled(tp)
+        return encode, lambda value: decode(_expect(key, (dict,), value)), None
     if origin is Union and type(None) in args:
-        enc, dec = _codec(Union[tuple(arg for arg in args if arg is not type(None))], key)
-        return enc and (lambda v: v if v is None else enc(v)), lambda v: v if v is None else dec(v)
+        enc, dec, types = _codec(Union[tuple(arg for arg in args if arg is not type(None))], key)
+        return (
+            enc and (lambda v: v if v is None else enc(v)),
+            lambda v: v if v is None else dec(v),
+            types and types + (type(None),),  # last: `_expect` names the first type
+        )
     if origin is Union and all(isinstance(getattr(c, "kind", None), str) for c in args):
-        kinds = {c.kind: c for c in args}
+        encoders = {c: _compiled(c)[0] for c in args}
+        decoders = {c.kind: _compiled(c)[1] for c in args}
         def decode_tagged(value):
             tag = _expect(key, (dict,), value).get("kind")
-            if tag not in kinds:
+            if tag not in decoders:
                 raise ValueError(f"unknown {key.removesuffix('s')} kind {tag!r}")
-            return from_json(kinds[tag], value)
-        return (lambda v: {"kind": v.kind, **to_json(v)}), decode_tagged
+            return decoders[tag](value)
+        return (lambda v: {"kind": v.kind, **encoders[type(v)](v)}), decode_tagged, None
     if origin is list or (origin is tuple and args[1:] == (...,)):
-        enc, dec = _codec(args[0], key)
+        enc, dec, _ = _codec(args[0], key)
         encode = enc and (lambda v: [enc(item) for item in v])
-        return encode, lambda value: origin(map(dec, _expect(key, (list,), value)))
+        return encode, lambda value: origin(map(dec, _expect(key, (list,), value))), None
     if origin is dict and args[0] is int:  # JSON object keys are strings
-        enc, dec = _codec(args[1], key)
+        enc, dec, _ = _codec(args[1], key)
         return (
             lambda v: {str(k): item if enc is None else enc(item) for k, item in v.items()},
             lambda value: {int(k): dec(item) for k, item in _expect(key, (dict,), value).items()},
+            None,
         )
     raise NotImplementedError(f"{key}: no JSON form for the annotation {tp!r}")
 
 
 @functools.cache
 def _plan(cls: type) -> tuple:
-    """(camelCase key, field name, encoder, decoder) for each field of a dataclass, in field order."""
+    """(camelCase key, field name, encoder, decoder, checked types) of each field of a dataclass, in field order."""
     hints = typing.get_type_hints(cls)
     names = [field.name for field in dataclasses.fields(cls)]
     keys = [re.sub("_(.)", lambda m: m[1].upper(), name) for name in names]
     return tuple((key, name, *_codec(hints[name], key)) for key, name in zip(keys, names))
 
 
+@functools.cache
+def _compiled(cls: type) -> tuple[Callable, Callable]:
+    """(encode, decode) of a dataclass: straight-line code built once from its plan.
+
+    As `dataclasses` builds ``__init__``, the source is generated and exec'd.
+    The decoder reads the keys in field order, so the first missing or
+    mistyped one is reported; a value that needs no conversion has its type
+    checked inline, and any other goes through its field's decoder.
+    """
+    env: dict[str, Any] = {"cls": cls, "_expect": _expect}
+    items, decode = [], ["def decode(data):"]
+    for i, (key, name, enc, dec, types) in enumerate(_plan(cls)):
+        env[f"e{i}"], env[f"d{i}"], env[f"t{i}"] = enc, dec, types
+        items.append(f"{key!r}: obj.{name}" if enc is None else f"{key!r}: e{i}(obj.{name})")
+        if types is None:
+            decode.append(f"    v{i} = d{i}(data[{key!r}])")
+        else:
+            decode.append(f"    v{i} = data[{key!r}]")
+            decode.append(f"    if type(v{i}) not in t{i}: _expect({key!r}, t{i}, v{i})")
+    decode.append(f"    return cls({', '.join(f'v{i}' for i in range(len(items)))})")
+    encode = ["def encode(obj):", f"    return {{{', '.join(items)}}}"]
+    exec("\n".join(encode + decode), env)
+    return env["encode"], env["decode"]
+
+
 def to_json(obj) -> dict:
     """Every field of a dataclass instance under its camelCase key, in its JSON form."""
-    values = vars(obj)
-    return {key: values[n] if enc is None else enc(values[n]) for key, n, enc, _ in _plan(type(obj))}
+    return _compiled(type(obj))[0](obj)
 
 
 def from_json(cls: type, data: dict):
     """Build `cls` from data this package wrote; a missing key is a KeyError, a mistyped value a TypeError."""
-    return cls(*[decode(data[key]) for key, _, _, decode in _plan(cls)])
+    return _compiled(cls)[1](data)
 
 
 def from_file_json(cls: type, data: dict, what: str):
@@ -170,4 +205,4 @@ def from_file_json(cls: type, data: dict, what: str):
     ]
     if missing:
         raise InvalidConfigError(f"missing {what} keys: {', '.join(missing)}")
-    return cls(**{name: decode(data[key]) for key, name, _, decode in plan if key in data})
+    return cls(**{name: decode(data[key]) for key, name, _, decode, _ in plan if key in data})

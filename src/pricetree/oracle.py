@@ -1,8 +1,9 @@
 """Exact-arithmetic certification of instance labels.
 
 Two independent solvers: a sparse, fraction-free integer elimination (total
-on any formula list) and a forward-substitution pass over rationals that
-only works on complete instances in forward order.  Certification
+on any formula list) and a forward-substitution pass that only works on
+complete instances in forward order.  The pass keeps exact integers and
+falls back to a ``Fraction`` when a division is not exact.  Certification
 cross-checks them and the stated label; nothing here ever touches floating
 point.
 """
@@ -175,33 +176,41 @@ def solve_exact(formulas: list[Formula], target_var: int) -> Determination:
     return Determination.unique(Fraction(b, a))
 
 
+def exact_quotient(num: int | Fraction, den: int) -> int | Fraction:
+    """``num / den`` as an int when it divides exactly, else as a Fraction."""
+    if type(num) is int:
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    return Fraction(num, den)
+
+
 def solve_by_path(formulas: list[Formula], target_var: int) -> Fraction:
     """Single left-to-right pass over a forward-ordered, complete instance.
 
     Each formula must introduce at most one new variable; hitting one with
     two unknowns means the list was not forward-solvable (a cut instance, or
-    a generator bug).
+    a generator bug).  Values stay ints while every quotient is exact, as
+    it is on any generated instance, whose hidden prices are integers.
     """
-    known: dict[int, Fraction] = {}
+    known: dict[int, int | Fraction] = {}
     for pos, f in enumerate(formulas):
         if isinstance(f, RootValue):
-            known[f.var] = Fraction(f.value)
+            known[f.var] = f.value
             continue
-        has_parent = f.parent in known
-        has_child = f.child in known
-        if has_parent and has_child:
-            continue
-        if not has_parent and not has_child:
-            raise NotForwardSolvableError(
-                f"formula {pos} relates x{f.parent} and x{f.child}, both unknown"
-            )
-        if has_parent:
-            known[f.child] = Fraction(f.rhs - f.parent_coeff * known[f.parent], f.child_coeff)
-        else:
-            known[f.parent] = Fraction(f.rhs - f.child_coeff * known[f.child], f.parent_coeff)
+        parent = known.get(f.parent)
+        child = known.get(f.child)
+        if child is None:
+            if parent is None:
+                raise NotForwardSolvableError(
+                    f"formula {pos} relates x{f.parent} and x{f.child}, both unknown"
+                )
+            known[f.child] = exact_quotient(f.rhs - f.parent_coeff * parent, f.child_coeff)
+        elif parent is None:
+            known[f.parent] = exact_quotient(f.rhs - f.child_coeff * child, f.parent_coeff)
     if target_var not in known:
         raise NotForwardSolvableError(f"target x{target_var} never resolved")
-    return known[target_var]
+    return Fraction(known[target_var])
 
 
 def forward_order(formulas: list[Formula]) -> list[Formula]:

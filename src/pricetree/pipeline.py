@@ -97,10 +97,14 @@ class ProblemInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
-        """`from_json` of a corpus line, which may leave goldAnswer out; the variant must be known."""
+        """`from_json` of a corpus line, which may leave goldAnswer out; the variant must be known.
+
+        A missing goldAnswer is set to None in `data` itself.
+        """
         if data["variant"] not in (ANSWERABLE, UNANSWERABLE):
             raise ValueError(f"unknown variant {data['variant']!r}")
-        return from_json(cls, {**data, "goldAnswer": data.get("goldAnswer")})
+        data.setdefault("goldAnswer", None)
+        return from_json(cls, data)
 
 
 @dataclass

@@ -9,14 +9,13 @@ templates, and gold solutions are rendered as either a spine-walk narrative
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import CertificationError, InvalidConfigError
 from .formulas import Formula, Linear, RootValue
 from .jsonmap import nonblank_lines, read_lines
-from .oracle import constraint_component
+from .oracle import constraint_component, exact_quotient
 from .rng import PcgStream
 
 # ---------------------------------------------------------------------------
@@ -286,10 +285,6 @@ def _join_names(names: list[str]) -> str:
     return ", ".join(names[:-1]) + " and " + names[-1]
 
 
-def _format_amount(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else str(value)
-
-
 def render_answerable_solution(
     formulas: Sequence[Formula],
     sentences: Sequence[str],
@@ -297,30 +292,30 @@ def render_answerable_solution(
     questioned_var: int,
 ) -> str:
     """Spine-walk narrative: restate each spine fact and the price it yields."""
-    sentence_of = dict(zip(formulas, sentences))
-    by_child = {f.child_var: f for f in formulas}
+    by_child = {f.child_var: (f, s) for f, s in zip(formulas, sentences)}
 
-    chain: list[Formula] = []
+    chain: list[tuple[Formula, str]] = []
     var = questioned_var
     while True:
-        f = by_child[var]
-        chain.append(f)
+        f, sentence = by_child[var]
+        chain.append((f, sentence))
         if isinstance(f, RootValue):
             break
         var = f.parent
     chain.reverse()
 
-    root = chain[0]
+    root, sentence = chain[0]
     assert isinstance(root, RootValue)
-    value = Fraction(root.value)
-    parts = [f"It is given as a fact that {_lowercase_first(sentence_of[root])}."]
-    for f in chain[1:]:
+    value = root.value
+    parts = [f"It is given as a fact that {_lowercase_first(sentence)}."]
+    for f, sentence in chain[1:]:
         assert isinstance(f, Linear)
-        value = Fraction(f.rhs - f.parent_coeff * value, f.child_coeff)
+        value = exact_quotient(f.rhs - f.parent_coeff * value, f.child_coeff)
         item = items.names[f.child]
+        # str() gives the same digits for an int and an integral Fraction
         parts.append(
-            f"Combine with the fact that {_lowercase_first(sentence_of[f])}, "
-            f"we get {_quantity(1, item)} costs {_format_amount(value)} dollars."
+            f"Combine with the fact that {_lowercase_first(sentence)}, "
+            f"we get {_quantity(1, item)} costs {value!s} dollars."
         )
     return " ".join(parts)
 

@@ -234,6 +234,24 @@ class TestEvalAndReport:
         assert code == 1
         assert "pool contains the target's pair" in capsys.readouterr().err
 
+    def test_pool_without_few_mode_fails_before_reading_files(self, tmp_path, profile_file, capsys):
+        # neither input exists: the option clash is reported before either is opened
+        out = tmp_path / "r.jsonl"
+        code = main(
+            [
+                "eval",
+                "--in", str(tmp_path / "missing.jsonl"),
+                "--profile", str(profile_file),
+                "--mode", "zero",
+                "--pool", str(tmp_path / "missing-pool.jsonl"),
+                "--transport", "mock:gold",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --pool is only for --mode few\n"
+        assert not out.exists()
+
     def test_replay_transport_round_trip(self, tmp_path, config_file, profile_file):
         corpus = generate(tmp_path, config_file)
         dataset = read_dataset(corpus)
@@ -333,3 +351,41 @@ def test_mistyped_config_or_profile_value_is_a_clean_error(tmp_path, config_file
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not out.exists()
+
+
+def _first_linear(record: dict) -> dict:
+    return next(f for f in record["formulas"] if f["kind"] == "linear")
+
+
+# a fault nested inside line 3 of a corpus or a records file, and the reason the error gives for it
+_NESTED_FAULTS = {
+    "formula rhs": ("corpus", lambda r: _first_linear(r).update(rhs="7"), "rhs must be int, got str"),
+    "formula parentCoeff": (
+        "corpus", lambda r: _first_linear(r).update(parentCoeff=True), "parentCoeff must be int, got bool"
+    ),
+    "item restaurant": (
+        "corpus", lambda r: r["itemMap"]["names"]["1"].update(restaurant=5), "restaurant must be str, got int"
+    ),
+    "formula child": ("corpus", lambda r: _first_linear(r).pop("child"), "missing key 'child'"),
+    "record value": ("records", lambda r: r.update(value=1.5), "value must be int, got float"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_NESTED_FAULTS))
+def test_nested_fault_names_the_line_and_key(tmp_path, config_file, profile_file, capsys, fault):
+    which, mutate, reason = _NESTED_FAULTS[fault]
+    path = generate(tmp_path, config_file)
+    argv = ["verify", "--in", str(path)]
+    if which == "records":
+        corpus, path = path, tmp_path / "records.jsonl"
+        assert main(["eval", "--in", str(corpus), "--profile", str(profile_file), "--mode", "zero",
+                     "--transport", "mock:gold", "--out", str(path)]) == 0
+        argv = ["report", "--in", str(path), "--group", "ansDepth", "--out", str(tmp_path / "report")]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    mutate(record)
+    lines[2] = json.dumps(record, ensure_ascii=False)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path} line 3: {reason}\n"

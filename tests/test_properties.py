@@ -123,6 +123,37 @@ def formula_lists(draw: st.DrawFn) -> tuple[list[Formula], int]:
     return formulas, draw(st.integers(0, num_vars))  # num_vars itself is in no formula
 
 
+@st.composite
+def forward_systems(draw: st.DrawFn) -> tuple[list[Formula], int]:
+    """Complete, forward-ordered systems with arbitrary right-hand sides.
+
+    x2 is always an odd number over 2, so the path solver must leave exact
+    integers at least once; later quotients by 2 or 3 are often inexact too.
+    Each later formula ties one new variable, as parent or child, to a
+    known one.
+    """
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    rhs = st.integers(-60, 60)
+    root, a = draw(st.integers(-20, 20)), draw(coeff)
+    formulas: list[Formula] = [RootValue(1, root), Linear(1, 2, a, 2, a * root + 2 * draw(rhs) + 1)]
+    num_vars = draw(st.integers(2, 8))
+    for new in range(3, num_vars + 1):
+        known = draw(st.integers(1, new - 1))
+        parent, child = (known, new) if draw(st.booleans()) else (new, known)
+        formulas.append(Linear(parent, child, draw(coeff), draw(coeff), draw(rhs)))
+    return formulas, draw(st.integers(1, num_vars))
+
+
+@settings(deadline=None, max_examples=300)
+@given(system=forward_systems())
+def test_path_solver_falls_back_to_fractions(system):
+    formulas, target = system
+    value = solve_by_path(formulas, target)
+    assert type(value) is Fraction
+    assert solve_exact(formulas, target) == Determination.unique(value)
+    assert solve_by_path(formulas, 2).denominator == 2
+
+
 def dense_rref(formulas: list[Formula], target_var: int) -> Determination:
     """Reference verdict: dense reduced row echelon form over Fractions."""
     variables = sorted({v for f in formulas for v in f.variables()} | {target_var})

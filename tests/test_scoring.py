@@ -246,6 +246,13 @@ class TestRunEval:
         with pytest.raises(InvalidConfigError, match="pool"):
             run_eval(corpus, make_profile(), "few", mock("unknown", corpus))
 
+    def test_zero_shot_rejects_a_pool(self):
+        corpus = make_corpus(count=1, corpus_seed=12)
+        transport = CountingTransport(mock_responses("gold", corpus))
+        with pytest.raises(InvalidConfigError, match="zero-shot mode takes no exemplar pool"):
+            run_eval(corpus, make_profile(), "zero", transport, pool=make_corpus(count=2, corpus_seed=34))
+        assert transport.calls == []
+
     def test_invalid_mode_rejected(self):
         corpus = make_corpus(count=1)
         with pytest.raises(InvalidConfigError, match="mode"):

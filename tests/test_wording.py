@@ -222,6 +222,24 @@ class TestGoldSolutions:
         assert answerable.gold_solution_text == reference_pair.ANSWERABLE_SOLUTION
         assert unanswerable.gold_solution_text == reference_pair.UNANSWERABLE_SOLUTION
 
+    def test_fractional_prices_in_narrative(self):
+        # x2 = (8 - 5) / 2 and x4 = (10 - 9) / 2 are not integers; the sentences
+        # are given out of order, as a shuffled instance gives them
+        formulas = [RootValue(1, 5), Linear(1, 2, 1, 2, 8), Linear(2, 3, 2, -1, 0), Linear(3, 4, 3, 2, 10)]
+        items = simple_items("pie", "burger", "pizza", "lasagna")
+        sentences = [render_formula_fixed(f, items) for f in formulas]
+        order = [3, 1, 0, 2]
+        text = render_gold_solution(
+            [formulas[i] for i in order], [sentences[i] for i in order], items, 4, answerable=True
+        )
+        assert text == (
+            "It is given as a fact that a pie costs 5 dollars. "
+            "Combine with the fact that a pie and 2 burgers cost 8 dollars, we get a burger costs 3/2 dollars. "
+            "Combine with the fact that the price of 2 burgers is the same as the price of a pizza, "
+            "we get a pizza costs 3 dollars. "
+            "Combine with the fact that 3 pizzas and 2 lasagnas cost 10 dollars, we get a lasagna costs 1/2 dollars."
+        )
+
     def test_component_counts_in_narrative(self):
         # pure chain of depth 4, cut two steps above the question: the
         # stranded component is x2, x3, x4 held together by two formulas
