@@ -21,12 +21,10 @@ SYSTEM_MESSAGE = (
     "As an expert problem solver, solve step by step the following mathematical questions."
 )
 
-USER_TEMPLATE = (
+INSTRUCTION = (
     "Please solve the following math question, and then answer in the form 'Answer: x'. "
     "If the known conditions are not sufficient to answer the question, "
-    "please answer in the form 'Answer: unknown.'.\n\n"
-    "Question: {question}\n\n"
-    "Your solution: "
+    "please answer in the form 'Answer: unknown.'."
 )
 
 
@@ -69,26 +67,24 @@ def load_profile(path: str | Path) -> ModelProfile:
     return read_json_file(ModelProfile, path, "profile")
 
 
+def _messages(profile: ModelProfile, user: str) -> list[Message]:
+    """The user message, after the system message unless the profile is a reasoning one."""
+    if profile.is_reasoning:
+        return [Message("user", user)]
+    return [Message("system", SYSTEM_MESSAGE), Message("user", user)]
+
+
+def _question(instance: ProblemInstance) -> str:
+    return f"Question: {instance.full_text}\n\nYour solution: "
+
+
 def build_zero_shot_prompt(instance: ProblemInstance, profile: ModelProfile) -> list[Message]:
-    messages = []
-    if not profile.is_reasoning:
-        messages.append(Message("system", SYSTEM_MESSAGE))
-    messages.append(Message("user", USER_TEMPLATE.format(question=instance.full_text)))
-    return messages
-
-
-def _answer_line(instance: ProblemInstance) -> str:
-    if instance.variant == ANSWERABLE:
-        return f"Answer: {instance.gold_answer}"
-    return "Answer: unknown."
+    return _messages(profile, f"{INSTRUCTION}\n\n{_question(instance)}")
 
 
 def _exemplar_block(instance: ProblemInstance) -> str:
-    return (
-        f"Question: {instance.full_text}\n\n"
-        f"Your solution: {instance.gold_solution_text}\n"
-        f"{_answer_line(instance)}"
-    )
+    answer = instance.gold_answer if instance.variant == ANSWERABLE else "unknown."
+    return f"{_question(instance)}{instance.gold_solution_text}\nAnswer: {answer}"
 
 
 @dataclass(frozen=True)
@@ -148,15 +144,8 @@ def build_few_shot_prompt(
     exemplars = [picked[i] for i in rng.permutation(6)]
 
     body = (
-        "Please solve the following math question, and then answer in the form 'Answer: x'. "
-        "If the known conditions are not sufficient to answer the question, "
-        "please answer in the form 'Answer: unknown.'. "
-        "Here are some worked examples.\n\n"
+        f"{INSTRUCTION} Here are some worked examples.\n\n"
         + "\n\n".join(_exemplar_block(e) for e in exemplars)
-        + f"\n\nQuestion: {instance.full_text}\n\nYour solution: "
+        + f"\n\n{_question(instance)}"
     )
-    messages = []
-    if not profile.is_reasoning:
-        messages.append(Message("system", SYSTEM_MESSAGE))
-    messages.append(Message("user", body))
-    return FewShotPrompt(messages=messages, exemplar_ids=[e.id for e in exemplars])
+    return FewShotPrompt(messages=_messages(profile, body), exemplar_ids=[e.id for e in exemplars])

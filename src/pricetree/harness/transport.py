@@ -1,20 +1,23 @@
 """Model transports: live chat-completion HTTP and replay of recorded responses.
 
-The harness never needs network access to be exercised: replay transports
-serve recorded responses keyed by instance id, and the named mocks are
-response maps for the degenerate all-unknown / all-number / echo-gold
-behaviours.
+The live transport opens one connection per call through ``urllib.request``,
+so the threads of a concurrent eval share no connection.  The harness never
+needs network access to be exercised: replay transports serve recorded
+responses keyed by instance id, and the named mocks are response maps for
+the degenerate all-unknown / all-number / echo-gold behaviours.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
-
-import requests
 
 from ..errors import InvalidConfigError, TransientTransportError, TransportError
 from ..jsonmap import from_json, read_json_lines
@@ -44,12 +47,11 @@ def build_payload(profile: ModelProfile, messages: list[Message]) -> dict:
     return payload
 
 
+@dataclass(frozen=True)
 class LiveTransport:
     """POSTs to a chat-completion endpoint; auth comes from the environment."""
 
-    def __init__(self, profile: ModelProfile):
-        self.profile = profile
-        self._session = requests.Session()
+    profile: ModelProfile
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -63,22 +65,27 @@ class LiveTransport:
         return headers
 
     def complete(self, messages: list[Message], instance_id: Optional[str] = None) -> str:
-        payload = build_payload(self.profile, messages)
         try:
-            resp = self._session.post(
+            request = urllib.request.Request(
                 self.profile.endpoint,
-                json=payload,
+                data=json.dumps(build_payload(self.profile, messages)).encode(),
                 headers=self._headers(),
-                timeout=self.profile.timeout_seconds,
+                method="POST",
             )
-        except requests.RequestException as exc:
+            try:
+                with urllib.request.urlopen(request, timeout=self.profile.timeout_seconds) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:  # a status urlopen does not return
+                with exc:
+                    status, body = exc.code, exc.read()
+        # refused, timed out or cut short; or an endpoint or header urllib cannot send
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransientTransportError(str(exc)) from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientTransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        if resp.status_code != 200:
-            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        if status != 200:
+            error = TransientTransportError if status == 429 or status >= 500 else TransportError
+            raise error(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            return json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
 

@@ -97,14 +97,18 @@ class ProblemInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
-        """`from_json` of a corpus line, which may leave goldAnswer out; the variant must be known.
+        """`from_json` of a corpus line, which may leave goldAnswer out; the variant must be known,
+        and metadata.config, whose keys group eval records, must be an object.
 
         A missing goldAnswer is set to None in `data` itself.
         """
         if data["variant"] not in (ANSWERABLE, UNANSWERABLE):
             raise ValueError(f"unknown variant {data['variant']!r}")
         data.setdefault("goldAnswer", None)
-        return from_json(cls, data)
+        instance = from_json(cls, data)
+        if type(config := instance.metadata.get("config", {})) is not dict:
+            raise TypeError(f"config must be dict, got {type(config).__name__}")
+        return instance
 
 
 @dataclass

@@ -389,3 +389,25 @@ def test_nested_fault_names_the_line_and_key(tmp_path, config_file, profile_file
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {path} line 3: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "eval"])
+def test_metadata_config_must_be_an_object(tmp_path, config_file, profile_file, capsys, command):
+    # eval groups records by the keys of metadata.config, so a list there used to pass verify
+    # and then crash eval with an AttributeError
+    corpus = generate(tmp_path, config_file)
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record["metadata"]["config"] = [1]
+    lines[1] = json.dumps(record, ensure_ascii=False)
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "records.jsonl"
+    argv = {
+        "verify": ["verify", "--in", str(corpus)],
+        "eval": ["eval", "--in", str(corpus), "--profile", str(profile_file), "--mode", "zero",
+                 "--transport", "mock:gold", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {corpus} line 2: config must be dict, got list\n"
+    assert not out.exists()

@@ -1,4 +1,4 @@
-"""Byte pins: corpus, eval-record and report files are a pure function of (config, seed).
+"""Byte pins: corpus, eval-record and report files and prompt texts are a pure function of (config, seed).
 
 A refactor must leave these digests unchanged.  Only a deliberate format
 change, which also bumps SCHEMA_VERSION, may re-pin them.
@@ -12,10 +12,12 @@ from dataclasses import replace
 
 from pricetree.corpus_io import SCHEMA_VERSION, dataset_from_lines, dataset_to_lines, write_dataset
 from pricetree.formulas import CONDITION_ORDERS
+from pricetree.harness.prompts import FewShotPool, build_few_shot_prompt, build_zero_shot_prompt
 from pricetree.harness.report import write_report
 from pricetree.harness.scoring import read_records, run_eval, write_records
 from pricetree.harness.transport import ReplayTransport
 from pricetree.pipeline import GenConfig, generate_corpus
+from pricetree.rng import substream
 from pricetree.wording import DEFAULT_DISHES, QUESTION_PHRASINGS
 
 from factories import make_corpus, make_profile
@@ -23,6 +25,7 @@ from factories import make_corpus, make_profile
 CORPUS_SHA256 = "10101f603fb8b9fb64d5a7589d703726332fd2272b2ee174a685796f92ba9334"
 RECORDS_SHA256 = "c7fe98782549996e1b6b2cbdfa5725791c5ded77053e43a41d442a1ef71e48b3"
 METRICS_SHA256 = "538184bb5e1fa5e206bf0a41e009879ce52e58f2b1c45c962f3f450e77feedcb"
+PROMPTS_SHA256 = "02f9b7e41d03460ea99f75f0be6aff52dd3a3f3fe6796a20777033bf32d71330"
 
 
 def digest_grid() -> list[GenConfig]:
@@ -110,3 +113,20 @@ def test_report_bytes_are_pinned(tmp_path):
     write_report(read_records(path), ["ansDepth", "cutDepth"], tmp_path / "report")
     metrics = (tmp_path / "report" / "metrics.json").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == METRICS_SHA256
+
+
+def test_prompt_texts_are_pinned():
+    # the hallucination rates rest on this exact wording: zero- and few-shot, with and without reasoning
+    corpus = make_corpus(num_vars=6, ans_depth=4, cut_depth=2, composite_name=True, order="random", count=3)
+    pool = FewShotPool.prepare(make_corpus(corpus_seed=12, count=4), corpus)
+    digest = hashlib.sha256()
+    for is_reasoning in (False, True):
+        profile = make_profile(is_reasoning=is_reasoning)
+        for index, instance in enumerate(corpus.instances):
+            few = build_few_shot_prompt(instance, pool, substream(5, index), profile)
+            for messages in (build_zero_shot_prompt(instance, profile), few.messages):
+                for message in messages:
+                    digest.update(f"{message.role}\0{message.content}\0".encode("utf-8"))
+                digest.update(b"\1")
+            digest.update(("\0".join(few.exemplar_ids) + "\1").encode("utf-8"))
+    assert digest.hexdigest() == PROMPTS_SHA256

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -14,6 +14,7 @@ from pricetree.errors import (
     TransportError,
 )
 from pricetree.harness.prompts import Message
+from pricetree.harness.scoring import OUTCOME_CORRECT_UNANSWERABLE, OUTCOME_FALSE_UNANSWERABLE, run_eval
 from pricetree.harness.transport import (
     LiveTransport,
     ReplayTransport,
@@ -152,17 +153,26 @@ class TestQueryModel:
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
+    """Replies with the next of `responses`: (status, JSON payload or raw bytes), or a callable
+    that writes its own reply; once they run out, a completion reading `default_answer`."""
+
     seen_payloads: list[dict] = []
-    responses: list[tuple[int, dict]] = []
+    responses: list = []
+    default_answer = "Answer: 7"
+    released = threading.Event()  # set when the server stops
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).seen_payloads.append({"body": body, "auth": self.headers.get("Authorization")})
-        status, payload = self.responses.pop(0) if self.responses else (
+        reply = self.responses.pop(0) if self.responses else (
             200,
-            {"choices": [{"message": {"content": "Answer: 7"}}]},
+            {"choices": [{"message": {"content": self.default_answer}}]},
         )
-        data = json.dumps(payload).encode()
+        if callable(reply):
+            reply(self)
+            return
+        status, payload = reply
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -173,15 +183,34 @@ class _ChatHandler(BaseHTTPRequestHandler):
         pass
 
 
+def _stall(handler):
+    """No reply until the server stops, long after the client's timeout."""
+    _ChatHandler.released.wait(timeout=30)
+
+
+def _cut_short(handler):
+    """Headers promising 100 bytes, then 13 of them and a closed connection."""
+    handler.send_response(200)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", "100")
+    handler.end_headers()
+    handler.wfile.write(b'{"choices": [')
+    handler.close_connection = True
+
+
 @pytest.fixture
 def chat_server():
     _ChatHandler.seen_payloads = []
     _ChatHandler.responses = []
-    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    _ChatHandler.default_answer = "Answer: 7"
+    _ChatHandler.released = threading.Event()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield server, f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    _ChatHandler.released.set()
     server.shutdown()
+    server.server_close()
 
 
 class TestLiveTransport:
@@ -239,9 +268,59 @@ class TestLiveTransport:
             query_model(profile, [Message("user", "hi")], transport, sleep=sleeps.append)
         assert sleeps == [0.5, 1.0]
 
+    @pytest.mark.parametrize("endpoint", ["", "127.0.0.1:1/none"], ids=["empty", "no-scheme"])
+    def test_endpoint_that_cannot_be_sent_is_transient(self, endpoint):
+        transport = LiveTransport(make_profile(endpoint=endpoint))
+        with pytest.raises(TransientTransportError):
+            transport.complete([Message("user", "hello")])
+
     def test_retry_recovers_through_query_model(self, chat_server):
         _, url = chat_server
         _ChatHandler.responses = [(429, {"error": "slow down"})]
         profile = make_profile(endpoint=url)
         text, _ = query_model(profile, [Message("user", "hi")], LiveTransport(profile), sleep=lambda s: None)
         assert text == "Answer: 7"
+
+    def test_read_past_the_timeout_is_transient(self, chat_server):
+        _, url = chat_server
+        _ChatHandler.responses = [_stall]
+        transport = LiveTransport(make_profile(endpoint=url, timeout_seconds=0.2))
+        with pytest.raises(TransientTransportError):
+            transport.complete([Message("user", "hello")])
+
+    def test_body_shorter_than_its_content_length_is_transient(self, chat_server):
+        _, url = chat_server
+        _ChatHandler.responses = [_cut_short]
+        transport = LiveTransport(make_profile(endpoint=url))
+        with pytest.raises(TransientTransportError):
+            transport.complete([Message("user", "hello")])
+
+    def test_ok_status_with_a_body_that_is_not_json_is_permanent(self, chat_server):
+        _, url = chat_server
+        _ChatHandler.responses = [(200, b"<html>gateway</html>")]
+        transport = LiveTransport(make_profile(endpoint=url))
+        with pytest.raises(TransportError, match="malformed completion") as excinfo:
+            transport.complete([Message("user", "hello")])
+        assert not isinstance(excinfo.value, TransientTransportError)
+
+    def test_success_status_other_than_200_is_permanent(self, chat_server):
+        _, url = chat_server
+        _ChatHandler.responses = [(201, {"id": "queued"})]
+        transport = LiveTransport(make_profile(endpoint=url))
+        with pytest.raises(TransportError, match=r'^HTTP 201: \{"id": "queued"\}$') as excinfo:
+            transport.complete([Message("user", "hello")])
+        assert not isinstance(excinfo.value, TransientTransportError)
+
+    def test_concurrent_eval_scores_every_record(self, chat_server):
+        _, url = chat_server
+        _ChatHandler.default_answer = "Answer: unknown."
+        corpus = make_corpus(count=6)
+        profile = make_profile(endpoint=url, concurrency=4, max_retries=0, timeout_seconds=30)
+        records = run_eval(corpus, profile, "zero", LiveTransport(profile))
+        assert [r.instance_id for r in records] == [i.id for i in corpus.instances]
+        assert not any(r.transport_failed for r in records)
+        assert [r.outcome for r in records] == [
+            OUTCOME_FALSE_UNANSWERABLE if i.variant == "answerable" else OUTCOME_CORRECT_UNANSWERABLE
+            for i in corpus.instances
+        ]
+        assert len(_ChatHandler.seen_payloads) == len(corpus.instances)
