@@ -1,10 +1,11 @@
 """Model transports: live chat-completion HTTP and replay of recorded responses.
 
 The live transport opens one connection per call through ``urllib.request``,
-so the threads of a concurrent eval share no connection.  The harness never
-needs network access to be exercised: replay transports serve recorded
-responses keyed by instance id, and the named mocks are response maps for
-the degenerate all-unknown / all-number / echo-gold behaviours.
+so the threads of a concurrent eval share no connection, only a TLS context.
+The harness never needs network access to be exercised: replay transports
+serve recorded responses keyed by instance id, and the named mocks are
+response maps for the degenerate all-unknown / all-number / echo-gold
+behaviours.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import ssl
 import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -47,6 +50,14 @@ def build_payload(profile: ModelProfile, messages: list[Message]) -> dict:
     return payload
 
 
+@cache
+def _opener() -> urllib.request.OpenerDirector:
+    """urlopen's handlers with one TLS context: loading the system trust store takes tens of ms."""
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])  # as http.client does for a context it makes
+    return urllib.request.build_opener(urllib.request.HTTPSHandler(context=context))
+
+
 @dataclass(frozen=True)
 class LiveTransport:
     """POSTs to a chat-completion endpoint; auth comes from the environment."""
@@ -69,11 +80,12 @@ class LiveTransport:
             request = urllib.request.Request(
                 self.profile.endpoint,
                 data=json.dumps(build_payload(self.profile, messages)).encode(),
-                headers=self._headers(),
                 method="POST",
             )
+            for name, value in self._headers().items():  # unredirected: the key never follows a 3xx
+                request.add_unredirected_header(name, value)
             try:
-                with urllib.request.urlopen(request, timeout=self.profile.timeout_seconds) as resp:
+                with _opener().open(request, timeout=self.profile.timeout_seconds) as resp:
                     status, body = resp.status, resp.read()
             except urllib.error.HTTPError as exc:  # a status urlopen does not return
                 with exc:

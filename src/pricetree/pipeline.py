@@ -7,6 +7,7 @@ than writing bad labels.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,7 +99,7 @@ class ProblemInstance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
         """`from_json` of a corpus line, which may leave goldAnswer out; the variant must be known,
-        and metadata.config, whose keys group eval records, must be an object.
+        and metadata.config, whose items group eval records, must be an object of JSON scalars.
 
         A missing goldAnswer is set to None in `data` itself.
         """
@@ -106,8 +107,9 @@ class ProblemInstance:
             raise ValueError(f"unknown variant {data['variant']!r}")
         data.setdefault("goldAnswer", None)
         instance = from_json(cls, data)
-        if type(config := instance.metadata.get("config", {})) is not dict:
-            raise TypeError(f"config must be dict, got {type(config).__name__}")
+        config = instance.metadata.get("config", {})
+        if type(config) is not dict or not {list, dict}.isdisjoint(map(type, config.values())):
+            raise TypeError(f"metadata.config must be an object of JSON scalars, got {json.dumps(config)}")
         return instance
 
 

@@ -392,13 +392,20 @@ def test_nested_fault_names_the_line_and_key(tmp_path, config_file, profile_file
 
 
 @pytest.mark.parametrize("command", ["verify", "eval"])
-def test_metadata_config_must_be_an_object(tmp_path, config_file, profile_file, capsys, command):
-    # eval groups records by the keys of metadata.config, so a list there used to pass verify
-    # and then crash eval with an AttributeError
+@pytest.mark.parametrize(
+    "config, shown",
+    [([1], "[1]"), ({"ansDepth": [3]}, '{"ansDepth": [3]}')],
+    ids=["list", "list-value"],
+)
+def test_metadata_config_must_be_an_object_of_scalars(
+    tmp_path, config_file, profile_file, capsys, command, config, shown
+):
+    # eval groups records by the keys of metadata.config and report by their values, so a list
+    # there used to pass verify and then crash eval (AttributeError) or report (TypeError)
     corpus = generate(tmp_path, config_file)
     lines = corpus.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[1])
-    record["metadata"]["config"] = [1]
+    record["metadata"]["config"] = config
     lines[1] = json.dumps(record, ensure_ascii=False)
     corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "records.jsonl"
@@ -409,5 +416,6 @@ def test_metadata_config_must_be_an_object(tmp_path, config_file, profile_file, 
     }[command]
     capsys.readouterr()
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {corpus} line 2: config must be dict, got list\n"
+    reason = f"metadata.config must be an object of JSON scalars, got {shown}"
+    assert capsys.readouterr().err == f"error: {corpus} line 2: {reason}\n"
     assert not out.exists()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import socket
+import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -14,6 +15,7 @@ from pricetree.errors import (
     TransportError,
 )
 from pricetree.harness.prompts import Message
+from pricetree.harness import transport as transport_module
 from pricetree.harness.scoring import OUTCOME_CORRECT_UNANSWERABLE, OUTCOME_FALSE_UNANSWERABLE, run_eval
 from pricetree.harness.transport import (
     LiveTransport,
@@ -273,6 +275,57 @@ class TestLiveTransport:
         transport = LiveTransport(make_profile(endpoint=endpoint))
         with pytest.raises(TransientTransportError):
             transport.complete([Message("user", "hello")])
+
+    def test_redirect_carries_no_api_key(self, chat_server, monkeypatch):
+        _, url = chat_server
+        seen = []
+
+        class Elsewhere(BaseHTTPRequestHandler):
+            def do_GET(self):
+                seen.append(self.headers.get("Authorization"))
+                self.send_response(404)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            do_POST = do_GET
+
+            def log_message(self, *args):
+                pass
+
+        elsewhere = ThreadingHTTPServer(("127.0.0.1", 0), Elsewhere)
+        threading.Thread(target=elsewhere.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+
+        def redirect(handler):
+            handler.send_response(302)
+            handler.send_header("Location", f"http://127.0.0.1:{elsewhere.server_address[1]}/v1")
+            handler.send_header("Content-Length", "0")
+            handler.end_headers()
+
+        _ChatHandler.responses = [redirect]
+        monkeypatch.setenv("TEST_API_KEY", "sk-local")
+        transport = LiveTransport(make_profile(endpoint=url, api_key_env="TEST_API_KEY"))
+        try:
+            with pytest.raises(TransportError, match="^HTTP 404: $"):
+                transport.complete([Message("user", "hello")])
+        finally:
+            elsewhere.shutdown()
+            elsewhere.server_close()
+        assert _ChatHandler.seen_payloads[-1]["auth"] == "Bearer sk-local"
+        assert seen == [None]
+
+    def test_trust_store_is_loaded_once(self, chat_server, monkeypatch):
+        _, url = chat_server
+        made = []
+        create = ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", lambda: made.append(1) or create())
+        transport_module._opener.cache_clear()
+        try:
+            transport = LiveTransport(make_profile(endpoint=url))
+            for _ in range(3):
+                assert transport.complete([Message("user", "hello")]) == "Answer: 7"
+        finally:
+            transport_module._opener.cache_clear()
+        assert made == [1]
 
     def test_retry_recovers_through_query_model(self, chat_server):
         _, url = chat_server
