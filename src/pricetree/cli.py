@@ -115,8 +115,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     try:
         instance = dataset.by_id(args.id)
     except KeyError:
-        print(f"no instance with id {args.id!r} in {args.input}", file=sys.stderr)
-        return 1
+        raise PricetreeError(f"no instance with id {args.id!r} in {args.input}") from None
     print(f"id: {instance.id}  variant: {instance.variant}")
     print()
     print(instance.full_text)

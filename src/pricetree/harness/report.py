@@ -107,6 +107,9 @@ def aggregate(records: list[EvalRecord], group_by: list[str]) -> MetricsTable:
         raise InvalidConfigError(
             f"cannot group by {', '.join(bad)}; valid keys: {', '.join(GROUPABLE_KEYS)}"
         )
+    repeated = [k for n, k in enumerate(group_by) if k in group_by[:n]]
+    if repeated:
+        raise InvalidConfigError(f"group key {repeated[0]} is named more than once")
     cells: dict[tuple, CellMetrics] = {}
     for record in records:
         key_tuple = tuple(record.config_cell.get(k) for k in group_by)
@@ -165,35 +168,11 @@ def format_text_table(table: MetricsTable) -> str:
     return "\n".join(lines)
 
 
-def _series(records: list[EvalRecord], keys: list[str]) -> list[dict]:
-    table = aggregate(records, keys)
-    rows = []
-    for cell in table.cells:
-        row = dict(cell.key)
-        row["nUnanswerable"] = cell.n_unanswerable
-        row["hallucinationRate"] = _rate_float(cell.hallucination_rate)
-        rows.append(row)
-    return rows
-
-
-def structure_series(records: list[EvalRecord]) -> list[dict]:
-    """Hallucination rate per (ansDepth, numVars, compositeName) cell."""
-    return _series(records, ["ansDepth", "numVars", "compositeName"])
-
-
-def cutdepth_series(records: list[EvalRecord]) -> list[dict]:
-    """Hallucination rate per (ansDepth, cutDepth) cell."""
-    return _series(records, ["ansDepth", "cutDepth"])
-
-
-def _write_csv(rows: list[dict], path: Path) -> None:
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+# file name -> the keys whose cells give one row of hallucination rate each
+SERIES = {
+    "by_structure.csv": ["ansDepth", "numVars", "compositeName"],
+    "by_cut_depth.csv": ["ansDepth", "cutDepth"],
+}
 
 
 def write_report(records: list[EvalRecord], group_by: list[str], out_dir: str | Path) -> MetricsTable:
@@ -206,8 +185,16 @@ def write_report(records: list[EvalRecord], group_by: list[str], out_dir: str | 
         (out / "metrics.json").write_text(
             json.dumps(table.to_json_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
         )
-        _write_csv(structure_series(records), out / "by_structure.csv")
-        _write_csv(cutdepth_series(records), out / "by_cut_depth.csv")
+        for name, keys in SERIES.items():
+            cells = aggregate(records, keys).cells
+            with (out / name).open("w", encoding="utf-8", newline="") as fh:
+                if cells:  # no records, no header either
+                    writer = csv.writer(fh)
+                    writer.writerow([*keys, "nUnanswerable", "hallucinationRate"])
+                    writer.writerows(
+                        [*cell.key.values(), cell.n_unanswerable, _rate_float(cell.hallucination_rate)]
+                        for cell in cells
+                    )
     except OSError as exc:
         raise PricetreeError(f"{exc.filename or out}: cannot write ({exc.strerror or exc})") from exc
     return table

@@ -40,7 +40,7 @@ _NUMBER_TOKEN = re.compile(r"[-+]?\$?\d[\d,]*(?:\.\d+)?")
 
 @dataclass(frozen=True)
 class ParsedAnswer:
-    verdict: str
+    verdict: Optional[str]  # None when no response came back
     value: Optional[int] = None
     raw_tail: str = ""
 
@@ -145,38 +145,27 @@ def run_eval(
             prompt = build_few_shot_prompt(instance, exemplars, substream(eval_seed, index), profile)
             messages = prompt.messages
             exemplar_ids = prompt.exemplar_ids
-        base = dict(
+        failed = False
+        try:
+            response, latency = query_model(profile, messages, transport, instance.id, sleep)
+        except TransportError:
+            failed, response, latency = True, None, None
+        parsed = ParsedAnswer(None) if failed else extract_answer(response)
+        return EvalRecord(
             instance_id=instance.id,
             pair_id=instance.pair_id,
             variant=instance.variant,
             mode=mode,
-            config_cell=_config_cell(instance),
-            gold_answer=instance.gold_answer,
-            exemplar_ids=exemplar_ids,
-        )
-        try:
-            response, latency = query_model(profile, messages, transport, instance.id, sleep)
-        except TransportError:
-            return EvalRecord(
-                outcome=None,
-                verdict=None,
-                value=None,
-                raw_tail="",
-                response=None,
-                latency_ms=None,
-                transport_failed=True,
-                **base,
-            )
-        parsed = extract_answer(response)
-        return EvalRecord(
-            outcome=score_outcome(instance.variant, instance.gold_answer, parsed),
+            outcome=None if failed else score_outcome(instance.variant, instance.gold_answer, parsed),
             verdict=parsed.verdict,
             value=parsed.value,
             raw_tail=parsed.raw_tail,
             response=response,
             latency_ms=latency,
-            transport_failed=False,
-            **base,
+            transport_failed=failed,
+            config_cell=_config_cell(instance),
+            gold_answer=instance.gold_answer,
+            exemplar_ids=exemplar_ids,
         )
 
     records: list[Optional[EvalRecord]] = [None] * len(dataset.instances)

@@ -170,15 +170,6 @@ def build_pair(
     kept = [(f, s) for f, s in zip(ordered, sentences) if f.child_var != cut_child]
     if len(kept) != len(ordered) - 1:
         raise CertificationError(f"cut removed {len(ordered) - len(kept)} formulas, expected 1")
-    una_formulas = [f for f, _ in kept]
-    una_sentences = [s for _, s in kept]
-
-    ans_text = assemble_text(sentences, question)
-    una_text = assemble_text(una_sentences, question)
-
-    gold = values[questioned]
-    ans_solution = render_gold_solution(ordered, sentences, items, questioned, True)
-    una_solution = render_gold_solution(una_formulas, una_sentences, items, questioned, False)
 
     pair_id = f"s{config.corpus_seed}-p{index:06d}"  # unique across corpus seeds
     metadata = {
@@ -187,38 +178,32 @@ def build_pair(
         "cutEdge": {"parent": cut_child - 1, "child": cut_child},  # parent 0 is the root
         "phrasing": {str(var): coin for var, coin in sorted(phrasing.items())},
     }
-    answerable = ProblemInstance(
-        id=f"{pair_id}-{ANSWERABLE}",
-        variant=ANSWERABLE,
-        full_text=ans_text.full_text,
-        condition_sentences=ans_text.condition_sentences,
-        formulas=tuple(ordered),
-        item_map=items,
-        questioned_var=questioned,
-        gold_answer=gold,
-        gold_solution_text=ans_solution,
-        pair_id=pair_id,
-        metadata=dict(metadata),
-    )
-    unanswerable = ProblemInstance(
-        id=f"{pair_id}-{UNANSWERABLE}",
-        variant=UNANSWERABLE,
-        full_text=una_text.full_text,
-        condition_sentences=una_text.condition_sentences,
-        formulas=tuple(una_formulas),
-        item_map=items,
-        questioned_var=questioned,
-        gold_answer=None,
-        gold_solution_text=una_solution,
-        pair_id=pair_id,
-        metadata=dict(metadata),
-    )
 
-    for inst in (answerable, unanswerable):
-        report = verify_instance(inst)
+    def certified(variant: str, formulas: list, sentences: list, gold: Optional[int]) -> ProblemInstance:
+        instance = ProblemInstance(
+            id=f"{pair_id}-{variant}",
+            variant=variant,
+            full_text=assemble_text(sentences, question),
+            condition_sentences=tuple(sentences),
+            formulas=tuple(formulas),
+            item_map=items,
+            questioned_var=questioned,
+            gold_answer=gold,
+            gold_solution_text=render_gold_solution(
+                formulas, sentences, items, questioned, variant == ANSWERABLE
+            ),
+            pair_id=pair_id,
+            metadata=dict(metadata),
+        )
+        report = verify_instance(instance)
         if not report.label_confirmed:
-            raise CertificationError(f"{inst.id}: {report.failure}")
-    return answerable, unanswerable
+            raise CertificationError(f"{instance.id}: {report.failure}")
+        return instance
+
+    return (
+        certified(ANSWERABLE, ordered, sentences, values[questioned]),
+        certified(UNANSWERABLE, [f for f, _ in kept], [s for _, s in kept], None),
+    )
 
 
 def generate_pair(config: GenConfig, index: int) -> tuple[ProblemInstance, ProblemInstance]:

@@ -263,16 +263,9 @@ def render_question(items: ItemMap, questioned_var: int, phrasing: str = "how-mu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProblemText:
-    condition_sentences: tuple[str, ...]
-    question_sentence: str
-    full_text: str
-
-
-def assemble_text(sentences: Sequence[str], question: str) -> ProblemText:
-    full = " ".join(f"{s}." for s in sentences) + " " + question
-    return ProblemText(tuple(sentences), question, full)
+def assemble_text(sentences: Sequence[str], question: str) -> str:
+    """The problem text: each condition sentence with its period, then the question."""
+    return " ".join(f"{s}." for s in sentences) + " " + question
 
 
 def _lowercase_first(sentence: str) -> str:

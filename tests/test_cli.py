@@ -179,6 +179,7 @@ class TestRender:
     def test_unknown_id(self, tmp_path, config_file, capsys):
         out = generate(tmp_path, config_file)
         assert main(["render", "--in", str(out), "--id", "nope"]) == 1
+        assert capsys.readouterr().err == f"error: no instance with id 'nope' in {out}\n"
 
 
 class TestEvalAndReport:

@@ -10,10 +10,8 @@ from pricetree.errors import InvalidConfigError
 from pricetree.harness.report import (
     MISSING,
     aggregate,
-    cutdepth_series,
     format_rate,
     format_text_table,
-    structure_series,
     write_report,
 )
 from pricetree.harness.scoring import (
@@ -96,15 +94,9 @@ class TestAggregate:
         with pytest.raises(InvalidConfigError, match="goldAnswer"):
             aggregate([record()], ["goldAnswer"])
 
-
-class TestSeries:
-    def test_structure_series_keys(self):
-        rows = structure_series([record()])
-        assert rows[0].keys() == {"ansDepth", "numVars", "compositeName", "nUnanswerable", "hallucinationRate"}
-
-    def test_cutdepth_series_keys(self):
-        rows = cutdepth_series([record()])
-        assert rows[0].keys() == {"ansDepth", "cutDepth", "nUnanswerable", "hallucinationRate"}
+    def test_repeated_group_key_rejected(self):
+        with pytest.raises(InvalidConfigError, match="group key ansDepth is named more than once"):
+            aggregate([record()], ["ansDepth", "cutDepth", "ansDepth"])
 
 
 class TestWriteReport:
@@ -115,8 +107,10 @@ class TestWriteReport:
         assert json.loads((tmp_path / "metrics.json").read_text())["groupKeys"] == ["ansDepth"]
         with (tmp_path / "by_cut_depth.csv").open() as fh:
             rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["ansDepth", "cutDepth", "nUnanswerable", "hallucinationRate"]
         assert rows[0]["cutDepth"] == "4"
         with (tmp_path / "by_structure.csv").open() as fh:
             rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["ansDepth", "numVars", "compositeName", "nUnanswerable", "hallucinationRate"]
         assert rows[0]["compositeName"] == "True"
         assert len(table.cells) == 1

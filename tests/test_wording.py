@@ -211,9 +211,8 @@ class TestRenderQuestion:
 
 class TestAssembleText:
     def test_sentence_count_and_terminators(self):
-        text = assemble_text(["A pie costs 5 dollars"], "Question: how much does a pie cost?")
-        assert text.full_text == "A pie costs 5 dollars. Question: how much does a pie cost?"
-        assert text.condition_sentences == ("A pie costs 5 dollars",)
+        text = assemble_text(["A pie costs 5 dollars", "A burger costs 3 dollars"], "Question: how much?")
+        assert text == "A pie costs 5 dollars. A burger costs 3 dollars. Question: how much?"
 
 
 class TestGoldSolutions:
