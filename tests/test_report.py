@@ -99,6 +99,22 @@ class TestAggregate:
             aggregate([record()], ["ansDepth", "cutDepth", "ansDepth"])
 
 
+def series_rows(tmp_path, name: str) -> list[dict]:
+    write_report([record()], ["ansDepth"], tmp_path)
+    with (tmp_path / name).open() as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestSeries:
+    def test_structure_series_keys(self, tmp_path):
+        rows = series_rows(tmp_path, "by_structure.csv")
+        assert list(rows[0]) == ["ansDepth", "numVars", "compositeName", "nUnanswerable", "hallucinationRate"]
+
+    def test_cutdepth_series_keys(self, tmp_path):
+        rows = series_rows(tmp_path, "by_cut_depth.csv")
+        assert list(rows[0]) == ["ansDepth", "cutDepth", "nUnanswerable", "hallucinationRate"]
+
+
 class TestWriteReport:
     def test_emits_all_artifacts(self, tmp_path):
         records = [record(), record(variant="answerable", outcome=OUTCOME_CORRECT_ANSWER)]
@@ -107,10 +123,8 @@ class TestWriteReport:
         assert json.loads((tmp_path / "metrics.json").read_text())["groupKeys"] == ["ansDepth"]
         with (tmp_path / "by_cut_depth.csv").open() as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0]) == ["ansDepth", "cutDepth", "nUnanswerable", "hallucinationRate"]
         assert rows[0]["cutDepth"] == "4"
         with (tmp_path / "by_structure.csv").open() as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0]) == ["ansDepth", "numVars", "compositeName", "nUnanswerable", "hallucinationRate"]
         assert rows[0]["compositeName"] == "True"
         assert len(table.cells) == 1
