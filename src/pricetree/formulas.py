@@ -69,12 +69,12 @@ def formula_edges(formulas: Iterable[Formula]) -> Iterator[tuple[int, int]]:
     return ((ROOT if isinstance(f, RootValue) else f.parent, f.child_var) for f in formulas)
 
 
-def sample_formula(edge: Edge, values: dict[int, int], rng: PcgStream) -> Formula:
-    """Concrete formula for one edge; root edges consume no draws."""
+def sample_formula(edge: Edge, values: dict[int, int], coefficients: Iterator[int]) -> Formula:
+    """Concrete formula for one edge; root edges take no coefficients, others the next two drawn."""
     if edge.parent == ROOT:
         return RootValue(var=edge.child, value=values[edge.child])
-    a = rng.pick(COEFFICIENT_CHOICES)
-    b = rng.pick(COEFFICIENT_CHOICES)
+    a = next(coefficients)
+    b = next(coefficients)
     rhs = a * values[edge.parent] + b * values[edge.child]
     return Linear(parent=edge.parent, child=edge.child, parent_coeff=a, child_coeff=b, rhs=rhs)
 

@@ -160,12 +160,12 @@ def format_text_table(table: MetricsTable) -> str:
             ]
         )
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines += ["  ".join(r[i].ljust(widths[i]) for i in range(len(headers))) for r in rows]
-    return "\n".join(lines)
+
+    def line(cells: list[str]) -> str:
+        # the last column is not padded, so no line ends in spaces
+        return "  ".join([c.ljust(w) for c, w in zip(cells[:-1], widths)] + cells[-1:])
+
+    return "\n".join(map(line, [headers, ["-" * w for w in widths], *rows]))
 
 
 # file name -> the keys whose cells give one row of hallucination rate each

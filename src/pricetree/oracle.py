@@ -70,11 +70,13 @@ _RHS = -1  # sparse-row key of the right-hand side
 _TARGET = 0  # sparse-row key of the target; the other variables get keys 1, 2, ...
 
 
-def _integer_rows(formulas: list[Formula], target_var: int) -> list[dict[int, int]]:
-    """Sparse integer rows, key -> coefficient; zero entries are never stored."""
+def _integer_rows(formulas: list[Formula], target_var: int) -> tuple[list[dict], dict[int, set[int]]]:
+    """Sparse integer rows, key -> coefficient, with no zero entries stored; and, for each
+    non-target key, the set of rows holding it."""
     keys = {target_var: _TARGET}
     rows: list[dict[int, int]] = []
-    for f in formulas:
+    holding: dict[int, set[int]] = {}
+    for i, f in enumerate(formulas):
         if isinstance(f, RootValue):
             terms, rhs = ((f.var, 1),), f.value
         else:
@@ -88,8 +90,16 @@ def _integer_rows(formulas: list[Formula], target_var: int) -> list[dict[int, in
                 row[key] = total
             else:
                 row.pop(key, None)
+        for key in row:
+            if key > _TARGET:
+                holding.setdefault(key, set()).add(i)
         rows.append(row)
-    return rows
+    return rows, holding
+
+
+def _holds_other(row: dict[int, int]) -> bool:
+    """Whether a row still holds a variable besides the target."""
+    return len(row) > (_RHS in row) + (_TARGET in row)
 
 
 def solve_exact(formulas: list[Formula], target_var: int) -> Determination:
@@ -107,15 +117,12 @@ def solve_exact(formulas: list[Formula], target_var: int) -> Determination:
     target coefficient makes the target unique, and its ``Fraction`` is
     built only then.
     """
+    rows, holding = _integer_rows(formulas, target_var)
     active: dict[int, dict[int, int]] = {}  # rows that still hold a non-target variable
-    holding: dict[int, set[int]] = {}  # non-target key -> active rows holding it
     left: list[dict[int, int]] = []  # rows in the target alone
-    for i, row in enumerate(_integer_rows(formulas, target_var)):
-        if max(row, default=_RHS) > _TARGET:
+    for i, row in enumerate(rows):
+        if _holds_other(row):
             active[i] = row
-            for key in row:
-                if key > _TARGET:
-                    holding.setdefault(key, set()).add(i)
         else:
             left.append(row)
 
@@ -127,10 +134,17 @@ def solve_exact(formulas: list[Formula], target_var: int) -> Determination:
         if pivot is None or len(pivot) != size:
             continue
         del active[p]
-        keys = [key for key in pivot if key > _TARGET]
-        for key in keys:
-            holding[key].discard(p)
-        col = min(keys, key=lambda key: len(holding[key]))
+        keys = []  # the pivot's non-target keys
+        col, fewest = None, len(rows)  # the first of them with the fewest other holders
+        for key in pivot:
+            if key > _TARGET:
+                holders = holding[key]
+                holders.discard(p)
+                keys.append(key)
+                if len(holders) < fewest:
+                    col, fewest = key, len(holders)
+        if not fewest:  # no other row holds the column: nothing to update
+            continue
         keys.remove(col)
         pivot_coeff = pivot[col]
         for i in holding.pop(col):
@@ -155,7 +169,7 @@ def solve_exact(formulas: list[Formula], target_var: int) -> Determination:
                     holding[key].add(i)
                 else:
                     holding[key].discard(i)
-            if max(row, default=_RHS) > _TARGET:
+            if _holds_other(row):
                 heappush(queue, (len(row), i))
             else:
                 left.append(active.pop(i))

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CertificationError, InvalidConfigError
-from .formulas import CONDITION_ORDERS, Formula, order_formulas, sample_formula
+from .formulas import COEFFICIENT_CHOICES, CONDITION_ORDERS, Formula, order_formulas, sample_formula
 from .jsonmap import from_json, to_json
 from .oracle import ANSWERABLE, UNANSWERABLE, verify_instance
 from .rng import PcgStream, substream
-from .tree import bfs_edges, build_tree, check_shape, sample_var_values
+from .tree import ROOT, bfs_edges, build_tree, check_shape, sample_var_values
 from .wording import (
     QUESTION_PHRASINGS,
     ItemMap,
@@ -140,28 +140,26 @@ def build_pair(
     """Build and certify one answerable/unanswerable pair from one stream.
 
     Stream consumption order is part of the determinism contract:
-    variable values, tree attachment, edge coefficients (breadth-first),
-    condition-order permutation, item assignment, then one phrasing coin per
-    difference sentence in condition order.  The two variants share every
-    draw; the unanswerable one just drops the cut sentence.  Each variant
-    is certified by `verify_instance`, one exact elimination apiece, before
-    either is returned.
+    variable values, tree attachment, edge coefficients (breadth-first,
+    two per non-root edge), condition-order permutation, item assignment,
+    then one phrasing coin per difference sentence in condition order.
+    Each stage takes all of its draws in one call, in that same order.
+    The two variants share every draw; the unanswerable one just drops the
+    cut sentence.  Each variant is certified by `verify_instance`, one
+    exact elimination apiece, before either is returned.
     """
     values = sample_var_values(config.num_vars, rng)
     tree = build_tree(config.num_vars, config.ans_depth, rng)
-    edges = bfs_edges(tree)
-    bfs_formulas = [sample_formula(e, values, rng) for e in edges]
+    relations = config.num_vars - tree.parent.count(ROOT)  # edges that take two coefficients
+    coefficients = iter(rng.pick_each([COEFFICIENT_CHOICES] * (2 * relations)))
+    bfs_formulas = [sample_formula(e, values, coefficients) for e in bfs_edges(tree)]
     ordered = order_formulas(bfs_formulas, config.order, rng)
     items = assign_items(config.num_vars, config.composite_name, vocab, rng)
 
-    phrasing: dict[int, str] = {}
-    sentences = []
-    for f in ordered:
-        coin = None
-        if needs_phrasing_coin(f):
-            coin = "more" if rng.coin() else "less"
-            phrasing[f.child_var] = coin
-        sentences.append(render_formula_fixed(f, items, coin))
+    coined = [f.child_var for f in ordered if needs_phrasing_coin(f)]
+    heads = rng.pick_each([(False, True)] * len(coined))
+    phrasing = {var: "more" if coin else "less" for var, coin in zip(coined, heads)}
+    sentences = [render_formula_fixed(f, items, phrasing.get(f.child_var)) for f in ordered]
 
     questioned = config.ans_depth
     question = render_question(items, questioned, config.question_phrasing)

@@ -19,6 +19,7 @@ ROOT = 0
 
 PRICE_MIN = 5
 PRICE_MAX = 15
+PRICES = range(PRICE_MIN, PRICE_MAX + 1)
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def sample_var_values(num_vars: int, rng: PcgStream) -> dict[int, int]:
     """Hidden whole-dollar price per variable, uniform over [5, 15]."""
     if num_vars < 2:
         raise InvalidConfigError(f"num_vars must be >= 2, got {num_vars}")
-    return {i: rng.int_between(PRICE_MIN, PRICE_MAX) for i in range(1, num_vars + 1)}
+    return dict(enumerate(rng.pick_each([PRICES] * num_vars), start=1))
 
 
 def build_tree(num_vars: int, ans_depth: int, rng: PcgStream) -> Tree:
@@ -67,8 +68,7 @@ def build_tree(num_vars: int, ans_depth: int, rng: PcgStream) -> Tree:
     relation.
     """
     parent = [ROOT] + [i - 1 for i in range(2, ans_depth + 1)]
-    for i in range(ans_depth + 1, num_vars + 1):
-        parent.append(rng.pick(range(ROOT, i)))
+    parent += rng.pick_each([range(ROOT, i) for i in range(ans_depth + 1, num_vars + 1)])
     return Tree(num_vars=num_vars, ans_depth=ans_depth, parent=tuple(parent))
 
 

@@ -24,20 +24,12 @@ class ScriptedStream:
     def exhausted(self) -> bool:
         return self._pos == len(self._draws)
 
-    def int_between(self, lo: int, hi: int) -> int:
-        value = self._next("int_between")
-        assert isinstance(value, int) and lo <= value <= hi, (value, lo, hi)
-        return value
-
-    def pick(self, seq):
-        value = self._next("pick")
-        assert value in seq, (value, seq)
-        return value
-
-    def coin(self) -> bool:
-        value = self._next("coin")
-        assert isinstance(value, bool), value
-        return value
+    def pick_each(self, choices) -> list:
+        """One script entry per sequence, each of which must be an element of it."""
+        values = [self._next("pick_each") for _ in choices]
+        for value, seq in zip(values, choices):
+            assert value in seq, (value, seq)
+        return values
 
     def permutation(self, n: int) -> list[int]:
         value = self._next("permutation")

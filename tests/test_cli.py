@@ -207,6 +207,21 @@ class TestEvalAndReport:
         assert cell["hallucinationRate"] == 0.0
         assert cell["accuracy"] == 1.0
 
+    def test_report_lines_end_without_whitespace(self, tmp_path, config_file, profile_file, capsys):
+        corpus = generate(tmp_path, config_file)
+        records_path = tmp_path / "records.jsonl"
+        args = ["--profile", str(profile_file), "--mode", "zero", "--transport", "mock:gold"]
+        assert main(["eval", "--in", str(corpus), *args, "--out", str(records_path)]) == 0
+        capsys.readouterr()
+        report_dir = tmp_path / "report"
+        argv = ["report", "--in", str(records_path), "--group", "ansDepth,cutDepth", "--out", str(report_dir)]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        metrics = (report_dir / "metrics.txt").read_text(encoding="utf-8").splitlines()
+        assert len(metrics) == 3 and stdout[:3] == metrics
+        for line in stdout + metrics:
+            assert line == line.rstrip(), repr(line)
+
     def test_report_out_naming_a_file_is_a_clean_error(self, tmp_path, config_file, profile_file, capsys):
         corpus = generate(tmp_path, config_file)
         records_path = tmp_path / "records.jsonl"

@@ -25,6 +25,7 @@ from factories import make_corpus, make_profile
 CORPUS_SHA256 = "10101f603fb8b9fb64d5a7589d703726332fd2272b2ee174a685796f92ba9334"
 RECORDS_SHA256 = "c7fe98782549996e1b6b2cbdfa5725791c5ded77053e43a41d442a1ef71e48b3"
 METRICS_SHA256 = "538184bb5e1fa5e206bf0a41e009879ce52e58f2b1c45c962f3f450e77feedcb"
+METRICS_TXT_SHA256 = "3b20d38df4a065ba5673001ea6d561cf4b21fe0060673447c83d592c441957ca"
 PROMPTS_SHA256 = "02f9b7e41d03460ea99f75f0be6aff52dd3a3f3fe6796a20777033bf32d71330"
 SERIES_SHA256 = {
     "by_structure.csv": "b7dc80e67052aabcd3a173b4040a1c8c8dd2d60a48b42b3a53218656955900f3",
@@ -117,6 +118,8 @@ def test_report_bytes_are_pinned(tmp_path):
     write_report(read_records(path), ["ansDepth", "cutDepth"], tmp_path / "report")
     metrics = (tmp_path / "report" / "metrics.json").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == METRICS_SHA256
+    text = (tmp_path / "report" / "metrics.txt").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == METRICS_TXT_SHA256
     for name, expected in SERIES_SHA256.items():
         assert hashlib.sha256((tmp_path / "report" / name).read_bytes()).hexdigest() == expected, name
 

@@ -67,27 +67,29 @@ class TestApplyCut:
 class TestSampleFormula:
     def test_root_edge_becomes_direct_value(self):
         values = {1: 14}
-        rng = ScriptedStream([])
-        assert sample_formula(Edge(ROOT, 1), values, rng) == RootValue(var=1, value=14)
+        coefficients = iter([])
+        assert sample_formula(Edge(ROOT, 1), values, coefficients) == RootValue(var=1, value=14)
 
     def test_pinned_coefficients(self):
         values = {1: 14, 2: 8}
-        rng = ScriptedStream([2, -3])
-        formula = sample_formula(Edge(1, 2), values, rng)
+        coefficients = iter([2, -3, 1])
+        formula = sample_formula(Edge(1, 2), values, coefficients)
         assert formula == Linear(parent=1, child=2, parent_coeff=2, child_coeff=-3, rhs=4)
+        assert list(coefficients) == [1]  # an edge takes exactly two
 
     def test_equal_prices_can_give_zero_rhs(self):
         values = {1: 9, 2: 9}
-        formula = sample_formula(Edge(1, 2), values, ScriptedStream([1, -1]))
+        formula = sample_formula(Edge(1, 2), values, iter([1, -1]))
         assert formula == Linear(1, 2, 1, -1, 0)
 
     def test_sampled_formulas_hold_for_their_values(self):
         for seed in range(500):
             rng = PcgStream.from_seed(seed)
             values = sample_var_values(6, rng)
-            tree = build_tree(6, 3, rng)
-            for edge in bfs_edges(tree):
-                formula = sample_formula(edge, values, rng)
+            edges = bfs_edges(build_tree(6, 3, rng))
+            coefficients = iter(rng.pick_each([COEFFICIENT_CHOICES] * (2 * len(edges))))
+            for edge in edges:
+                formula = sample_formula(edge, values, coefficients)
                 assert formula.holds_for(values)
                 if isinstance(formula, Linear):
                     assert formula.parent_coeff in COEFFICIENT_CHOICES

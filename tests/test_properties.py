@@ -23,6 +23,8 @@ from pricetree.oracle import (
     verify_instance,
 )
 from pricetree.pipeline import GenConfig, generate_corpus, generate_pair
+from pricetree.rng import substream
+from pricetree.tree import sample_var_values
 from pricetree.wording import DEFAULT_DISHES
 
 import sentence_parser
@@ -201,6 +203,40 @@ def test_solve_exact_matches_dense_reference_in_any_order(system, data):
     assert verdict == dense_rref(formulas, target)
     shuffled = data.draw(st.permutations(formulas))
     assert solve_exact(shuffled, target) == verdict
+
+
+@st.composite
+def deep_systems(draw: st.DrawFn) -> tuple[list[Formula], int]:
+    """A generated 45-variable answerable system at ansDepth 8 or 40, with one formula
+    dropped or one random relation added, true of the hidden prices or off by a little."""
+    ans_depth = draw(st.sampled_from((8, 40)))
+    config = GenConfig(
+        num_vars=45,
+        ans_depth=ans_depth,
+        cut_depth=ans_depth // 2,
+        composite_name=True,
+        corpus_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    index = draw(st.integers(0, 50))
+    formulas = list(generate_pair(config, index)[0].formulas)
+    if draw(st.booleans()):
+        # the dropped formula's child is a likely underdetermined target
+        touched = formulas.pop(draw(st.integers(0, len(formulas) - 1))).child_var
+    else:
+        values = sample_var_values(45, substream(config.corpus_seed, index))  # the pair's first draws
+        var, coeff = st.integers(1, 45), st.sampled_from((-3, -2, -1, 1, 2, 3))
+        p, c, a, b = draw(var), draw(var), draw(coeff), draw(coeff)
+        rhs = a * values[p] + b * values[c] + draw(st.sampled_from((0, 0, 1, -2)))
+        formulas.insert(draw(st.integers(0, len(formulas))), Linear(p, c, a, b, rhs))
+        touched = c
+    return formulas, draw(st.sampled_from((ans_depth, touched)) | st.integers(1, 45))
+
+
+@settings(deadline=None, max_examples=25)
+@given(system=deep_systems())
+def test_solve_exact_matches_dense_reference_on_deep_pairs(system):
+    formulas, target = system
+    assert solve_exact(formulas, target) == dense_rref(formulas, target)
 
 
 @settings(deadline=None, max_examples=20)
