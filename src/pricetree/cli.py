@@ -83,7 +83,7 @@ def _render_tree(instance: ProblemInstance) -> list[str]:
 
     def describe(var: int) -> str:
         name = instance.item_map.names[var].display
-        det = solve_exact(list(instance.formulas), var)
+        det = solve_exact(instance.formulas, var)
         price = f"{det.value} dollars" if det.is_unique else det.kind
         mark = "  <- questioned" if var == instance.questioned_var else ""
         return f"x{var} ({name}): {price}{mark}"
@@ -127,7 +127,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     print(f"gold solution: {instance.gold_solution_text}")
     report = verify_instance(instance)
     status = "confirmed" if report.label_confirmed else f"FAILED ({report.failure})"
-    component, equations = constraint_component(list(instance.formulas), instance.questioned_var)
+    component, equations = constraint_component(instance.formulas, instance.questioned_var)
     print(f"certification: {status}; component {len(component)} variables / {equations} formulas")
     return 0 if report.label_confirmed else 1
 

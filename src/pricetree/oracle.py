@@ -1,8 +1,8 @@
 """Exact-arithmetic certification of instance labels.
 
-Two independent solvers: a sparse, fraction-free integer elimination (total
-on any formula list) and a forward-substitution pass that only works on
-complete instances in forward order.  The pass keeps exact integers and
+Two independent solvers: an integer elimination over rows of at most two
+variables (total on any formula list) and a forward-substitution pass that
+only works on complete instances in forward order.  The pass keeps exact integers and
 falls back to a ``Fraction`` when a division is not exact.  Certification
 cross-checks them and the stated label; nothing here ever touches floating
 point.
@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import NotForwardSolvableError
 from .formulas import Formula, Linear, RootValue, formula_edges
@@ -66,122 +65,118 @@ class VerificationReport:
     failure: Optional[str] = None
 
 
-_RHS = -1  # sparse-row key of the right-hand side
-_TARGET = 0  # sparse-row key of the target; the other variables get keys 1, 2, ...
+def solve_exact(formulas: Sequence[Formula], target_var: int) -> Determination:
+    """Decide the target variable by integer elimination over two-variable rows.
 
+    Each formula becomes a row ``a*x_u + b*x_v = c`` in integers, where the
+    ``v`` term may be absent; a variable named twice is merged and a zero
+    coefficient dropped.  Rows never grow: eliminating ``x`` with a pivot on
+    ``{x, y}`` turns a row on ``{x, z}`` into ``m*row - n*pivot`` on
+    ``{y, z}``, merged when ``y == z`` and divided by the gcd of its
+    integers.  Every variable but the target leaves: one held by a single
+    row leaves with it, unsolved, as that row can be met whatever values the
+    others take; any other is eliminated, on a one-variable pivot row when
+    there is one.  The rows left over involve the target alone.  Any
+    ``0 = nonzero`` row, or two rows giving the target different values,
+    make the system inconsistent; otherwise a target coefficient makes the
+    target unique, and its ``Fraction`` is built only then.
+    """
+    rows: list[Optional[tuple]] = [None] * len(formulas)  # (u, a, v, b, c), None once gone
+    holders: dict[int, set[int]] = {}  # each non-target variable -> the rows holding it
+    peel: list[int] = []  # variables held by one row when pushed
+    units: list[int] = []  # rows in one non-target variable when pushed
+    left: list[tuple[int, int]] = []  # (a, c) of each row a*target = c
 
-def _integer_rows(formulas: list[Formula], target_var: int) -> tuple[list[dict], dict[int, set[int]]]:
-    """Sparse integer rows, key -> coefficient, with no zero entries stored; and, for each
-    non-target key, the set of rows holding it."""
-    keys = {target_var: _TARGET}
-    rows: list[dict[int, int]] = []
-    holding: dict[int, set[int]] = {}
+    def settle(i: int, u, a: int, v, b: int, c: int) -> bool:
+        """File row i, or drop it when it holds no variable; False when it reads 0 = nonzero."""
+        if u == v:
+            a, v, b = a + b, None, 0
+        if not b:
+            v = None
+        if not a:
+            u, a, v, b = v, b, None, 0
+        if u is None:
+            rows[i] = None
+            return not c
+        if v == target_var:
+            u, a, v, b = v, b, u, a
+        g = gcd(a, b, c)
+        if g > 1:
+            a, b, c = a // g, b // g, c // g
+        if v is None:
+            if u == target_var:
+                rows[i] = None
+                left.append((a, c))
+                return True
+            units.append(i)
+        rows[i] = (u, a, v, b, c)
+        for var in (u, v):
+            if var is not None and var != target_var:
+                held = holders.get(var)
+                if held is None:
+                    holders[var] = {i}
+                    peel.append(var)
+                else:
+                    held.add(i)
+        return True
+
+    def release(var, i: int) -> None:  # row i no longer holds var; a no-op for the target or an absent term
+        held = holders.get(var)
+        if held is not None:
+            held.discard(i)
+            if len(held) == 1:
+                peel.append(var)
+            elif not held:
+                del holders[var]
+
     for i, f in enumerate(formulas):
         if isinstance(f, RootValue):
-            terms, rhs = ((f.var, 1),), f.value
+            consistent = settle(i, f.var, 1, None, 0, f.value)
         else:
-            terms, rhs = ((f.parent, f.parent_coeff), (f.child, f.child_coeff)), f.rhs
-        row = {_RHS: rhs} if rhs else {}
-        for var, coeff in terms:
-            # accumulate: a degenerate relation may name one variable twice
-            key = keys.setdefault(var, len(keys))
-            total = row.get(key, 0) + coeff
-            if total:
-                row[key] = total
-            else:
-                row.pop(key, None)
-        for key in row:
-            if key > _TARGET:
-                holding.setdefault(key, set()).add(i)
-        rows.append(row)
-    return rows, holding
+            consistent = settle(i, f.parent, f.parent_coeff, f.child, f.child_coeff, f.rhs)
+        if not consistent:
+            return Determination.inconsistent()
 
-
-def _holds_other(row: dict[int, int]) -> bool:
-    """Whether a row still holds a variable besides the target."""
-    return len(row) > (_RHS in row) + (_TARGET in row)
-
-
-def solve_exact(formulas: list[Formula], target_var: int) -> Determination:
-    """Decide the target variable by fraction-free sparse integer elimination.
-
-    Every variable but the target is eliminated in turn, in integers as in
-    Bareiss (1968), with rows kept small by gcd division.  The pivot is the
-    active row with the fewest entries, on its variable held by the fewest
-    other rows; each of those rows becomes ``a*row - b*pivot`` with ``a, b``
-    reduced by their gcd, and is then divided by the gcd of its entries.
-    The pivot row leaves the system: it alone still holds its variable, so
-    it can be met whatever values the other rows take.  The rows left over
-    involve the target alone.  Any ``0 = nonzero`` row, or two rows giving
-    the target different values, make the system inconsistent; otherwise a
-    target coefficient makes the target unique, and its ``Fraction`` is
-    built only then.
-    """
-    rows, holding = _integer_rows(formulas, target_var)
-    active: dict[int, dict[int, int]] = {}  # rows that still hold a non-target variable
-    left: list[dict[int, int]] = []  # rows in the target alone
-    for i, row in enumerate(rows):
-        if _holds_other(row):
-            active[i] = row
+    while holders:
+        if peel:
+            x = peel.pop()
+            held = holders.get(x)
+            if held is not None and len(held) == 1:
+                (p,) = held
+                del holders[x]
+                u, _, v, _, _ = rows[p]
+                rows[p] = None
+                release(v if u == x else u, p)
+            continue
+        while units and (rows[units[-1]] is None or rows[units[-1]][2] is not None):
+            units.pop()  # no longer a one-variable row
+        if units:
+            p = units.pop()
+            x = rows[p][0]
         else:
-            left.append(row)
-
-    queue = [(len(row), i) for i, row in active.items()]  # (size, row); stale entries skipped
-    heapify(queue)
-    while queue:
-        size, p = heappop(queue)
-        pivot = active.get(p)
-        if pivot is None or len(pivot) != size:
-            continue
-        del active[p]
-        keys = []  # the pivot's non-target keys
-        col, fewest = None, len(rows)  # the first of them with the fewest other holders
-        for key in pivot:
-            if key > _TARGET:
-                holders = holding[key]
-                holders.discard(p)
-                keys.append(key)
-                if len(holders) < fewest:
-                    col, fewest = key, len(holders)
-        if not fewest:  # no other row holds the column: nothing to update
-            continue
-        keys.remove(col)
-        pivot_coeff = pivot[col]
-        for i in holding.pop(col):
-            row = active[i]
-            g = gcd(pivot_coeff, row[col])
-            a, b = pivot_coeff // g, row[col] // g
-            if a != 1:
-                for key in row:
-                    row[key] *= a
-            for key, v in pivot.items():
-                total = row.get(key, 0) - b * v
-                if total:
-                    row[key] = total
-                else:
-                    row.pop(key, None)
-            g = gcd(*row.values())
-            if g > 1:
-                for key in row:
-                    row[key] //= g
-            for key in keys:
-                if key in row:
-                    holding[key].add(i)
-                else:
-                    holding[key].discard(i)
-            if _holds_other(row):
-                heappush(queue, (len(row), i))
-            else:
-                left.append(active.pop(i))
+            x = next(iter(holders))
+            p = next(iter(holders[x]))
+        pu, pa, pv, pb, pc = rows[p]
+        if pv == x:
+            pa, pv, pb = pb, pu, pa
+        rows[p] = None
+        held = holders.pop(x)
+        held.discard(p)
+        release(pv, p)
+        for i in held:
+            u, a, v, b, c = rows[i]
+            if v == x:
+                a, v, b = b, u, a
+            release(v, i)
+            g = gcd(pa, a)
+            m, n = pa // g, a // g
+            if not settle(i, v, m * b, pv, -n * pb, m * c - n * pc):
+                return Determination.inconsistent()
 
     values = set()  # (coefficient, rhs) of each row in the target, reduced
-    for row in left:
-        a, b = row.get(_TARGET, 0), row.get(_RHS, 0)
-        if a:
-            g = gcd(a, b) if a > 0 else -gcd(a, b)
-            values.add((a // g, b // g))
-        elif b:
-            return Determination.inconsistent()
+    for a, b in left:
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        values.add((a // g, b // g))
     if len(values) > 1:
         return Determination.inconsistent()
     if not values:
@@ -227,7 +222,7 @@ def solve_by_path(formulas: list[Formula], target_var: int) -> Fraction:
     return Fraction(known[target_var])
 
 
-def forward_order(formulas: list[Formula]) -> list[Formula]:
+def forward_order(formulas: Sequence[Formula]) -> list[Formula]:
     """Rebuild breadth-first order from the parent/child structure.
 
     Every variable is the child of exactly one formula, so the edge set is
@@ -237,7 +232,7 @@ def forward_order(formulas: list[Formula]) -> list[Formula]:
     return [by_child[child] for _, child in breadth_first(formula_edges(formulas))]
 
 
-def constraint_component(formulas: list[Formula], target_var: int) -> tuple[set[int], int]:
+def constraint_component(formulas: Sequence[Formula], target_var: int) -> tuple[set[int], int]:
     """Variables connected to the target, and the formulas touching them.
 
     Union-find over formula incidence: a two-variable formula joins its
@@ -273,7 +268,7 @@ def constraint_component(formulas: list[Formula], target_var: int) -> tuple[set[
 def verify_instance(instance: "ProblemInstance") -> VerificationReport:
     """Certify one instance's label; mismatches are reported, never fixed."""
     target = instance.questioned_var
-    det = solve_exact(list(instance.formulas), target)
+    det = solve_exact(instance.formulas, target)
 
     failure = None
     path_agrees: Optional[bool] = None
@@ -284,7 +279,7 @@ def verify_instance(instance: "ProblemInstance") -> VerificationReport:
             failure = f"oracle value {det.value} != gold answer {instance.gold_answer}"
         else:
             try:
-                path_value = solve_by_path(forward_order(list(instance.formulas)), target)
+                path_value = solve_by_path(forward_order(instance.formulas), target)
                 path_agrees = path_value == det.value
             except NotForwardSolvableError as exc:
                 path_agrees = False

@@ -320,7 +320,7 @@ def render_unanswerable_solution(
     questioned_var: int,
 ) -> str:
     """Count the facts left about the questioned variable's component."""
-    component, _ = constraint_component(list(formulas), questioned_var)
+    component, _ = constraint_component(formulas, questioned_var)
     names = [items.names[v].display for v in sorted(component, reverse=True)]
     facts = [
         _lowercase_first(s)

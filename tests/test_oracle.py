@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from pricetree.pipeline import generate_pair
 
 import reference_pair
 from factories import make_config
+from test_properties import dense_rref
 
 
 def reference_formulas():
@@ -70,6 +73,89 @@ class TestSolveExact:
         assert solve_exact([Linear(1, 1, 2, -1, 7)], 1) == Determination.unique(Fraction(7))
         assert solve_exact([Linear(1, 1, 1, -1, 0)], 1) == Determination.underdetermined()
         assert solve_exact([Linear(1, 1, 1, -1, 3)], 1) == Determination.inconsistent()
+
+
+def assert_matches_dense_reference(formulas, targets):
+    """solve_exact agrees with the dense reference for each target and every order of the formulas,
+    since the pivot sequence follows the order."""
+    for target in targets:
+        expected = dense_rref(formulas, target)
+        for order in itertools.permutations(formulas):
+            assert solve_exact(order, target) == expected, (order, target)
+
+
+class TestTwoVariableRows:
+    def test_pivot_and_row_sharing_their_other_variable_cancel_to_underdetermined(self):
+        # eliminating x1 with x1 + x2 = 3 turns 2*x1 + 2*x2 = 6 into 0 = 0
+        formulas = [Linear(1, 2, 1, 1, 3), Linear(1, 2, 2, 2, 6), Linear(1, 3, 1, -1, 0)]
+        assert solve_exact(formulas, 3) == Determination.underdetermined()
+        assert_matches_dense_reference(formulas, [1, 2, 3])
+        formulas[1] = Linear(1, 2, 2, 2, 7)  # 0 = 1 instead
+        assert solve_exact(formulas, 3) == Determination.inconsistent()
+        assert_matches_dense_reference(formulas, [1, 2, 3])
+
+    def test_pivot_and_row_sharing_their_other_variable_merge_to_unique(self):
+        # x1 + x2 = 3 and x1 - x2 = 1 pin x1 = 2 and x2 = 1, and x3 = x1
+        formulas = [Linear(1, 2, 1, 1, 3), Linear(1, 2, 1, -1, 1), Linear(1, 3, 1, -1, 0)]
+        assert solve_exact(formulas, 3) == Determination.unique(Fraction(2))
+        assert solve_exact(formulas[:2], 2) == Determination.unique(Fraction(1))
+        assert_matches_dense_reference(formulas, [1, 2, 3])
+        assert_matches_dense_reference(formulas[:2], [1, 2])
+
+    def test_relation_naming_the_target_twice(self):
+        formulas = [Linear(1, 1, 1, 1, 4), Linear(1, 2, 1, -1, -3)]
+        assert solve_exact(formulas[:1], 1) == Determination.unique(Fraction(2))
+        assert solve_exact(formulas, 2) == Determination.unique(Fraction(5))
+        assert_matches_dense_reference(formulas, [1, 2])
+
+    def test_self_relation_that_cancels(self):
+        trivial, contradiction = Linear(2, 2, 2, -2, 0), Linear(2, 2, 2, -2, 1)
+        assert solve_exact([trivial], 2) == Determination.underdetermined()
+        assert solve_exact([contradiction], 2) == Determination.inconsistent()
+        assert solve_exact([RootValue(1, 3), trivial], 1) == Determination.unique(Fraction(3))
+        assert solve_exact([RootValue(1, 3), contradiction], 1) == Determination.inconsistent()
+        for extra in (trivial, contradiction):
+            assert_matches_dense_reference([RootValue(1, 3), Linear(1, 2, 1, 1, 5), extra], [1, 2, 3])
+
+    def test_zero_coefficient_on_either_side(self):
+        parent_zero, child_zero = Linear(1, 2, 0, 3, 6), Linear(1, 2, 3, 0, 6)
+        assert solve_exact([parent_zero], 2) == Determination.unique(Fraction(2))
+        assert solve_exact([parent_zero], 1) == Determination.underdetermined()
+        assert solve_exact([child_zero], 1) == Determination.unique(Fraction(2))
+        assert solve_exact([child_zero], 2) == Determination.underdetermined()
+        assert_matches_dense_reference([parent_zero, Linear(2, 3, 1, -1, -4)], [1, 2, 3])
+        assert_matches_dense_reference([child_zero, Linear(3, 1, 2, 1, 10), RootValue(3, 4)], [1, 2, 3])
+        assert_matches_dense_reference([Linear(1, 2, 0, 0, 0), Linear(1, 2, 0, 0, 5)], [1, 2])
+
+    def test_variable_held_by_six_rows(self):
+        # x0 is tied to each of x1..x6, and x1..x6 form a chain, so nothing can be peeled
+        hidden = {v: 3 + 2 * v for v in range(7)}
+        spokes = [Linear(0, k, k % 3 + 1, -1, (k % 3 + 1) * hidden[0] - hidden[k]) for k in range(1, 7)]
+        rim = [Linear(k, k + 1, 1, 2, hidden[k] + 2 * hidden[k + 1]) for k in range(1, 6)]
+        formulas = spokes + rim
+        assert solve_exact(formulas, 0) == dense_rref(formulas, 0) == Determination.unique(Fraction(hidden[0]))
+        rng = random.Random(6)
+        for _ in range(40):
+            order = rng.sample(formulas, len(formulas))
+            for target in range(8):
+                assert solve_exact(order, target) == dense_rref(formulas, target)
+        assert_matches_dense_reference(spokes, range(7))
+
+    def test_shuffled_long_chain_matches_the_path_solver(self):
+        rng = random.Random(3000)
+        hidden = [rng.randint(5, 15) for _ in range(3001)]
+        formulas = [RootValue(1, hidden[1])]
+        for child in range(2, 3001):
+            a, b = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-3, -2, -1, 1, 2, 3))
+            formulas.append(Linear(child - 1, child, a, b, a * hidden[child - 1] + b * hidden[child]))
+        shuffled = rng.sample(formulas, len(formulas))
+        for target in (3000, 1500, 1):
+            value = solve_by_path(forward_order(shuffled), target)
+            assert value == hidden[target]
+            assert solve_exact(shuffled, target) == Determination.unique(value)
+        cut = [f for f in shuffled if f.child_var != 1200]
+        assert solve_exact(cut, 3000) == Determination.underdetermined()
+        assert solve_exact(cut, 1000) == Determination.unique(Fraction(hidden[1000]))
 
 
 class TestSolveByPath:

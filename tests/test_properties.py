@@ -239,6 +239,15 @@ def test_solve_exact_matches_dense_reference_on_deep_pairs(system):
     assert solve_exact(formulas, target) == dense_rref(formulas, target)
 
 
+@settings(deadline=None, max_examples=25)
+@given(system=deep_systems(), data=st.data())
+def test_solve_exact_matches_dense_reference_on_shuffled_deep_pairs(system, data):
+    # the pivot sequence follows the formula order, so a shuffle takes the elimination down other paths
+    formulas, target = system
+    shuffled = data.draw(st.permutations(formulas))
+    assert solve_exact(shuffled, target) == dense_rref(formulas, target)
+
+
 @settings(deadline=None, max_examples=20)
 @given(config=gen_configs())
 def test_serialization_round_trip(config: GenConfig):
