@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import pytest
 
+from pricetree.corpus_io import dataset_from_lines, dataset_to_lines
+from pricetree.errors import DatasetParseError
 from pricetree.harness.prompts import ModelProfile
 from pricetree.jsonmap import from_file_json, from_json, to_json
 from pricetree.pipeline import ProblemInstance
@@ -43,3 +45,65 @@ def test_unknown_formula_kind_is_named():
     data["formulas"][0]["kind"] = "quadratic"
     with pytest.raises(ValueError, match="unknown formula kind 'quadratic'"):
         ProblemInstance.from_json_dict(data)
+
+
+def _first_linear(record: dict) -> dict:
+    return next(f for f in record["formulas"] if f["kind"] == "linear")
+
+
+def _rename_name_key(record: dict, key: str) -> None:
+    names = record["itemMap"]["names"]
+    names[key] = names.pop("1")
+
+
+# a fault in line 3 of a corpus, and the whole message reading it gives
+_DECODE_FAULTS = {
+    "formula rhs": (lambda r: _first_linear(r).update(rhs="3"), "rhs must be int, got str"),
+    "item dish": (lambda r: r["itemMap"]["names"]["1"].update(dish=5), "dish must be str, got int"),
+    "names key": (lambda r: _rename_name_key(r, "x"), "invalid literal for int() with base 10: 'x'"),
+    "condition sentence": (
+        lambda r: r.update(conditionSentences=[1]), "conditionSentences must be str, got int"
+    ),
+    "formula kind": (lambda r: r["formulas"][0].update(kind="quadratic"), "unknown formula kind 'quadratic'"),
+    "formula kind missing": (lambda r: r["formulas"][0].pop("kind"), "unknown formula kind None"),
+    "formula not an object": (lambda r: r.update(formulas=[3]), "formulas must be dict, got int"),
+    "formulas not a list": (lambda r: r.update(formulas=None), "formulas must be list, got NoneType"),
+    "names not an object": (lambda r: r["itemMap"].update(names=[]), "names must be dict, got list"),
+    "item not an object": (lambda r: r["itemMap"]["names"].update({"1": "x"}), "names must be dict, got str"),
+    "item restaurant missing": (lambda r: r["itemMap"]["names"]["1"].pop("restaurant"), "missing key 'restaurant'"),
+    "itemMap composite": (lambda r: r["itemMap"].update(composite=1), "composite must be bool, got int"),
+    "goldAnswer": (lambda r: r.update(goldAnswer="3"), "goldAnswer must be int, got str"),
+    "first of two fields": (
+        lambda r: (r.update(conditionSentences=[1]), _first_linear(r).update(rhs="3")),
+        "conditionSentences must be str, got int",
+    ),
+    "first of two formula keys": (
+        lambda r: _first_linear(r).update(rhs="3", parentCoeff=True), "parentCoeff must be int, got bool"
+    ),
+}
+
+
+def _corpus_lines() -> list[str]:
+    return dataset_to_lines(make_corpus(count=2, composite_name=True))
+
+
+@pytest.mark.parametrize("fault", list(_DECODE_FAULTS))
+def test_decoder_names_the_first_fault(fault):
+    mutate, reason = _DECODE_FAULTS[fault]
+    lines = _corpus_lines()
+    record = json.loads(lines[2])
+    mutate(record)
+    lines[2] = json.dumps(record, ensure_ascii=False)
+    with pytest.raises(DatasetParseError) as caught:
+        dataset_from_lines(lines, "corpus.jsonl")
+    assert str(caught.value) == f"corpus.jsonl line 3: {reason}"
+
+
+def test_decoder_accepts_a_null_restaurant():
+    lines = _corpus_lines()
+    record = json.loads(lines[2])
+    record["itemMap"]["names"]["1"]["restaurant"] = None
+    lines[2] = json.dumps(record, ensure_ascii=False)
+    instance = dataset_from_lines(lines).instances[1]
+    assert instance.item_map.names[1].restaurant is None
+    assert instance.item_map.names[1].dish == record["itemMap"]["names"]["1"]["dish"]
