@@ -19,6 +19,7 @@ from .jsonmap import (
     read_json_file,
     read_lines,
     to_json,
+    to_json_line,
     write_json_lines,
 )
 from .pipeline import Dataset, GenConfig, ProblemInstance
@@ -32,7 +33,7 @@ def dataset_to_lines(dataset: Dataset) -> list[str]:
         "config": to_json(dataset.config),
         "certification": dataset.certification,
     }
-    return [json_line(header)] + [json_line(inst.to_json_dict()) for inst in dataset.instances]
+    return [json_line(header), *map(to_json_line, dataset.instances)]
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -46,9 +47,10 @@ def dataset_from_lines(lines: list[str], source: str = "<memory>") -> Dataset:
 
     (header,) = json_lines(numbered[:1], source, dict)
     n = numbered[0][0]
-    if header.get("schemaVersion") != SCHEMA_VERSION:
+    version = header.get("schemaVersion")
+    if type(version) is not int or version != SCHEMA_VERSION:  # True and 1.0 equal 1 too
         raise DatasetParseError(
-            f"{source} line {n}: expected schemaVersion {SCHEMA_VERSION}, got {header.get('schemaVersion')!r}"
+            f"{source} line {n}: expected schemaVersion {SCHEMA_VERSION}, got {version!r}"
         )
     for key in ("config", "certification"):
         if not isinstance(header.get(key), dict):

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import InvalidConfigError, TransportError
-from ..jsonmap import from_json, json_line, read_json_lines, to_json, write_json_lines
+from ..jsonmap import from_json, read_json_lines, to_json_line, write_json_lines
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
 from ..rng import substream
 from .prompts import FewShotPool, ModelProfile, build_few_shot_prompt, build_zero_shot_prompt
@@ -202,7 +202,7 @@ def run_eval(
 
 
 def write_records(records: list[EvalRecord], path: str | Path) -> None:
-    write_json_lines(path, (json_line(to_json(r)) for r in records))
+    write_json_lines(path, map(to_json_line, records))
 
 
 def read_records(path: str | Path) -> list[EvalRecord]:

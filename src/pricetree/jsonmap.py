@@ -7,14 +7,26 @@ opens, decodes and splits files; a missing, unreadable, non-UTF-8 or badly
 framed file is a PricetreeError naming the path, and the line if there is one.
 
 A dataclass field ``snake_case`` is stored under the key ``snakeCase``, in
-field order.  A plan built once per class from its annotations gives each
-field an encoder and a decoder that checks the JSON type, raising a TypeError
-naming the key; from the plan each class gets one compiled encoder and one
-compiled decoder, which `to_json` and `from_json` use.  The plan knows int
-(not bool), float (int too), bool, str, dict, Optional[T], tuple[T, ...],
-list[T], dict[int, T] (string keys), nested dataclasses and Unions of
-dataclasses told apart by a ``kind`` ClassVar; any other annotation raises
-when the plan is built.
+field order; a field made with `omitted_when_none` is left out when it is None
+and read as None when its key is missing.  From its annotations each class
+gets two functions, generated once as straight-line source and exec'd:
+
+- `to_json_line` writes the JSON Lines text of an instance with one
+  ``%``-template, nested dataclasses, sequences, tagged unions and int-keyed
+  dicts inline.  Strings go through the stdlib's C escaper (the one
+  ``JSONEncoder(ensure_ascii=False)`` uses), ints through ``%d``, and float
+  and ``dict`` values through `json_line`, so the text is
+  ``json_line(to_json(obj))`` byte for byte.
+- `from_json` reads the keys in field order, depth first, and checks the JSON
+  type of every value inline, nested ones too, so the first missing key
+  (KeyError) or mistyped value (TypeError naming its key) is the one reported.
+
+`to_json`, the same form as dicts and lists, is walked at run time; it serves
+the header config, ``metadata.config`` and the defaults of `from_file_json`.
+The mapping knows int (not bool), float (int too), bool, str, dict,
+Optional[T], tuple[T, ...], list[T], dict[int, T] (string keys), nested
+dataclasses and Unions of dataclasses told apart by a ``kind`` ClassVar; any
+other annotation raises on first use.
 """
 
 from __future__ import annotations
@@ -24,8 +36,9 @@ import functools
 import json
 import re
 import typing
+from json.encoder import encode_basestring  # the string escaper of JSONEncoder(ensure_ascii=False)
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Union
 
 from .errors import DatasetParseError, InvalidConfigError, PricetreeError
 
@@ -63,7 +76,7 @@ def json_lines(numbered: list[tuple[int, str]], source: str, convert: Callable[[
             if not isinstance(data, dict):
                 raise TypeError("expected a JSON object")
             converted.append(convert(data))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # a RecursionError: nested too deeply
         reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
         raise DatasetParseError(f"{source} line {n}: {reason}") from exc
     return converted
@@ -90,96 +103,255 @@ def read_json_file(cls: type, path: str | Path, what: str):
         if not isinstance(data, dict):
             raise TypeError("expected a JSON object")
         return from_file_json(cls, data, what)
-    except (InvalidConfigError, TypeError, ValueError) as exc:
+    except (InvalidConfigError, TypeError, ValueError, RecursionError) as exc:
         raise InvalidConfigError(f"{path}: {exc}") from exc
 
 
 _PLAIN = {int: (int,), float: (float, int), bool: (bool,), str: (str,), dict: (dict,)}
+_SCALARS = frozenset({int, float, bool, str, type(None)})  # their own JSON form under any annotation
+
+_OMIT_NONE = "pricetree.jsonmap.omitNone"
 
 
-def _expect(key: str, types: tuple, value):
-    """`value` if its type is one of `types` (so a bool is not an int), else a TypeError naming `key`."""
-    if type(value) in types:
-        return value
-    raise TypeError(f"{key} must be {types[0].__name__}, got {type(value).__name__}")
-
-
-def _codec(tp, key: str) -> tuple[Optional[Callable], Callable, Optional[tuple]]:
-    """(encoder, None when the value is its own JSON form; checking decoder;
-    checked types: the JSON types allowed when a type check is the whole
-    decoding, else None) of one annotation."""
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if tp in _PLAIN:  # values that are their own JSON form
-        return None, functools.partial(_expect, key, _PLAIN[tp]), _PLAIN[tp]
-    if dataclasses.is_dataclass(tp):
-        encode, decode = _compiled(tp)
-        return encode, lambda value: decode(_expect(key, (dict,), value)), None
-    if origin is Union and type(None) in args:
-        enc, dec, types = _codec(Union[tuple(arg for arg in args if arg is not type(None))], key)
-        return (
-            enc and (lambda v: v if v is None else enc(v)),
-            lambda v: v if v is None else dec(v),
-            types and types + (type(None),),  # last: `_expect` names the first type
-        )
-    if origin is Union and all(isinstance(getattr(c, "kind", None), str) for c in args):
-        encoders = {c: _compiled(c)[0] for c in args}
-        decoders = {c.kind: _compiled(c)[1] for c in args}
-        def decode_tagged(value):
-            tag = _expect(key, (dict,), value).get("kind")
-            if tag not in decoders:
-                raise ValueError(f"unknown {key.removesuffix('s')} kind {tag!r}")
-            return decoders[tag](value)
-        return (lambda v: {"kind": v.kind, **encoders[type(v)](v)}), decode_tagged, None
-    if origin is list or (origin is tuple and args[1:] == (...,)):
-        enc, dec, _ = _codec(args[0], key)
-        encode = enc and (lambda v: [enc(item) for item in v])
-        return encode, lambda value: origin(map(dec, _expect(key, (list,), value))), None
-    if origin is dict and args[0] is int:  # JSON object keys are strings
-        enc, dec, _ = _codec(args[1], key)
-        return (
-            lambda v: {str(k): item if enc is None else enc(item) for k, item in v.items()},
-            lambda value: {int(k): dec(item) for k, item in _expect(key, (dict,), value).items()},
-            None,
-        )
-    raise NotImplementedError(f"{key}: no JSON form for the annotation {tp!r}")
+def omitted_when_none() -> Any:
+    """A dataclass field left out of the JSON form when it is None, and read as None when its key is missing."""
+    return dataclasses.field(metadata={_OMIT_NONE: True})
 
 
 @functools.cache
-def _plan(cls: type) -> tuple:
-    """(camelCase key, field name, encoder, decoder, checked types) of each field of a dataclass, in field order."""
+def _fields(cls: type) -> tuple:
+    """(camelCase key, field name, annotation, left out when None) of each field of a dataclass, in field order."""
     hints = typing.get_type_hints(cls)
-    names = [field.name for field in dataclasses.fields(cls)]
-    keys = [re.sub("_(.)", lambda m: m[1].upper(), name) for name in names]
-    return tuple((key, name, *_codec(hints[name], key)) for key, name in zip(keys, names))
+    return tuple(
+        (re.sub("_(.)", lambda m: m[1].upper(), f.name), f.name, hints[f.name], _OMIT_NONE in f.metadata)
+        for f in dataclasses.fields(cls)
+    )
+
+
+@functools.cache
+def _shape(tp, key: str) -> tuple[str, Any]:
+    """(form, detail) of an annotation that has a JSON form; any other raises."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _PLAIN:  # values that are their own JSON form
+        return "plain", _PLAIN[tp]
+    if dataclasses.is_dataclass(tp):
+        return "object", tp
+    if origin is Union and type(None) in args:
+        return "optional", Union[tuple(arg for arg in args if arg is not type(None))]
+    if origin is Union and all(isinstance(getattr(c, "kind", None), str) for c in args):
+        return "tagged", args
+    if origin is list or (origin is tuple and args[1:] == (...,)):
+        return "sequence", (origin, args[0])
+    if origin is dict and args[0] is int:  # JSON object keys are strings
+        return "intKeyed", args[1]
+    raise NotImplementedError(f"{key}: no JSON form for the annotation {tp!r}")
+
+
+def _mistyped(key: str, types: tuple, value):
+    """The TypeError of a value whose type is not one of `types` (so a bool is not an int)."""
+    raise TypeError(f"{key} must be {types[0].__name__}, got {type(value).__name__}")
+
+
+def _untagged(key: str, value):
+    raise TypeError(f"{key} must be one of its tagged classes, got {type(value).__name__}")
+
+
+class _Source:
+    """Generated source: its lines, fresh local names, and the objects it names."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.env: dict[str, Any] = {
+            "_mistyped": _mistyped, "_untagged": _untagged, "_str": encode_basestring, "json_line": json_line
+        }
+        self.count = 0
+
+    def name(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def ref(self, value) -> str:
+        name = self.name("r")
+        self.env[name] = value
+        return name
+
+
+def _json_form(tp, value, key: str):
+    """The JSON form of `value`, whose annotation is `tp`, as dicts and lists."""
+    form, detail = _shape(tp, key)
+    if form == "plain" or value is None:
+        return value
+    if form == "optional":
+        return _json_form(detail, value, key)
+    if form == "object":
+        return to_json(value)
+    if form == "tagged":
+        return {"kind": value.kind, **to_json(value)}
+    if form == "sequence":
+        return [_json_form(detail[1], item, key) for item in value]
+    return {str(number): _json_form(detail, item, key) for number, item in value.items()}
+
+
+# The text encoder: `src` is an expression that may be evaluated more than once.
+
+
+def _filled(template: str, args: list[str]) -> str:
+    """Expression of a %-template filled with the values of `args`."""
+    if template == "%s":
+        return args[0]
+    return f"({template!r} % ({''.join(arg + ', ' for arg in args)}))"
+
+
+def _literal(text: str) -> str:
+    return text.replace("%", "%%")
+
+
+def _to_text(tp, src: str, key: str, out: _Source) -> tuple[str, list[str]]:
+    """(%-template, expressions filling its slots) of the JSON text of `src`, whose annotation is `tp`."""
+    form, detail = _shape(tp, key)
+    if form == "plain":
+        if tp is str:
+            return "%s", [f"_str({src})"]
+        if tp is int:
+            return "%d", [src]
+        if tp is bool:
+            return "%s", [f"('true' if {src} else 'false')"]
+        return "%s", [f"json_line({src})"]  # float and dict: 1.0, NaN and Infinity as the stdlib writes them
+    if form == "optional":
+        return "%s", [f"('null' if {src} is None else {_filled(*_to_text(detail, src, key, out))})"]
+    if form == "object":
+        return _text_object(detail, src, out)
+    if form == "tagged":
+        chain = f"_untagged({key!r}, {src})"
+        for cls in reversed(detail):
+            chain = f"{_filled(*_text_object(cls, src, out, kind=True))} if type({src}) is {out.ref(cls)} else {chain}"
+        return "%s", [f"({chain})"]
+    item = out.name("e")
+    if form == "sequence":
+        if detail[1] is str:
+            return "[%s]", [f"', '.join(map(_str, {src}))"]
+        return "[%s]", [f"', '.join([{_filled(*_to_text(detail[1], item, key, out))} for {item} in {src}])"]
+    number = out.name("k")
+    template, args = _to_text(detail, item, key, out)
+    pair = _filled('"%d": ' + template, [number, *args])
+    return "{%s}", [f"', '.join([{pair} for {number}, {item} in {src}.items()])"]
+
+
+def _text_object(cls: type, src: str, out: _Source, kind: bool = False) -> tuple[str, list[str]]:
+    template, args = "{", []
+    if kind:
+        template += _literal(f'"kind": {encode_basestring(cls.kind)}')
+    for key, name, tp, omit in _fields(cls):
+        value, more = _to_text(tp, f"{src}.{name}", key, out)
+        pair = ("" if template == "{" else ", ") + _literal(encode_basestring(key) + ": ") + value
+        if not omit:
+            template, args = template + pair, args + more
+        elif template == "{":
+            raise NotImplementedError(f"{key}: a field left out when None must follow another field")
+        else:
+            template += "%s"
+            args.append(f"('' if {src}.{name} is None else {_filled(pair, more)})")
+    return template + "}", args
+
+
+# Decoders: `src` is a local name holding a JSON value.
+
+
+def _check(src: str, types: tuple, key: str, out: _Source, indent: str) -> None:
+    allowed = out.ref(types)
+    test = f"is not {types[0].__name__}" if len(types) == 1 else f"not in {allowed}"
+    out.lines.append(f"{indent}if type({src}) {test}: _mistyped({key!r}, {allowed}, {src})")
+
+
+def _decode(tp, src: str, key: str, out: _Source, indent: str) -> str:
+    """Add the lines that check and decode `src`, whose annotation is `tp`; return the
+    local name of the value, which is `src` when the JSON value is its own form."""
+    form, detail = _shape(tp, key)
+    lines = out.lines
+    if form == "plain":
+        _check(src, detail, key, out, indent)
+        return src
+    if form == "optional":
+        lines.append(f"{indent}if {src} is not None:")
+        value = _decode(detail, src, key, out, indent + "    ")
+        if value != src:
+            lines.append(f"{indent}    {src} = {value}")
+        return src
+    if form == "sequence":
+        (origin, item_tp), item, value = detail, out.name("e"), out.name("v")
+        _check(src, (list,), key, out, indent)
+        start = len(lines)
+        lines.append(f"{indent}for {item} in {src}:")
+        each = _decode(item_tp, item, key, out, indent + "    ")
+        if each == item:  # each element checked in place
+            lines.append(f"{indent}{value} = {origin.__name__}({src})")
+        else:
+            lines.insert(start, f"{indent}{value} = []")
+            lines.append(f"{indent}    {value}.append({each})")
+            if origin is tuple:
+                lines.append(f"{indent}{value} = tuple({value})")
+        return value
+    _check(src, (dict,), key, out, indent)
+    if form == "object":
+        return _decode_object(detail, src, out, indent)
+    value = out.name("v")
+    if form == "tagged":
+        tag = out.name("t")
+        lines.append(f"{indent}{tag} = {src}.get('kind')")
+        for n, cls in enumerate(detail):
+            lines.append(f"{indent}{'elif' if n else 'if'} {tag} == {cls.kind!r}:")
+            _decode_object(cls, src, out, indent + "    ", value)
+        lines.append(f"{indent}else:")
+        lines.append(f"{indent}    raise ValueError({'unknown ' + key.removesuffix('s') + ' kind '!r} + repr({tag}))")
+        return value
+    number, item = out.name("k"), out.name("e")
+    lines += [f"{indent}{value} = {{}}", f"{indent}for {number}, {item} in {src}.items():"]
+    lines.append(f"{indent}    {number} = int({number})")
+    each = _decode(detail, item, key, out, indent + "    ")
+    lines.append(f"{indent}    {value}[{number}] = {each}")
+    return value
+
+
+def _decode_object(cls: type, src: str, out: _Source, indent: str, instance: str = "") -> str:
+    """Add the lines that read each field of `cls` from the dict `src`, in field order,
+    and build the instance into the local `instance` (a fresh one if not given); return its name."""
+    values = []
+    for key, name, tp, omit in _fields(cls):
+        value = out.name("v")
+        out.lines.append(f"{indent}{value} = {src}{f'.get({key!r})' if omit else f'[{key!r}]'}")
+        values.append(_decode(tp, value, key, out, indent))
+    instance = instance or out.name("v")
+    out.lines.append(f"{indent}{instance} = {out.ref(cls)}({', '.join(values)})")
+    return instance
 
 
 @functools.cache
 def _compiled(cls: type) -> tuple[Callable, Callable]:
-    """(encode, decode) of a dataclass: straight-line code built once from its plan.
+    """(to_json_line, from_json) of a dataclass.
 
-    As `dataclasses` builds ``__init__``, the source is generated and exec'd.
-    The decoder reads the keys in field order, so the first missing or
-    mistyped one is reported; a value that needs no conversion has its type
-    checked inline, and any other goes through its field's decoder.
+    As `dataclasses` builds ``__init__``, each is generated as straight-line
+    source, with nested values inline, and exec'd once.
     """
-    env: dict[str, Any] = {"cls": cls, "_expect": _expect}
-    items, decode = [], ["def decode(data):"]
-    for i, (key, name, enc, dec, types) in enumerate(_plan(cls)):
-        env[f"e{i}"], env[f"d{i}"], env[f"t{i}"] = enc, dec, types
-        items.append(f"{key!r}: obj.{name}" if enc is None else f"{key!r}: e{i}(obj.{name})")
-        if types is None:
-            decode.append(f"    v{i} = d{i}(data[{key!r}])")
-        else:
-            decode.append(f"    v{i} = data[{key!r}]")
-            decode.append(f"    if type(v{i}) not in t{i}: _expect({key!r}, t{i}, v{i})")
-    decode.append(f"    return cls({', '.join(f'v{i}' for i in range(len(items)))})")
-    encode = ["def encode(obj):", f"    return {{{', '.join(items)}}}"]
-    exec("\n".join(encode + decode), env)
-    return env["encode"], env["decode"]
+    out = _Source()
+    out.lines += ["def encode(obj):", f"    return {_filled(*_text_object(cls, 'obj', out))}"]
+    out.lines.append("def decode(data):")
+    out.lines.append(f"    return {_decode_object(cls, 'data', out, '    ')}")
+    exec("\n".join(out.lines), out.env)
+    return out.env["encode"], out.env["decode"]
 
 
 def to_json(obj) -> dict:
     """Every field of a dataclass instance under its camelCase key, in its JSON form."""
+    return {
+        key: value if type(value) in _SCALARS else _json_form(tp, value, key)
+        for key, name, tp, omit in _fields(type(obj))
+        for value in (getattr(obj, name),)
+        if not (omit and value is None)
+    }
+
+
+def to_json_line(obj) -> str:
+    """``json_line(to_json(obj))``, written straight from the fields of a dataclass instance."""
     return _compiled(type(obj))[0](obj)
 
 
@@ -194,15 +366,20 @@ def from_file_json(cls: type, data: dict, what: str):
     Unknown keys, and missing keys of fields without a default, raise
     InvalidConfigError naming them; other missing keys take the default.
     """
-    plan = _plan(cls)
-    unknown = sorted(set(data) - {key for key, *_ in plan})
+    fields = _fields(cls)
+    unknown = sorted(set(data) - {key for key, *_ in fields})
     if unknown:
         raise InvalidConfigError(f"unknown {what} keys: {', '.join(unknown)}")
-    missing = [
-        key
-        for (key, *_), field in zip(plan, dataclasses.fields(cls))
-        if key not in data and field.default is field.default_factory is dataclasses.MISSING
-    ]
+    defaults, missing = {}, []
+    for (key, _, tp, _), field in zip(fields, dataclasses.fields(cls)):
+        if key in data:
+            continue
+        if field.default is not dataclasses.MISSING:
+            defaults[key] = _json_form(tp, field.default, key)
+        elif field.default_factory is not dataclasses.MISSING:
+            defaults[key] = _json_form(tp, field.default_factory(), key)
+        else:
+            missing.append(key)
     if missing:
         raise InvalidConfigError(f"missing {what} keys: {', '.join(missing)}")
-    return cls(**{name: decode(data[key]) for key, name, _, decode, _ in plan if key in data})
+    return from_json(cls, {**data, **defaults})

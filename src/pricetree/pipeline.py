@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import CertificationError, InvalidConfigError
 from .formulas import COEFFICIENT_CHOICES, CONDITION_ORDERS, Formula, order_formulas, sample_formula
-from .jsonmap import from_json, to_json
+from .jsonmap import from_json, omitted_when_none, to_json
 from .oracle import ANSWERABLE, UNANSWERABLE, verify_instance
 from .rng import PcgStream, substream
 from .tree import ROOT, bfs_edges, build_tree, check_shape, sample_var_values
@@ -84,28 +84,17 @@ class ProblemInstance:
     formulas: tuple[Formula, ...]
     item_map: ItemMap
     questioned_var: int
-    gold_answer: Optional[int]
+    gold_answer: Optional[int] = omitted_when_none()  # an unanswerable line has no goldAnswer key
     gold_solution_text: str
     pair_id: str
     metadata: dict
 
-    def to_json_dict(self) -> dict:
-        """`to_json`, leaving goldAnswer out when there is none."""
-        record = to_json(self)
-        if self.gold_answer is None:
-            del record["goldAnswer"]
-        return record
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
-        """`from_json` of a corpus line, which may leave goldAnswer out; the variant must be known,
-        and metadata.config, whose items group eval records, must be an object of JSON scalars.
-
-        A missing goldAnswer is set to None in `data` itself.
-        """
+        """`from_json` of a corpus line; the variant must be known, and metadata.config,
+        whose items group eval records, must be an object of JSON scalars."""
         if data["variant"] not in (ANSWERABLE, UNANSWERABLE):
             raise ValueError(f"unknown variant {data['variant']!r}")
-        data.setdefault("goldAnswer", None)
         instance = from_json(cls, data)
         config = instance.metadata.get("config", {})
         if type(config) is not dict or not {list, dict}.isdisjoint(map(type, config.values())):

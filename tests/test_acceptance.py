@@ -21,6 +21,7 @@ from pricetree.corpus_io import dataset_to_lines, read_dataset
 from pricetree.formulas import Linear
 from pricetree.harness.report import aggregate, format_rate
 from pricetree.harness.scoring import extract_answer, read_records
+from pricetree.jsonmap import to_json
 from pricetree.oracle import constraint_component, verify_instance
 from pricetree.pipeline import GenConfig, generate_corpus, generate_pair, preset
 from pricetree.wording import _template_form
@@ -203,7 +204,7 @@ def test_criterion_6_determinism():
     for index in shuffled_indices:
         regenerated.extend(generate_pair(config, index))
     corpus_lines = sorted(first[1:])
-    shuffled_lines = sorted(json.dumps(i.to_json_dict(), ensure_ascii=False) for i in regenerated)
+    shuffled_lines = sorted(json.dumps(to_json(i), ensure_ascii=False) for i in regenerated)
     assert corpus_lines == shuffled_lines
     print(
         "PASS criterion 6: regeneration is byte-identical and shuffled generation "

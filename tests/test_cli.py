@@ -335,6 +335,20 @@ def test_unreadable_input_file_is_a_clean_error(tmp_path, config_file, profile_f
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("which", [which for which in _FILE_INPUTS if which != "vocabulary file"])
+def test_too_deeply_nested_json_is_a_clean_error(tmp_path, config_file, profile_file, capsys, which):
+    # nested past the recursion limit, a line once crashed the command with a RecursionError traceback
+    bad = tmp_path / "input.bad"
+    bad.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    paths = {"corpus": str(generate(tmp_path, config_file)), "profile": str(profile_file), "out": str(tmp_path / "out")}
+    capsys.readouterr()
+    assert main(_FILE_INPUTS[which](paths, str(bad))) == 1
+    where = bad if which in ("generate --config", "eval --profile") else f"{bad} line 1"  # one object, or JSON Lines
+    reason = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+    assert capsys.readouterr().err == f"error: {where}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # a value whose JSON type differs from the field's annotation, or that is out of the field's
 # range, in a hand-written config or profile
 _MISTYPED_FILES = {

@@ -4,12 +4,17 @@ import json
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pricetree.corpus_io import dataset_from_lines, dataset_to_lines
 from pricetree.errors import DatasetParseError
+from pricetree.formulas import Linear, RootValue
 from pricetree.harness.prompts import ModelProfile
-from pricetree.jsonmap import from_file_json, from_json, to_json
-from pricetree.pipeline import ProblemInstance
+from pricetree.harness.scoring import EvalRecord
+from pricetree.jsonmap import from_file_json, from_json, to_json, to_json_line
+from pricetree.pipeline import GenConfig, ProblemInstance
+from pricetree.wording import ItemMap, ItemName
 
 from factories import make_corpus
 
@@ -41,7 +46,7 @@ def test_int_is_a_float():
 
 
 def test_unknown_formula_kind_is_named():
-    data = json.loads(json.dumps(make_corpus(count=1).instances[0].to_json_dict()))
+    data = json.loads(json.dumps(to_json(make_corpus(count=1).instances[0])))
     data["formulas"][0]["kind"] = "quadratic"
     with pytest.raises(ValueError, match="unknown formula kind 'quadratic'"):
         ProblemInstance.from_json_dict(data)
@@ -107,3 +112,83 @@ def test_decoder_accepts_a_null_restaurant():
     instance = dataset_from_lines(lines).instances[1]
     assert instance.item_map.names[1].restaurant is None
     assert instance.item_map.names[1].dish == record["itemMap"]["names"]["1"]["dish"]
+
+
+# Strings that need escaping or are not ASCII, ints past 64 bits, and float fields holding
+# ints, NaN and infinities: the inputs where a hand-written encoder may part from the stdlib's.
+_texts = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é€😀'), st.characters()))
+_ints = st.one_of(st.integers(), st.integers(min_value=2**70), st.integers(max_value=-(2**70)))
+_floats = st.one_of(st.floats(), st.integers())
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, st.floats(), _texts),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=8,
+)
+_objects = st.dictionaries(_texts, _json_values, max_size=4)
+
+_instances = st.builds(
+    ProblemInstance,
+    id=_texts,
+    variant=_texts,
+    full_text=_texts,
+    condition_sentences=st.lists(_texts, max_size=3).map(tuple),
+    formulas=st.lists(
+        st.builds(RootValue, _ints, _ints) | st.builds(Linear, _ints, _ints, _ints, _ints, _ints), max_size=3
+    ).map(tuple),
+    item_map=st.builds(
+        ItemMap, st.booleans(), st.dictionaries(_ints, st.builds(ItemName, _texts, _texts, st.none() | _texts))
+    ),
+    questioned_var=_ints,
+    gold_answer=st.none() | _ints,
+    gold_solution_text=_texts,
+    pair_id=_texts,
+    metadata=_objects,
+)
+_records = st.builds(
+    EvalRecord,
+    *[_texts] * 4,
+    outcome=st.none() | _texts,
+    verdict=st.none() | _texts,
+    value=st.none() | _ints,
+    raw_tail=_texts,
+    response=st.none() | _texts,
+    latency_ms=st.none() | _floats,
+    transport_failed=st.booleans(),
+    config_cell=_objects,
+    gold_answer=st.none() | _ints,
+    exemplar_ids=st.none() | st.lists(_texts, max_size=3),
+)
+_configs = st.builds(
+    GenConfig,
+    num_vars=st.just(5),
+    ans_depth=st.just(3),
+    cut_depth=st.just(1),
+    composite_name=st.booleans(),
+    count=st.integers(min_value=1),
+    corpus_seed=st.integers(min_value=0),
+    dish_vocab=st.none() | _texts,
+    restaurant_vocab=st.none() | _texts,
+)
+
+_EVERY_OPTIONAL_NONE = [
+    ProblemInstance("i", "unanswerable", "t", (), (), ItemMap(False, {1: ItemName("d", "ds")}), 1, None, "g", "p", {}),
+    EvalRecord("i", "p", "answerable", "zero", None, None, None, "", None, None, True, {}, None, None),
+    GenConfig(num_vars=5, ans_depth=3, cut_depth=1, composite_name=True),
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(obj=st.one_of(_instances, _records, _configs))
+@example(obj=_EVERY_OPTIONAL_NONE[0])
+@example(obj=_EVERY_OPTIONAL_NONE[1])
+@example(obj=_EVERY_OPTIONAL_NONE[2])
+def test_text_encoder_writes_the_stdlib_line(obj):
+    line = to_json_line(obj)
+    assert line == json.JSONEncoder(ensure_ascii=False).encode(to_json(obj))
+    assert to_json_line(from_json(type(obj), json.loads(line))) == line
+
+
+def test_a_missing_gold_answer_is_left_out_of_the_line():
+    line = to_json_line(_EVERY_OPTIONAL_NONE[0])
+    assert "goldAnswer" not in json.loads(line)
+    assert from_json(ProblemInstance, json.loads(line)) == _EVERY_OPTIONAL_NONE[0]

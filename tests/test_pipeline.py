@@ -65,7 +65,7 @@ class TestGeneratePair:
         config = make_config(order="random", composite_name=True)
         first = generate_pair(config, 3)
         second = generate_pair(config, 3)
-        assert [i.to_json_dict() for i in first] == [i.to_json_dict() for i in second]
+        assert [to_json(i) for i in first] == [to_json(i) for i in second]
 
     def test_pair_delta_is_exactly_one_sentence(self):
         for index in range(30):
@@ -158,8 +158,8 @@ class TestGenerateCorpus:
         regenerated = []
         for index in shuffled_indices:
             regenerated.extend(generate_pair(config, index))
-        corpus_lines = sorted(json.dumps(i.to_json_dict()) for i in corpus.instances)
-        region_lines = sorted(json.dumps(i.to_json_dict()) for i in regenerated)
+        corpus_lines = sorted(json.dumps(to_json(i)) for i in corpus.instances)
+        region_lines = sorted(json.dumps(to_json(i)) for i in regenerated)
         assert corpus_lines == region_lines
 
     def test_parallel_generation_matches_sequential(self):
@@ -208,6 +208,17 @@ class TestSerialization:
         lines = dataset_to_lines(dataset)[1:]
         with pytest.raises(DatasetParseError, match="schemaVersion"):
             dataset_from_lines(lines)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_schema_version_must_be_the_int(self, version):
+        # True == 1 and 1.0 == 1 in Python, so both once passed a `!=` check
+        lines = dataset_to_lines(generate_corpus(make_config(count=1)))
+        header = json.loads(lines[0])
+        header["schemaVersion"] = version
+        lines[0] = json.dumps(header)
+        with pytest.raises(DatasetParseError) as caught:
+            dataset_from_lines(lines, "corpus.jsonl")
+        assert str(caught.value) == f"corpus.jsonl line 1: expected schemaVersion 1, got {version!r}"
 
     @pytest.mark.parametrize("key", ["config", "certification"])
     @pytest.mark.parametrize("value", [None, 5], ids=["missing", "not-an-object"])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from pricetree.corpus_io import dataset_from_lines, dataset_to_lines
 from pricetree.formulas import Formula, Linear, RootValue
 from pricetree.harness.scoring import extract_answer
+from pricetree.jsonmap import to_json
 from pricetree.oracle import (
     Determination,
     constraint_component,
@@ -55,7 +56,7 @@ common = settings(deadline=None, max_examples=60)
 def test_pair_generation_is_deterministic(config: GenConfig, index: int):
     first = generate_pair(config, index)
     second = generate_pair(config, index)
-    assert [i.to_json_dict() for i in first] == [i.to_json_dict() for i in second]
+    assert [to_json(i) for i in first] == [to_json(i) for i in second]
 
 
 @common
