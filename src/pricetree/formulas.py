@@ -20,7 +20,7 @@ COEFFICIENT_CHOICES = (-3, -2, -1, 1, 2, 3)
 CONDITION_ORDERS = ("forward", "backward", "random")
 
 
-@dataclass(frozen=True)
+@dataclass
 class RootValue:
     """Direct unit-price statement for one variable: x_var = value."""
 
@@ -39,7 +39,7 @@ class RootValue:
         return values[self.var] == self.value
 
 
-@dataclass(frozen=True)
+@dataclass
 class Linear:
     """Two-variable relation: parent_coeff*x_parent + child_coeff*x_child = rhs."""
 

@@ -28,7 +28,7 @@ INSTRUCTION = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class Message:
     role: str  # "system" | "user"
     content: str
@@ -87,7 +87,7 @@ def _exemplar_block(instance: ProblemInstance) -> str:
     return f"{_question(instance)}{instance.gold_solution_text}\nAnswer: {answer}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class FewShotPrompt:
     messages: list[Message]
     exemplar_ids: list[str]

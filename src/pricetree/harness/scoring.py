@@ -38,7 +38,7 @@ OUTCOME_FALSE_UNANSWERABLE = "false_unanswerable"
 _NUMBER_TOKEN = re.compile(r"[-+]?\$?\d[\d,]*(?:\.\d+)?")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ParsedAnswer:
     verdict: Optional[str]  # None when no response came back
     value: Optional[int] = None
@@ -87,7 +87,7 @@ def score_outcome(variant: str, gold_answer: Optional[int], parsed: ParsedAnswer
 GROUPABLE_KEYS = ("ansDepth", "cutDepth", "numVars", "compositeName", "order")
 
 
-@dataclass(frozen=True)
+@dataclass
 class EvalRecord:
     instance_id: str
     pair_id: str

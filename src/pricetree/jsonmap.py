@@ -24,9 +24,9 @@ gets two functions, generated once as straight-line source and exec'd:
 `to_json`, the same form as dicts and lists, is walked at run time; it serves
 the header config, ``metadata.config`` and the defaults of `from_file_json`.
 The mapping knows int (not bool), float (int too), bool, str, dict,
-Optional[T], tuple[T, ...], list[T], dict[int, T] (string keys), nested
-dataclasses and Unions of dataclasses told apart by a ``kind`` ClassVar; any
-other annotation raises on first use.
+Optional[T], tuple[T, ...], list[T], dict[int, T] (string keys, each exactly
+as ``str(int)`` writes it), nested dataclasses and Unions of dataclasses told
+apart by a ``kind`` ClassVar; any other annotation raises on first use.
 """
 
 from __future__ import annotations
@@ -304,9 +304,13 @@ def _decode(tp, src: str, key: str, out: _Source, indent: str) -> str:
         lines.append(f"{indent}else:")
         lines.append(f"{indent}    raise ValueError({'unknown ' + key.removesuffix('s') + ' kind '!r} + repr({tag}))")
         return value
-    number, item = out.name("k"), out.name("e")
-    lines += [f"{indent}{value} = {{}}", f"{indent}for {number}, {item} in {src}.items():"]
-    lines.append(f"{indent}    {number} = int({number})")
+    text, number, item = out.name("k"), out.name("n"), out.name("e")
+    lines += [f"{indent}{value} = {{}}", f"{indent}for {text}, {item} in {src}.items():"]
+    lines.append(f"{indent}    {number} = int({text})")
+    # int() also takes ' 1', '01', '1_0', '+1' and non-ASCII digits
+    reason = f"{key} key must be an int in canonical form, got "
+    lines.append(f"{indent}    if str({number}) != {text}:")
+    lines.append(f"{indent}        raise ValueError({reason!r} + repr({text}))")
     each = _decode(detail, item, key, out, indent + "    ")
     lines.append(f"{indent}    {value}[{number}] = {each}")
     return value

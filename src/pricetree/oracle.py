@@ -31,7 +31,7 @@ UNDERDETERMINED = "underdetermined"
 INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Determination:
     """Oracle verdict for one target variable."""
 
@@ -55,7 +55,7 @@ class Determination:
         return self.kind == UNIQUE
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerificationReport:
     """Outcome of certifying one instance against the oracle."""
 

@@ -75,7 +75,7 @@ def cell_label(config: GenConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProblemInstance:
     id: str
     variant: str  # "answerable" | "unanswerable"

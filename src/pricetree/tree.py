@@ -22,7 +22,7 @@ PRICE_MAX = 15
 PRICES = range(PRICE_MIN, PRICE_MAX + 1)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Edge:
     parent: int  # ROOT or a variable index
     child: int  # always a variable index

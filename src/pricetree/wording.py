@@ -102,7 +102,7 @@ def load_vocabulary(dish_path: Optional[str], restaurant_path: Optional[str]) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class ItemName:
     dish: str
     plural: str
@@ -121,7 +121,7 @@ class ItemName:
         return "an" if self.dish[0].lower() in VOWELS else "a"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ItemMap:
     composite: bool
     names: dict[int, ItemName]

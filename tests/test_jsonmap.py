@@ -66,6 +66,21 @@ _DECODE_FAULTS = {
     "formula rhs": (lambda r: _first_linear(r).update(rhs="3"), "rhs must be int, got str"),
     "item dish": (lambda r: r["itemMap"]["names"]["1"].update(dish=5), "dish must be str, got int"),
     "names key": (lambda r: _rename_name_key(r, "x"), "invalid literal for int() with base 10: 'x'"),
+    "names key with a space": (
+        lambda r: _rename_name_key(r, " 1"), "names key must be an int in canonical form, got ' 1'"
+    ),
+    "names key with a leading zero": (
+        lambda r: _rename_name_key(r, "01"), "names key must be an int in canonical form, got '01'"
+    ),
+    "names key with an underscore": (
+        lambda r: _rename_name_key(r, "1_0"), "names key must be an int in canonical form, got '1_0'"
+    ),
+    "names key with a plus sign": (
+        lambda r: _rename_name_key(r, "+3"), "names key must be an int in canonical form, got '+3'"
+    ),
+    "names key in Arabic-Indic digits": (
+        lambda r: _rename_name_key(r, "\u0663"), "names key must be an int in canonical form, got '\u0663'"
+    ),
     "condition sentence": (
         lambda r: r.update(conditionSentences=[1]), "conditionSentences must be str, got int"
     ),

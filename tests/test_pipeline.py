@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -44,6 +45,13 @@ class TestGenConfig:
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(InvalidConfigError):
             make_config(**overrides)
+
+    def test_frozen_and_hashable(self):
+        # checked only in __post_init__, and used as a dict key
+        config = make_config()
+        with pytest.raises(FrozenInstanceError):
+            config.cut_depth = 0
+        assert {config: 1}[make_config()] == 1
 
     def test_json_round_trip(self):
         config = make_config(composite_name=True, order="random")

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -27,6 +27,13 @@ class TestProfiles:
         assert profile.max_completion_tokens == 32000
         assert profile.reasoning_effort == "high"
         assert profile.concurrency == 8
+
+    def test_frozen_and_hashable(self):
+        # checked only in __post_init__
+        profile = make_profile()
+        with pytest.raises(FrozenInstanceError):
+            profile.concurrency = 0
+        assert hash(profile) == hash(make_profile())
 
     def test_load_profile_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "profile.json"
