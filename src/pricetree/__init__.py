@@ -11,7 +11,6 @@ from .errors import (
     CertificationError,
     DatasetParseError,
     InvalidConfigError,
-    NotForwardSolvableError,
     PricetreeError,
     TransientTransportError,
     TransportError,
@@ -21,7 +20,7 @@ from .oracle import (
     Determination,
     VerificationReport,
     constraint_component,
-    solve_by_path,
+    solve_all,
     solve_exact,
     verify_instance,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "GenConfig",
     "InvalidConfigError",
     "Linear",
-    "NotForwardSolvableError",
     "PricetreeError",
     "ProblemInstance",
     "RootValue",
@@ -65,7 +63,7 @@ __all__ = [
     "preset",
     "read_dataset",
     "sample_var_values",
-    "solve_by_path",
+    "solve_all",
     "solve_exact",
     "substream",
     "verify_instance",

@@ -19,7 +19,7 @@ from .harness.prompts import load_profile
 from .harness.report import format_text_table, write_report
 from .harness.scoring import read_records, run_eval, write_records
 from .harness.transport import make_transport
-from .oracle import constraint_component, solve_exact, verify_instance
+from .oracle import UNDERDETERMINED, constraint_component, solve_all, verify_instance
 from .pipeline import (
     PRESET_NAMES,
     ProblemInstance,
@@ -80,13 +80,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _render_tree(instance: ProblemInstance) -> list[str]:
     children = children_by_parent(formula_edges(instance.formulas))
+    prices = solve_all(instance.formulas)  # None when not a forest: then no node gets a verdict
 
     def describe(var: int) -> str:
         name = instance.item_map.names[var].display
-        det = solve_exact(instance.formulas, var)
-        price = f"{det.value} dollars" if det.is_unique else det.kind
+        if prices is None:
+            verdict = "no verdict"
+        elif prices.get(var) is None:
+            verdict = UNDERDETERMINED
+        else:
+            verdict = f"{prices[var]} dollars"
         mark = "  <- questioned" if var == instance.questioned_var else ""
-        return f"x{var} ({name}): {price}{mark}"
+        return f"x{var} ({name}): {verdict}{mark}"
 
     lines = ["root"]
     seen: set[int] = set()
@@ -94,10 +99,11 @@ def _render_tree(instance: ProblemInstance) -> list[str]:
     def walk(node: int, prefix: str) -> None:
         kids = children.get(node, [])
         for i, child in enumerate(kids):
-            seen.add(child)
             last = i == len(kids) - 1
             lines.append(f"{prefix}{'`-' if last else '|-'} {describe(child)}")
-            walk(child, prefix + ("   " if last else "|  "))
+            if child not in seen:  # a variable with two parents, or on a cycle, is expanded once
+                seen.add(child)
+                walk(child, prefix + ("   " if last else "|  "))
 
     walk(ROOT, "")
     # a cut instance is a forest: show subtrees detached from the root too

@@ -13,10 +13,6 @@ class CertificationError(PricetreeError):
     """A generated instance failed its independent label certification."""
 
 
-class NotForwardSolvableError(PricetreeError):
-    """A formula with two unknowns was hit during a forward substitution pass."""
-
-
 class DatasetParseError(PricetreeError):
     """A corpus or records file could not be parsed; message names the line."""
 

@@ -1,11 +1,11 @@
 """Exact-arithmetic certification of instance labels.
 
 Two independent solvers: an integer elimination over rows of at most two
-variables (total on any formula list) and a forward-substitution pass that
-only works on complete instances in forward order.  The pass keeps exact integers and
-falls back to a ``Fraction`` when a division is not exact.  Certification
-cross-checks them and the stated label; nothing here ever touches floating
-point.
+variables (total on any formula list), and a walk from each variable up its
+child -> parent links (total on any forest, which every generated variant
+is).  The walk keeps exact integers and falls back to a ``Fraction`` when a
+division is not exact.  Certification cross-checks them and the stated
+label on both variants; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import NotForwardSolvableError
-from .formulas import Formula, Linear, RootValue, formula_edges
-from .tree import breadth_first
+from .formulas import Formula, Linear, RootValue
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import ProblemInstance
@@ -60,7 +58,7 @@ class VerificationReport:
     """Outcome of certifying one instance against the oracle."""
 
     determination: Determination
-    path_solver_agrees: Optional[bool]
+    path_solver_agrees: bool
     label_confirmed: bool
     failure: Optional[str] = None
 
@@ -194,42 +192,48 @@ def exact_quotient(num: int | Fraction, den: int) -> int | Fraction:
     return Fraction(num, den)
 
 
-def solve_by_path(formulas: list[Formula], target_var: int) -> Fraction:
-    """Single left-to-right pass over a forward-ordered, complete instance.
+_OPEN = object()  # marks a variable whose walk is under way, so meeting it again closes a cycle
 
-    Each formula must introduce at most one new variable; hitting one with
-    two unknowns means the list was not forward-solvable (a cut instance, or
-    a generator bug).  Values stay ints while every quotient is exact, as
-    it is on any generated instance, whose hidden prices are integers.
+
+def solve_all(formulas: Sequence[Formula]) -> Optional[dict[int, int | Fraction | None]]:
+    """Every named variable's price from one memoised walk up the child -> parent links.
+
+    A walk that ends at a direct value gives an exact price, kept an int while
+    every quotient is exact; one that ends at a variable no formula defines
+    gives None, underdetermined.  The result is None when the formulas are not
+    a forest: a variable is the child of two formulas, a walk meets a cycle
+    (a self-relation included), or a coefficient is 0.  On a forest every
+    formula pins its child given its parent, so the system is consistent and
+    no elimination is needed.
     """
-    known: dict[int, int | Fraction] = {}
-    for pos, f in enumerate(formulas):
-        if isinstance(f, RootValue):
-            known[f.var] = f.value
+    defining = {f.child_var: f for f in formulas}
+    if len(defining) < len(formulas):
+        return None
+    prices: dict = {}
+    for var in defining:
+        if var in prices:
             continue
-        parent = known.get(f.parent)
-        child = known.get(f.child)
-        if child is None:
-            if parent is None:
-                raise NotForwardSolvableError(
-                    f"formula {pos} relates x{f.parent} and x{f.child}, both unknown"
-                )
-            known[f.child] = exact_quotient(f.rhs - f.parent_coeff * parent, f.child_coeff)
-        elif parent is None:
-            known[f.parent] = exact_quotient(f.rhs - f.child_coeff * child, f.parent_coeff)
-    if target_var not in known:
-        raise NotForwardSolvableError(f"target x{target_var} never resolved")
-    return Fraction(known[target_var])
-
-
-def forward_order(formulas: Sequence[Formula]) -> list[Formula]:
-    """Rebuild breadth-first order from the parent/child structure.
-
-    Every variable is the child of exactly one formula, so the edge set is
-    recoverable from any ordering of a complete instance.
-    """
-    by_child = {f.child_var: f for f in formulas}
-    return [by_child[child] for _, child in breadth_first(formula_edges(formulas))]
+        walk = []  # the Linear formulas met, from the start upwards
+        while var not in prices:
+            f = defining.get(var)
+            if f is None:
+                prices[var] = None
+            elif type(f) is RootValue:
+                prices[var] = f.value
+            elif not (f.parent_coeff and f.child_coeff):
+                return None
+            else:
+                prices[var] = _OPEN
+                walk.append(f)
+                var = f.parent
+        price = prices[var]
+        if price is _OPEN:
+            return None
+        for f in reversed(walk):
+            if price is not None:
+                price = exact_quotient(f.rhs - f.parent_coeff * price, f.child_coeff)
+            prices[f.child] = price
+    return prices
 
 
 def constraint_component(formulas: Sequence[Formula], target_var: int) -> tuple[set[int], int]:
@@ -266,35 +270,34 @@ def constraint_component(formulas: Sequence[Formula], target_var: int) -> tuple[
 
 
 def verify_instance(instance: "ProblemInstance") -> VerificationReport:
-    """Certify one instance's label; mismatches are reported, never fixed."""
+    """Certify one instance's label by elimination and by root walk; mismatches are reported, never fixed."""
     target = instance.questioned_var
     det = solve_exact(instance.formulas, target)
+    prices = solve_all(instance.formulas)
+    walked = None  # the root walk's verdict on the target, None when the formulas are not a forest
+    if prices is not None:
+        price = prices.get(target)
+        walked = Determination.underdetermined() if price is None else Determination.unique(price)
 
     failure = None
-    path_agrees: Optional[bool] = None
     if instance.variant == ANSWERABLE:
         if not det.is_unique:
             failure = f"label answerable but oracle says {det.kind}"
         elif det.value != instance.gold_answer:
             failure = f"oracle value {det.value} != gold answer {instance.gold_answer}"
-        else:
-            try:
-                path_value = solve_by_path(forward_order(instance.formulas), target)
-                path_agrees = path_value == det.value
-            except NotForwardSolvableError as exc:
-                path_agrees = False
-                failure = f"path solver failed: {exc}"
-            if path_agrees is False and failure is None:
-                failure = "path solver disagrees with elimination"
     elif instance.variant == UNANSWERABLE:
         if det.kind != UNDERDETERMINED:
             failure = f"label unanswerable but oracle says {det.kind}"
     else:
         failure = f"unknown variant {instance.variant!r}"
+    if failure is None and walked is None:
+        failure = "path solver: formulas are not a forest"
+    elif failure is None and walked != det:
+        failure = "path solver disagrees with elimination"
 
     return VerificationReport(
         determination=det,
-        path_solver_agrees=path_agrees,
+        path_solver_agrees=walked == det,
         label_confirmed=failure is None,
         failure=failure,
     )

@@ -82,26 +82,17 @@ def children_by_parent(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]
     return children
 
 
-def breadth_first(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The (parent, child) pairs reachable from the root, in breadth-first order.
+def bfs_edges(tree: Tree) -> list[Edge]:
+    """All edges of the tree breadth first from the root, siblings in ascending index.
 
-    Siblings are visited in ascending variable index, so the list always has
-    the prefix property: a pair's parent is the root or appeared earlier as
-    a child.  Scanning the list left to right therefore meets at most one
-    new variable per pair.
+    So every edge's parent is the root or the child of an earlier edge.
     """
-    children = children_by_parent(edges)
-    order = []
+    children = children_by_parent((parent, child) for child, parent in enumerate(tree.parent, start=1))
+    edges = []
     queue = deque([ROOT])
     while queue:
         node = queue.popleft()
         for child in children.get(node, ()):
-            order.append((node, child))
+            edges.append(Edge(parent=node, child=child))
             queue.append(child)
-    return order
-
-
-def bfs_edges(tree: Tree) -> list[Edge]:
-    """All edges of the tree in `breadth_first` order."""
-    pairs = ((parent, child) for child, parent in enumerate(tree.parent, start=1))
-    return [Edge(parent=parent, child=child) for parent, child in breadth_first(pairs)]
+    return edges

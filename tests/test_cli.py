@@ -137,9 +137,10 @@ class TestVerify:
 
     def test_path_solver_disagreement_tallied_once(self, tmp_path, config_file, capsys, monkeypatch):
         out = generate(tmp_path, config_file)
-        monkeypatch.setattr(oracle, "solve_by_path", lambda formulas, target: Fraction(-1))
+        # a walk that prices every variable at -1 agrees with neither variant's label
+        monkeypatch.setattr(oracle, "solve_all", lambda formulas: {v: Fraction(-1) for f in formulas for v in f.variables()})
         assert main(["verify", "--in", str(out)]) == 1
-        assert "certified 4/8 instances (0 label failures, 4 solver disagreements)" in capsys.readouterr().out
+        assert "certified 0/8 instances (0 label failures, 8 solver disagreements)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("field", ["parentCoeff", "itemMap key", "questionedVar", "conditionSentences"])
     def test_mistyped_corpus_field_names_the_line(self, tmp_path, config_file, capsys, field):
@@ -175,6 +176,23 @@ class TestRender:
         shown = capsys.readouterr().out
         assert target.full_text in shown
         assert "certification: confirmed" in shown
+
+    def test_not_a_forest_gets_no_verdict(self, tmp_path, config_file, capsys):
+        # a second statement of the questioned price keeps the elimination's verdict but is no forest
+        out = generate(tmp_path, config_file)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        assert record["variant"] == "answerable"
+        questioned = record["questionedVar"]
+        record["formulas"].append({"kind": "rootValue", "var": questioned, "value": record["goldAnswer"]})
+        lines[1] = json.dumps(record, ensure_ascii=False)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["render", "--in", str(out), "--id", record["id"]]) == 1
+        shown = capsys.readouterr().out.splitlines()
+        tree = shown[shown.index("root") : shown.index("root") + len(record["formulas"]) + 1]
+        assert all(line.endswith(("no verdict", "no verdict  <- questioned")) for line in tree[1:]), tree
+        assert not any("dollars" in line or "underdetermined" in line for line in tree)
+        assert shown[-1].startswith("certification: FAILED (path solver: formulas are not a forest); component ")
 
     def test_unknown_id(self, tmp_path, config_file, capsys):
         out = generate(tmp_path, config_file)

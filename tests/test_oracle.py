@@ -7,13 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from pricetree.errors import NotForwardSolvableError
 from pricetree.formulas import Linear, RootValue
 from pricetree.oracle import (
     Determination,
     constraint_component,
-    forward_order,
-    solve_by_path,
+    solve_all,
     solve_exact,
     verify_instance,
 )
@@ -21,7 +19,7 @@ from pricetree.pipeline import generate_pair
 
 import reference_pair
 from factories import make_config
-from test_properties import dense_rref
+from test_properties import dense_rref, walk_verdict
 
 
 def reference_formulas():
@@ -149,41 +147,54 @@ class TestTwoVariableRows:
             a, b = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-3, -2, -1, 1, 2, 3))
             formulas.append(Linear(child - 1, child, a, b, a * hidden[child - 1] + b * hidden[child]))
         shuffled = rng.sample(formulas, len(formulas))
+        prices = solve_all(shuffled)  # walks far deeper than the recursion limit
+        assert prices == dict(enumerate(hidden[1:], start=1))
         for target in (3000, 1500, 1):
-            value = solve_by_path(forward_order(shuffled), target)
-            assert value == hidden[target]
-            assert solve_exact(shuffled, target) == Determination.unique(value)
+            assert solve_exact(shuffled, target) == Determination.unique(prices[target])
         cut = [f for f in shuffled if f.child_var != 1200]
+        assert solve_all(cut)[3000] is None and solve_all(cut)[1000] == hidden[1000]
         assert solve_exact(cut, 3000) == Determination.underdetermined()
         assert solve_exact(cut, 1000) == Determination.unique(Fraction(hidden[1000]))
 
 
-class TestSolveByPath:
+# each pins x2 = 5 for the elimination, but is not a forest for the root walk
+NOT_FORESTS = {
+    "variable defined twice": [RootValue(1, 5), RootValue(1, 5), Linear(1, 2, 1, -1, 0)],
+    "parent cycle": [Linear(1, 2, 1, -1, 0), Linear(2, 1, 1, 1, 10)],
+    "self-relation": [Linear(2, 2, 2, -1, 5)],
+    "zero coefficient": [RootValue(1, 5), Linear(1, 2, 0, 1, 5)],
+}
+
+
+class TestSolveAll:
     def test_reference_walk(self):
-        value = solve_by_path(reference_formulas(), 3)
-        assert value == Fraction(11)
+        prices = solve_all(reference_formulas())
+        assert prices == {1: 14, 2: 8, 3: 11, 4: 10}
+        assert all(type(price) is int for price in prices.values())
 
     def test_single_value(self):
-        assert solve_by_path([RootValue(1, 9)], 1) == Fraction(9)
+        assert solve_all([RootValue(1, 9)]) == {1: 9}
 
-    def test_two_unknowns_raise(self):
+    def test_cut_leaves_the_question_underdetermined(self):
         formulas = [f for f in reference_formulas() if f.child_var != 2]
-        with pytest.raises(NotForwardSolvableError):
-            solve_by_path(formulas, 3)
+        assert solve_all(formulas) == {1: 14, 2: None, 3: None, 4: 10}
+
+    def test_any_order_gives_the_same_prices(self):
+        assert solve_all(list(reversed(reference_formulas()))) == solve_all(reference_formulas())
 
     def test_agrees_with_elimination_on_generated_instances(self):
+        config = make_config(order="random", count=1)
         for index in range(50):
-            answerable, _ = generate_pair(make_config(order="random", count=1), index)
-            ordered = forward_order(list(answerable.formulas))
-            path = solve_by_path(ordered, answerable.questioned_var)
-            exact = solve_exact(list(answerable.formulas), answerable.questioned_var)
-            assert exact.is_unique and path == exact.value == answerable.gold_answer
+            for instance in generate_pair(config, index):
+                prices = solve_all(instance.formulas)
+                for var in range(1, config.num_vars + 1):
+                    assert walk_verdict(prices, var) == solve_exact(instance.formulas, var)
+                assert prices[instance.questioned_var] == instance.gold_answer
 
-
-class TestForwardOrder:
-    def test_rebuilds_breadth_first_order(self):
-        shuffled = list(reversed(reference_formulas()))
-        assert forward_order(shuffled) == reference_formulas()
+    @pytest.mark.parametrize("formulas", NOT_FORESTS.values(), ids=NOT_FORESTS.keys())
+    def test_not_a_forest(self, formulas):
+        assert solve_exact(formulas, 2) == Determination.unique(Fraction(5))
+        assert solve_all(formulas) is None
 
 
 class TestConstraintComponent:
@@ -211,7 +222,7 @@ class TestVerifyInstance:
         assert una_report.determination == Determination.underdetermined()
         component, equations = constraint_component(list(unanswerable.formulas), unanswerable.questioned_var)
         assert equations == len(component) - 1
-        assert una_report.path_solver_agrees is None
+        assert una_report.path_solver_agrees is True
 
     def test_negative_control_mislabelled_instance(self):
         answerable, _ = generate_pair(make_config(count=1), 0)
@@ -232,6 +243,27 @@ class TestVerifyInstance:
         forged = dataclasses.replace(answerable, gold_answer=answerable.gold_answer + 1)
         report = verify_instance(forged)
         assert not report.label_confirmed
+
+    def test_cut_formula_put_back_fails(self):
+        answerable, unanswerable = generate_pair(make_config(count=1), 0)
+        cut_child = unanswerable.metadata["cutEdge"]["child"]
+        (cut,) = [f for f in answerable.formulas if f.child_var == cut_child]
+        restored = dataclasses.replace(unanswerable, formulas=[*unanswerable.formulas, cut])
+        report = verify_instance(restored)
+        assert not report.label_confirmed
+        assert report.failure == "label unanswerable but oracle says unique"
+        assert report.path_solver_agrees is True
+        assert solve_all(restored.formulas)[restored.questioned_var] == answerable.gold_answer
+
+    @pytest.mark.parametrize("formulas", NOT_FORESTS.values(), ids=NOT_FORESTS.keys())
+    def test_not_a_forest_is_a_solver_disagreement(self, formulas):
+        answerable, _ = generate_pair(make_config(count=1), 0)
+        forged = dataclasses.replace(answerable, formulas=formulas, questioned_var=2, gold_answer=5)
+        report = verify_instance(forged)
+        assert report.determination == Determination.unique(Fraction(5))
+        assert report.path_solver_agrees is False
+        assert not report.label_confirmed
+        assert report.failure == "path solver: formulas are not a forest"
 
 
 class TestReferencePairThroughOracle:

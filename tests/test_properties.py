@@ -18,8 +18,7 @@ from pricetree.jsonmap import to_json
 from pricetree.oracle import (
     Determination,
     constraint_component,
-    forward_order,
-    solve_by_path,
+    solve_all,
     solve_exact,
     verify_instance,
 )
@@ -86,14 +85,46 @@ def test_oracle_certifies_both_variants(config: GenConfig, index: int):
     assert equations == len(component) - 1
 
 
+def walk_verdict(prices: dict, var: int) -> Determination:
+    """The verdict a `solve_all` map gives one variable, as `solve_exact` would state it."""
+    price = prices.get(var)
+    return Determination.underdetermined() if price is None else Determination.unique(price)
+
+
 @common
 @given(config=gen_configs(), index=st.integers(0, 50))
 def test_forward_substitution_matches_elimination(config: GenConfig, index: int):
-    answerable, _ = generate_pair(config, index)
-    ordered = forward_order(list(answerable.formulas))
-    path = solve_by_path(ordered, answerable.questioned_var)
+    answerable, unanswerable = generate_pair(config, index)
+    path = solve_all(answerable.formulas)[answerable.questioned_var]
     exact = solve_exact(list(answerable.formulas), answerable.questioned_var)
-    assert path == exact.value == Fraction(answerable.gold_answer)
+    assert type(path) is int and path == exact.value == answerable.gold_answer
+    assert solve_all(unanswerable.formulas)[unanswerable.questioned_var] is None
+
+
+@st.composite
+def any_shape_configs(draw: st.DrawFn) -> GenConfig:
+    """The small shapes of `gen_configs`, or a 45-variable cell at ansDepth 8 or 40."""
+    if draw(st.booleans()):
+        return draw(gen_configs())
+    ans_depth = draw(st.sampled_from((8, 40)))
+    return GenConfig(
+        num_vars=45,
+        ans_depth=ans_depth,
+        cut_depth=draw(st.integers(1, ans_depth - 1)),
+        composite_name=True,
+        order=draw(st.sampled_from(("forward", "backward", "random"))),
+        corpus_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(config=any_shape_configs(), index=st.integers(0, 50))
+def test_root_walk_matches_elimination_on_every_variable(config: GenConfig, index: int):
+    for instance in generate_pair(config, index):
+        prices = solve_all(instance.formulas)
+        assert set(prices) == set(range(1, config.num_vars + 1))
+        for var in prices:
+            assert walk_verdict(prices, var) == solve_exact(instance.formulas, var), var
 
 
 @common
@@ -130,10 +161,10 @@ def formula_lists(draw: st.DrawFn) -> tuple[list[Formula], int]:
 def forward_systems(draw: st.DrawFn) -> tuple[list[Formula], int]:
     """Complete, forward-ordered systems with arbitrary right-hand sides.
 
-    x2 is always an odd number over 2, so the path solver must leave exact
+    x2 is always an odd number over 2, so the root walk must leave exact
     integers at least once; later quotients by 2 or 3 are often inexact too.
-    Each later formula ties one new variable, as parent or child, to a
-    known one.
+    Each later formula ties one new variable, as the child, to a known one,
+    so the system stays a forest.
     """
     coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
     rhs = st.integers(-60, 60)
@@ -142,8 +173,7 @@ def forward_systems(draw: st.DrawFn) -> tuple[list[Formula], int]:
     num_vars = draw(st.integers(2, 8))
     for new in range(3, num_vars + 1):
         known = draw(st.integers(1, new - 1))
-        parent, child = (known, new) if draw(st.booleans()) else (new, known)
-        formulas.append(Linear(parent, child, draw(coeff), draw(coeff), draw(rhs)))
+        formulas.append(Linear(known, new, draw(coeff), draw(coeff), draw(rhs)))
     return formulas, draw(st.integers(1, num_vars))
 
 
@@ -151,10 +181,9 @@ def forward_systems(draw: st.DrawFn) -> tuple[list[Formula], int]:
 @given(system=forward_systems())
 def test_path_solver_falls_back_to_fractions(system):
     formulas, target = system
-    value = solve_by_path(formulas, target)
-    assert type(value) is Fraction
-    assert solve_exact(formulas, target) == Determination.unique(value)
-    assert solve_by_path(formulas, 2).denominator == 2
+    prices = solve_all(formulas)
+    assert solve_exact(formulas, target) == Determination.unique(prices[target])
+    assert type(prices[2]) is Fraction and prices[2].denominator == 2
 
 
 def dense_rref(formulas: list[Formula], target_var: int) -> Determination:
@@ -204,6 +233,16 @@ def test_solve_exact_matches_dense_reference_in_any_order(system, data):
     assert verdict == dense_rref(formulas, target)
     shuffled = data.draw(st.permutations(formulas))
     assert solve_exact(shuffled, target) == verdict
+
+
+@settings(deadline=None, max_examples=400)
+@given(system=formula_lists())
+def test_root_walk_matches_elimination_wherever_it_answers(system):
+    formulas, target = system
+    prices = solve_all(formulas)
+    if prices is not None:
+        for var in {*prices, target}:
+            assert walk_verdict(prices, var) == solve_exact(formulas, var), var
 
 
 @st.composite
