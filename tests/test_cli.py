@@ -137,8 +137,11 @@ class TestVerify:
 
     def test_path_solver_disagreement_tallied_once(self, tmp_path, config_file, capsys, monkeypatch):
         out = generate(tmp_path, config_file)
-        # a walk that prices every variable at -1 agrees with neither variant's label
-        monkeypatch.setattr(oracle, "solve_all", lambda formulas: {v: Fraction(-1) for f in formulas for v in f.variables()})
+
+        def every_price_minus_one(formulas):  # agrees with neither variant's label
+            return {v: Fraction(-1) for f in formulas for v in f.variables()}
+
+        monkeypatch.setattr(oracle, "solve_all", every_price_minus_one)
         assert main(["verify", "--in", str(out)]) == 1
         assert "certified 0/8 instances (0 label failures, 8 solver disagreements)" in capsys.readouterr().out
 
