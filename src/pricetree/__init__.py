@@ -33,7 +33,7 @@ from .pipeline import (
     generate_pair,
     preset,
 )
-from .rng import substream
+from .rng import substream, substreams
 from .tree import bfs_edges, build_tree, sample_var_values
 
 __version__ = "0.1.0"
@@ -66,6 +66,7 @@ __all__ = [
     "solve_all",
     "solve_exact",
     "substream",
+    "substreams",
     "verify_instance",
     "write_dataset",
 ]

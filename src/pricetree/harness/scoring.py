@@ -9,6 +9,7 @@ or no usable number, are unparseable.
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 import time
@@ -19,7 +20,7 @@ from typing import Optional
 from ..errors import InvalidConfigError, TransportError
 from ..jsonmap import from_json, read_json_lines, to_json_line, write_json_lines
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
-from ..rng import substream
+from ..rng import PcgStream, substreams
 from .prompts import FewShotPool, ModelProfile, build_few_shot_prompt, build_zero_shot_prompt
 from .transport import query_model
 
@@ -121,28 +122,34 @@ def run_eval(
 ) -> list[EvalRecord]:
     """Score every instance of a dataset with `profile.concurrency` requests in flight.
 
-    The few-shot pool is checked once, before any request is sent; a pool
-    given in zero-shot mode is an error.  Records come back in dataset
-    order regardless of completion order.  Transport
+    The seed and the few-shot pool are checked once, before any request is
+    sent; a pool given in zero-shot mode is an error.  Few-shot record i
+    draws its exemplars from ``substream(eval_seed, i)``.  Records come back
+    in dataset order regardless of completion order.  Transport
     failures (after retries) yield records flagged as excluded rather than
     aborting the run; any other exception stops every worker from taking
     another instance and is re-raised here.
     """
     if mode not in ("zero", "few"):
         raise InvalidConfigError(f"mode must be 'zero' or 'few', got {mode!r}")
+    if eval_seed < 0:
+        raise InvalidConfigError(f"evalSeed must be >= 0, got {eval_seed}")
     if mode == "few":
         if pool is None:
             raise InvalidConfigError("few-shot mode needs an exemplar pool")
         exemplars = FewShotPool.prepare(pool, dataset)
+        streams = substreams(eval_seed, len(dataset.instances))
     elif pool is not None:
         raise InvalidConfigError("zero-shot mode takes no exemplar pool")
+    else:
+        streams = itertools.repeat(None)
 
-    def evaluate(index: int, instance: ProblemInstance) -> EvalRecord:
+    def evaluate(index: int, instance: ProblemInstance, rng: Optional[PcgStream]) -> EvalRecord:
         exemplar_ids = None
-        if mode == "zero":
+        if rng is None:
             messages = build_zero_shot_prompt(instance, profile)
         else:
-            prompt = build_few_shot_prompt(instance, exemplars, substream(eval_seed, index), profile)
+            prompt = build_few_shot_prompt(instance, exemplars, rng, profile)
             messages = prompt.messages
             exemplar_ids = prompt.exemplar_ids
         failed = False
@@ -169,7 +176,7 @@ def run_eval(
         )
 
     records: list[Optional[EvalRecord]] = [None] * len(dataset.instances)
-    todo = enumerate(dataset.instances)
+    todo = zip(itertools.count(), dataset.instances, streams)
     lock = threading.Lock()
     stop = threading.Event()
     errors: list[BaseException] = []

@@ -15,7 +15,7 @@ from .errors import CertificationError, InvalidConfigError
 from .formulas import COEFFICIENT_CHOICES, CONDITION_ORDERS, Formula, order_formulas, sample_formula
 from .jsonmap import from_json, omitted_when_none, to_json
 from .oracle import ANSWERABLE, UNANSWERABLE, verify_instance
-from .rng import PcgStream, substream
+from .rng import PcgStream, substream, substreams
 from .tree import ROOT, bfs_edges, build_tree, check_shape, sample_var_values
 from .wording import (
     QUESTION_PHRASINGS,
@@ -91,11 +91,17 @@ class ProblemInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
-        """`from_json` of a corpus line; the variant must be known, and metadata.config,
+        """`from_json` of a corpus line; the variant must be known, every formula
+        variable and the questioned one must be named in itemMap, and metadata.config,
         whose items group eval records, must be an object of JSON scalars."""
         if data["variant"] not in (ANSWERABLE, UNANSWERABLE):
             raise ValueError(f"unknown variant {data['variant']!r}")
         instance = from_json(cls, data)
+        used = {var for formula in instance.formulas for var in formula.variables()}
+        used.add(instance.questioned_var)
+        if not used <= instance.item_map.names.keys():
+            unnamed = ", ".join(map(str, sorted(used - instance.item_map.names.keys())))
+            raise ValueError(f"variables not in itemMap.names: {unnamed}")
         config = instance.metadata.get("config", {})
         if type(config) is not dict or not {list, dict}.isdisjoint(map(type, config.values())):
             raise TypeError(f"metadata.config must be an object of JSON scalars, got {json.dumps(config)}")
@@ -203,9 +209,8 @@ def generate_corpus(config: GenConfig) -> Dataset:
     """config.count certified pairs; per-index sub-seeds keep them independent."""
     vocab = load_vocabulary(config.dish_vocab, config.restaurant_vocab)
     instances: list[ProblemInstance] = []
-    for index in range(config.count):
-        pair = build_pair(config, index, substream(config.corpus_seed, index), vocab)
-        instances.extend(pair)
+    for index, rng in enumerate(substreams(config.corpus_seed, config.count)):
+        instances.extend(build_pair(config, index, rng, vocab))
     certification = {
         "instances": len(instances),
         "answerable": config.count,

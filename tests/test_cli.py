@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from pricetree import oracle
+from pricetree import cli, oracle
 from pricetree.cli import main
 from pricetree.corpus_io import read_dataset
 from pricetree.errors import DatasetParseError
+from pricetree.harness import scoring
+from pricetree.wording import Vocabulary
 
 
 @pytest.fixture
@@ -90,6 +92,17 @@ class TestGenerate:
         assert code == 1
         assert "count must be >= 1" in capsys.readouterr().err
         assert list(out_dir.glob("*")) == []
+
+    def test_preset_check_loads_each_vocabulary_once(self, tmp_path, monkeypatch):
+        loaded = []
+
+        def load(dish_path, restaurant_path):
+            loaded.append((dish_path, restaurant_path))
+            return Vocabulary.default()
+
+        monkeypatch.setattr(cli, "load_vocabulary", load)  # the check's loads; generation loads its own
+        assert main(["generate", "--preset", "table-main", "--out", str(tmp_path / "grid"), "--count", "1"]) == 0
+        assert loaded == [(None, None)]  # four cells, one vocabulary
 
     def test_preset_fails_before_writing_any_file(self, tmp_path, capsys):
         # fig-structure asks for 10 simple-named items; the built-in vocabulary has 9 dishes
@@ -197,6 +210,22 @@ class TestRender:
         assert not any("dollars" in line or "underdetermined" in line for line in tree)
         assert shown[-1].startswith("certification: FAILED (path solver: formulas are not a forest); component ")
 
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_formula_variable_missing_from_item_map_is_a_clean_error(
+        self, tmp_path, config_file, capsys, command
+    ):
+        # such a line used to pass verify and end render in a KeyError traceback
+        out = generate(tmp_path, config_file)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["formulas"].append({"kind": "rootValue", "var": 99, "value": 7})
+        lines[1] = json.dumps(record, ensure_ascii=False)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = {"verify": ["verify", "--in", str(out)], "render": ["render", "--in", str(out), "--id", record["id"]]}
+        capsys.readouterr()
+        assert main(argv[command]) == 1
+        assert capsys.readouterr().err == f"error: {out} line 2: variables not in itemMap.names: 99\n"
+
     def test_unknown_id(self, tmp_path, config_file, capsys):
         out = generate(tmp_path, config_file)
         assert main(["render", "--in", str(out), "--id", "nope"]) == 1
@@ -270,6 +299,30 @@ class TestEvalAndReport:
         )
         assert code == 1
         assert "pool contains the target's pair" in capsys.readouterr().err
+
+    def test_negative_seed_fails_before_any_request(self, tmp_path, config_file, profile_file, capsys, monkeypatch):
+        corpus = generate(tmp_path, config_file)
+        pool = tmp_path / "pool.jsonl"
+        assert main(["generate", "--config", str(config_file), "--out", str(pool), "--seed", "8"]) == 0
+        sent = []
+        monkeypatch.setattr(scoring, "query_model", lambda *args: sent.append(args))
+        out = tmp_path / "r.jsonl"
+        capsys.readouterr()
+        code = main(
+            [
+                "eval",
+                "--in", str(corpus),
+                "--profile", str(profile_file),
+                "--mode", "few",
+                "--pool", str(pool),
+                "--transport", "mock:gold",
+                "--seed", "-1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: evalSeed must be >= 0, got -1\n"
+        assert sent == [] and not out.exists()
 
     def test_pool_without_few_mode_fails_before_reading_files(self, tmp_path, profile_file, capsys):
         # neither input exists: the option clash is reported before either is opened

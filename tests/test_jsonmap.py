@@ -93,6 +93,17 @@ _DECODE_FAULTS = {
     "item restaurant missing": (lambda r: r["itemMap"]["names"]["1"].pop("restaurant"), "missing key 'restaurant'"),
     "itemMap composite": (lambda r: r["itemMap"].update(composite=1), "composite must be bool, got int"),
     "goldAnswer": (lambda r: r.update(goldAnswer="3"), "goldAnswer must be int, got str"),
+    "formula variable without a name": (
+        lambda r: r["formulas"].append({"kind": "rootValue", "var": 99, "value": 7}),
+        "variables not in itemMap.names: 99",
+    ),
+    "questionedVar without a name": (
+        lambda r: r.update(questionedVar=99), "variables not in itemMap.names: 99"
+    ),
+    "item names dropped": (
+        lambda r: (r["itemMap"]["names"].pop("1"), r["itemMap"]["names"].pop("3")),
+        "variables not in itemMap.names: 1, 3",
+    ),
     "first of two fields": (
         lambda r: (r.update(conditionSentences=[1]), _first_linear(r).update(rhs="3")),
         "conditionSentences must be str, got int",

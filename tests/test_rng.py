@@ -1,16 +1,26 @@
-"""`PcgStream.pick_each` draws exactly what one scalar draw per element would.
+"""Corpus bytes rest on two facts about the draw streams, tested here.
 
-Corpus bytes rest on this: each pipeline stage takes all of its draws in one
-`Generator.integers(bounds)` call, and must give the values, in the same
-order, of one `Generator.integers(bound)` call per decision.
+`substream` and `substreams` seed PCG64 exactly as numpy's
+``SeedSequence(seed, spawn_key=(index,))`` does.  And `PcgStream.pick_each`
+draws exactly what one scalar draw per element would: each pipeline stage
+takes all of its draws in one `Generator.integers(bounds)` call, and must
+give the values, in the same order, of one `Generator.integers(bound)` call
+per decision.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.random import PCG64, Generator, SeedSequence
 
+from pricetree import rng
 from pricetree.formulas import COEFFICIENT_CHOICES
-from pricetree.rng import PcgStream
+from pricetree.rng import PcgStream, SeedWords, substream, substreams
 from pricetree.tree import PRICE_MAX, PRICE_MIN, PRICES
 
 
@@ -57,3 +67,62 @@ def test_empty_batch_draws_nothing():
     stream, fresh = PcgStream.from_seed(4), PcgStream.from_seed(4)
     assert stream.pick_each([]) == []
     assert stream.pick_each([COEFFICIENT_CHOICES] * 3) == fresh.pick_each([COEFFICIENT_CHOICES] * 3)
+
+
+def numpy_state(seed: int, index: int) -> dict:
+    return Generator(PCG64(SeedSequence(seed, spawn_key=(index,)))).bit_generator.state
+
+
+def stream_state(stream: PcgStream) -> dict:
+    return stream._gen.bit_generator.state
+
+
+_SEEDS = st.integers(0, 2**128 - 1)
+# one spawn word, the last one, the first of two words and the first of three
+_INDICES = st.sampled_from([0, 2**32 - 1, 2**32, 2**64]) | st.integers(0, 2**70)
+
+
+@given(seed=_SEEDS, index=_INDICES)
+@example(seed=0, index=0)
+@example(seed=2**128 - 1, index=2**32 - 1)
+def test_substream_seeds_pcg64_as_numpy_does(seed, index):
+    assert stream_state(substream(seed, index)) == numpy_state(seed, index)
+
+
+@given(seed=_SEEDS, count=st.integers(0, 40))
+@example(seed=2**32, count=3)  # a seed of two words, padded to the pool size
+def test_substreams_seed_pcg64_as_numpy_does(seed, count):
+    states = [stream_state(stream) for stream in substreams(seed, count)]
+    assert states == [numpy_state(seed, index) for index in range(count)]
+
+
+@pytest.mark.parametrize("n_words, dtype", [(8, np.uint64), (4, np.uint32), (2, np.uint64)])
+def test_seed_words_serve_only_what_pcg64_asks_for(n_words, dtype):
+    words = SeedSequence(3).generate_state(4, np.uint64)
+    assert SeedWords(words).generate_state(4, np.uint64) is words
+    with pytest.raises(RuntimeError, match="seed words are 4 uint64"):
+        SeedWords(words).generate_state(n_words, dtype)
+
+
+def test_substreams_build_each_generator_when_it_is_taken(monkeypatch):
+    built = []
+    monkeypatch.setattr(rng, "Generator", lambda bit_generator: built.append(bit_generator) or bit_generator)
+    streams = substreams(5, 3)
+    assert isinstance(streams, Iterator) and not isinstance(streams, list)
+    assert built == []
+    next(streams)
+    assert len(built) == 1
+    assert len(list(streams)) == 2 and len(built) == 3
+
+
+@pytest.mark.parametrize("call", [lambda: substream(-1, 0), lambda: substream(0, -1), lambda: substreams(-1, 2)])
+def test_negative_seed_or_index_raises_as_seed_sequence_does(call):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        SeedSequence(-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        call()
+
+
+def test_count_above_2_to_the_32_raises():
+    with pytest.raises(ValueError, match=r"count must be in \[0, 2\*\*32\], got 4294967297"):
+        substreams(0, 2**32 + 1)
