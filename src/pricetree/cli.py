@@ -39,12 +39,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     }
     if args.preset:
         configs = preset(args.preset, **overrides)
-        vocabs = {}  # each distinct vocabulary is loaded once
         for config in configs:  # fail before the first file is written
-            source = (config.dish_vocab, config.restaurant_vocab)
-            if source not in vocabs:
-                vocabs[source] = load_vocabulary(*source)
-            check_vocabulary(vocabs[source], config.num_vars, config.composite_name)
+            vocab = load_vocabulary(config.dish_vocab, config.restaurant_vocab)
+            check_vocabulary(vocab, config.num_vars, config.composite_name)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -54,6 +54,8 @@ class GenConfig:
             raise InvalidConfigError(f"order must be one of {CONDITION_ORDERS}, got {self.order!r}")
         if self.count < 1:
             raise InvalidConfigError(f"count must be >= 1, got {self.count}")
+        if self.count > 2**32:  # each pair's index is one uint32 spawn word (rng.substreams)
+            raise InvalidConfigError(f"count must be <= 2**32, got {self.count}")
         if self.corpus_seed < 0:
             raise InvalidConfigError(f"corpusSeed must be >= 0, got {self.corpus_seed}")
         if self.question_phrasing not in QUESTION_PHRASINGS:

@@ -12,15 +12,15 @@ consumption order of one draw per decision, so the values are the same
 as drawing them one at a time.
 
 The stream of index ``i`` under seed ``s`` is
-``Generator(PCG64(SeedSequence(s, spawn_key=(i,))))``.  PCG64 reads only the
-four ``uint64`` words of that SeedSequence's ``generate_state``, and the
-SeedSequence hash mixes with constants that do not depend on the data
-(NumPy NEP 19).  So :func:`substreams` computes numpy's own SeedSequence
-words for every index in one pass of ``uint32`` array arithmetic, and seeds
-each PCG64 from its row; :func:`substream` runs the same derivation on the
-words of one index.  Nothing compares them with numpy at run time: the byte
-contract rests on the test that they give numpy's PCG64 states for drawn
-seeds and indices (``tests/test_rng.py``).
+``Generator(PCG64(SeedSequence(s, spawn_key=(i,))))``; :func:`substream`
+builds it so.  PCG64 reads only the four ``uint64`` words of that
+SeedSequence's ``generate_state``, and the SeedSequence hash mixes with
+constants that do not depend on the data (NumPy NEP 19).  So
+:func:`substreams` computes numpy's own SeedSequence words for every index
+in one pass of ``uint32`` array arithmetic, and seeds each PCG64 from its
+row.  Nothing compares them with numpy at run time: the byte contract
+rests on the test that they give numpy's PCG64 states for drawn seeds and
+counts (``tests/test_rng.py``).
 """
 
 from __future__ import annotations
@@ -119,15 +119,14 @@ def _mix(x: Word, y: Word) -> Word:
     return result ^ result >> 16
 
 
-def _seed_words(seed: int, spawn: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` for each index i.
+def _seed_words(seed: int, count: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` for each i < count.
 
-    Row r of the uint32 array `spawn` holds the words of one index, low word
-    first.  Returns one row of 4 uint64 words per index.
+    Returns one row of 4 uint64 words per index.
     """
     entropy = _uint32_words(seed)
     entropy += [0] * (_POOL_SIZE - len(entropy))  # a spawned SeedSequence pads its seed to the pool size
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (len(entropy) + spawn.shape[1]))
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (len(entropy) + 1))
     pool = [_hashmix(word, consts[k], consts[k + 1]) for k, word in enumerate(entropy[:_POOL_SIZE])]
     k = _POOL_SIZE
     for src in range(_POOL_SIZE):
@@ -139,7 +138,7 @@ def _seed_words(seed: int, spawn: np.ndarray) -> np.ndarray:
     # becomes a (4, n) array, one column per index, and takes a word in 4 calls at once.
     column = np.array(consts, dtype=np.uint32)[:, None]
     pool = np.array(pool, dtype=np.uint32)[:, None]
-    for word in [*entropy[_POOL_SIZE:], *spawn.T]:
+    for word in [*entropy[_POOL_SIZE:], np.arange(count, dtype=np.uint32)]:  # the last is the spawn key
         pool = _mix(pool, _hashmix(word, column[k : k + _POOL_SIZE], column[k + 1 : k + _POOL_SIZE + 1]))
         k += _POOL_SIZE
     state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_CONSTS[:-1], _OUT_CONSTS[1:])  # 8 words per index
@@ -150,11 +149,11 @@ def _seed_words(seed: int, spawn: np.ndarray) -> np.ndarray:
 def substream(corpus_seed: int, index: int) -> PcgStream:
     """The sub-stream owned by instance pair `index` of a corpus.
 
-    It is that of ``SeedSequence(corpus_seed, spawn_key=(index,))``, so pairs
-    can be generated in any order, or concurrently, with identical results.
+    Built directly from ``SeedSequence(corpus_seed, spawn_key=(index,))`` so
+    pairs can be generated in any order, or concurrently, with identical
+    results.
     """
-    (words,) = _seed_words(corpus_seed, np.array([_uint32_words(index)], dtype=np.uint32))
-    return PcgStream(SeedWords(words))
+    return PcgStream(SeedSequence(entropy=corpus_seed, spawn_key=(index,)))
 
 
 def substreams(seed: int, count: int) -> Iterator[PcgStream]:
@@ -165,5 +164,4 @@ def substreams(seed: int, count: int) -> Iterator[PcgStream]:
     """
     if not 0 <= count <= 2**32:  # each index is one uint32 spawn word
         raise ValueError(f"count must be in [0, 2**32], got {count}")
-    rows = _seed_words(seed, np.arange(count, dtype=np.uint32)[:, None])
-    return (PcgStream(SeedWords(words)) for words in rows)
+    return (PcgStream(SeedWords(words)) for words in _seed_words(seed, count))

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from pricetree import cli, oracle
+from pricetree import oracle
 from pricetree.cli import main
 from pricetree.corpus_io import read_dataset
 from pricetree.errors import DatasetParseError
 from pricetree.harness import scoring
-from pricetree.wording import Vocabulary
 
 
 @pytest.fixture
@@ -93,16 +92,11 @@ class TestGenerate:
         assert "count must be >= 1" in capsys.readouterr().err
         assert list(out_dir.glob("*")) == []
 
-    def test_preset_check_loads_each_vocabulary_once(self, tmp_path, monkeypatch):
-        loaded = []
-
-        def load(dish_path, restaurant_path):
-            loaded.append((dish_path, restaurant_path))
-            return Vocabulary.default()
-
-        monkeypatch.setattr(cli, "load_vocabulary", load)  # the check's loads; generation loads its own
-        assert main(["generate", "--preset", "table-main", "--out", str(tmp_path / "grid"), "--count", "1"]) == 0
-        assert loaded == [(None, None)]  # four cells, one vocabulary
+    def test_count_above_2_to_the_32_is_a_clean_error(self, tmp_path, config_file, capsys):
+        out = tmp_path / "c.jsonl"
+        assert main(["generate", "--config", str(config_file), "--out", str(out), "--count", str(2**32 + 1)]) == 1
+        assert capsys.readouterr().err == "error: count must be <= 2**32, got 4294967297\n"
+        assert not out.exists()
 
     def test_preset_fails_before_writing_any_file(self, tmp_path, capsys):
         # fig-structure asks for 10 simple-named items; the built-in vocabulary has 9 dishes

@@ -190,7 +190,7 @@ _configs = st.builds(
     ans_depth=st.just(3),
     cut_depth=st.just(1),
     composite_name=st.booleans(),
-    count=st.integers(min_value=1),
+    count=st.integers(min_value=1, max_value=2**32),
     corpus_seed=st.integers(min_value=0),
     dish_vocab=st.none() | _texts,
     restaurant_vocab=st.none() | _texts,

@@ -77,7 +77,7 @@ def stream_state(stream: PcgStream) -> dict:
     return stream._gen.bit_generator.state
 
 
-_SEEDS = st.integers(0, 2**128 - 1)
+_SEEDS = st.integers(0, 2**256)  # past the 4-word pool, later seed words are hashed one by one
 # one spawn word, the last one, the first of two words and the first of three
 _INDICES = st.sampled_from([0, 2**32 - 1, 2**32, 2**64]) | st.integers(0, 2**70)
 
@@ -85,12 +85,14 @@ _INDICES = st.sampled_from([0, 2**32 - 1, 2**32, 2**64]) | st.integers(0, 2**70)
 @given(seed=_SEEDS, index=_INDICES)
 @example(seed=0, index=0)
 @example(seed=2**128 - 1, index=2**32 - 1)
+@example(seed=2**128, index=0)
 def test_substream_seeds_pcg64_as_numpy_does(seed, index):
     assert stream_state(substream(seed, index)) == numpy_state(seed, index)
 
 
 @given(seed=_SEEDS, count=st.integers(0, 40))
 @example(seed=2**32, count=3)  # a seed of two words, padded to the pool size
+@example(seed=2**128, count=3)  # a seed of five words, one past the pool
 def test_substreams_seed_pcg64_as_numpy_does(seed, count):
     states = [stream_state(stream) for stream in substreams(seed, count)]
     assert states == [numpy_state(seed, index) for index in range(count)]
