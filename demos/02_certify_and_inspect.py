@@ -3,12 +3,23 @@
 
 The pipeline already refuses to emit uncertified instances; this demo runs
 the same oracle again from the outside, the way `pricetree verify` does,
-and inspects the component structure of the unanswerable variants.
+and inspects the component structure of the unanswerable variants.  The
+questioned variable's component comes from the root walk: every variable
+whose walk ends where the questioned one's does.
 """
 
 from collections import Counter
 
-from pricetree import GenConfig, constraint_component, generate_corpus, verify_instance
+from pricetree import GenConfig, generate_corpus, solve_all, verify_instance
+
+
+def questioned_component(instance):
+    """The questioned variable's component, and the number of formulas defining its variables."""
+    _, ends = solve_all(instance.formulas)
+    end = ends[instance.questioned_var]
+    component = {v for v, e in ends.items() if e == end}
+    return component, sum(f.child_var in component for f in instance.formulas)
+
 
 config = GenConfig(
     num_vars=9,
@@ -30,7 +41,7 @@ for instance in dataset.instances:
     verdicts[(instance.variant, report.determination.kind)] += 1
     if instance.variant == "unanswerable":
         # m variables held together by m-1 equations: underdetermined by counting
-        component, equations = constraint_component(list(instance.formulas), instance.questioned_var)
+        component, equations = questioned_component(instance)
         assert equations == len(component) - 1
         component_sizes[len(component)] += 1
 
@@ -44,7 +55,7 @@ for size, n in sorted(component_sizes.items()):
 
 # drill into one unanswerable instance
 instance = next(i for i in dataset.instances if i.variant == "unanswerable")
-component, equations = constraint_component(list(instance.formulas), instance.questioned_var)
+component, equations = questioned_component(instance)
 names = {v: instance.item_map.names[v].display for v in sorted(component)}
 print(f"\nexample: {instance.id}")
 print(f"  questioned: x{instance.questioned_var} ({names[instance.questioned_var]})")

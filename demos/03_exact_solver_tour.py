@@ -4,8 +4,8 @@
 Everything is exact integer/fraction arithmetic; verdicts are per target
 variable, so one system can pin some prices while leaving others open.
 `solve_exact` eliminates; `solve_all` walks each variable up to the root
-and prices all of them at once (None: underdetermined), as long as the
-formulas form a forest.
+and prices all of them at once (None: underdetermined), with the variable
+each walk ended at, as long as the formulas form a forest.
 """
 
 from pricetree import Linear, RootValue, solve_all, solve_exact
@@ -18,13 +18,13 @@ chain = [
 ]
 for target in (1, 2, 3):
     print(f"chain, x{target}: {solve_exact(chain, target)}")
-print(f"root walk, every price: {solve_all(chain)}")
+print(f"root walk, (every price, every walk end): {solve_all(chain)}")
 
 # drop the middle relation: x2 and x3 strand together
 cut = [chain[0], chain[2]]
 print(f"\nafter the cut, x3: {solve_exact(cut, 3)}")
 print(f"after the cut, x1: {solve_exact(cut, 1)}  (still pinned)")
-print(f"root walk after the cut: {solve_all(cut)}")
+print(f"root walk after the cut: {solve_all(cut)}  (x2 and x3 end at x2)")
 
 # contradictory statements
 broken = [RootValue(1, 5), RootValue(1, 6)]

@@ -19,7 +19,6 @@ from .formulas import Formula, Linear, RootValue
 from .oracle import (
     Determination,
     VerificationReport,
-    constraint_component,
     solve_all,
     solve_exact,
     verify_instance,
@@ -56,7 +55,6 @@ __all__ = [
     "bfs_edges",
     "build_tree",
     "cell_label",
-    "constraint_component",
     "generate_corpus",
     "generate_pair",
     "load_gen_config",

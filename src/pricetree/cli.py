@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .corpus_io import load_gen_config, read_dataset, write_dataset
 from .errors import InvalidConfigError, PricetreeError
@@ -19,7 +20,7 @@ from .harness.prompts import load_profile
 from .harness.report import format_text_table, write_report
 from .harness.scoring import read_records, run_eval, write_records
 from .harness.transport import make_transport
-from .oracle import UNDERDETERMINED, constraint_component, solve_all, verify_instance
+from .oracle import UNDERDETERMINED, solve_all, verify_instance
 from .pipeline import (
     PRESET_NAMES,
     ProblemInstance,
@@ -78,9 +79,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures or path_disagreements else 0
 
 
-def _render_tree(instance: ProblemInstance) -> list[str]:
+def _render_tree(instance: ProblemInstance, prices: Optional[dict]) -> list[str]:
+    """The formula tree from the root, each node with the walk's price; no verdicts when prices is None."""
     children = children_by_parent(formula_edges(instance.formulas))
-    prices = solve_all(instance.formulas)  # None when not a forest: then no node gets a verdict
 
     def describe(var: int) -> str:
         name = instance.item_map.names[var].display
@@ -126,15 +127,22 @@ def _cmd_render(args: argparse.Namespace) -> int:
     print()
     print(instance.full_text)
     print()
-    print("\n".join(_render_tree(instance)))
+    prices, ends = solve_all(instance.formulas) or (None, None)  # None when the formulas are not a forest
+    print("\n".join(_render_tree(instance, prices)))
     print()
     if instance.gold_answer is not None:
         print(f"gold answer: {instance.gold_answer}")
     print(f"gold solution: {instance.gold_solution_text}")
     report = verify_instance(instance)
     status = "confirmed" if report.label_confirmed else f"FAILED ({report.failure})"
-    component, equations = constraint_component(instance.formulas, instance.questioned_var)
-    print(f"certification: {status}; component {len(component)} variables / {equations} formulas")
+    if ends is None:
+        print(f"certification: {status}")
+    else:
+        questioned = instance.questioned_var
+        end = ends.get(questioned, questioned)  # a variable in no formula is its own component
+        component = {questioned, *(v for v, e in ends.items() if e == end)}
+        equations = sum(f.child_var in component for f in instance.formulas)
+        print(f"certification: {status}; component {len(component)} variables / {equations} formulas")
     return 0 if report.label_confirmed else 1
 
 

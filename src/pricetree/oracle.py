@@ -4,8 +4,11 @@ Two independent solvers: an integer elimination over rows of at most two
 variables (total on any formula list), and a walk from each variable up its
 child -> parent links (total on any forest, which every generated variant
 is).  The walk keeps exact integers and falls back to a ``Fraction`` when a
-division is not exact.  Certification cross-checks them and the stated
-label on both variants; nothing here ever touches floating point.
+division is not exact, and records where each variable's walk ended: the
+questioned variable's component, which the unanswerable gold text and
+``render`` count, is every variable whose walk ends where its own does.
+Certification cross-checks the two solvers and the stated label on both
+variants; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .formulas import Formula, Linear, RootValue
+from .formulas import Formula, RootValue
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import ProblemInstance
@@ -183,43 +186,38 @@ def solve_exact(formulas: Sequence[Formula], target_var: int) -> Determination:
     return Determination.unique(Fraction(b, a))
 
 
-def exact_quotient(num: int | Fraction, den: int) -> int | Fraction:
-    """``num / den`` as an int when it divides exactly, else as a Fraction."""
-    if type(num) is int:
-        q, r = divmod(num, den)
-        if not r:
-            return q
-    return Fraction(num, den)
-
-
 _OPEN = object()  # marks a variable whose walk is under way, so meeting it again closes a cycle
 
 
-def solve_all(formulas: Sequence[Formula]) -> Optional[dict[int, int | Fraction | None]]:
-    """Every named variable's price from one memoised walk up the child -> parent links.
+def solve_all(
+    formulas: Sequence[Formula],
+) -> Optional[tuple[dict[int, int | Fraction | None], dict[int, int]]]:
+    """Every named variable's price and walk end, from one memoised walk up the child -> parent links.
 
     A walk that ends at a direct value gives an exact price, kept an int while
     every quotient is exact; one that ends at a variable no formula defines
-    gives None, underdetermined.  The result is None when the formulas are not
-    a forest: a variable is the child of two formulas, a walk meets a cycle
-    (a self-relation included), or a coefficient is 0.  On a forest every
-    formula pins its child given its parent, so the system is consistent and
-    no elimination is needed.
+    gives None, underdetermined.  The second map takes each variable to the
+    variable its walk ended at, so on a forest a variable's component is every
+    variable whose walk ends at the same place.  The result is None when the
+    formulas are not a forest: a variable is the child of two formulas, a walk
+    meets a cycle (a self-relation included), or a coefficient is 0.  On a
+    forest every formula pins its child given its parent, so the system is
+    consistent and no elimination is needed.
     """
     defining = {f.child_var: f for f in formulas}
     if len(defining) < len(formulas):
         return None
     prices: dict = {}
+    ends: dict[int, int] = {}
     for var in defining:
         if var in prices:
             continue
         walk = []  # the Linear formulas met, from the start upwards
         while var not in prices:
             f = defining.get(var)
-            if f is None:
-                prices[var] = None
-            elif type(f) is RootValue:
-                prices[var] = f.value
+            if f is None or type(f) is RootValue:
+                prices[var] = None if f is None else f.value
+                ends[var] = var
             elif not (f.parent_coeff and f.child_coeff):
                 return None
             else:
@@ -229,55 +227,25 @@ def solve_all(formulas: Sequence[Formula]) -> Optional[dict[int, int | Fraction 
         price = prices[var]
         if price is _OPEN:
             return None
+        end = ends[var]
         for f in reversed(walk):
-            if price is not None:
-                price = exact_quotient(f.rhs - f.parent_coeff * price, f.child_coeff)
+            if price is not None:  # an int while the quotient is exact, else a Fraction
+                num, den = f.rhs - f.parent_coeff * price, f.child_coeff
+                price = num // den if type(num) is int and not num % den else Fraction(num, den)
             prices[f.child] = price
-    return prices
-
-
-def constraint_component(formulas: Sequence[Formula], target_var: int) -> tuple[set[int], int]:
-    """Variables connected to the target, and the formulas touching them.
-
-    Union-find over formula incidence: a two-variable formula joins its
-    endpoints, a direct value formula only touches its own variable.
-    """
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for f in formulas:
-        if isinstance(f, Linear):
-            union(f.parent, f.child)
-        else:
-            find(f.var)
-    find(target_var)
-
-    root = find(target_var)
-    component = {v for v in parent if find(v) == root}
-    equations = sum(1 for f in formulas if find(f.child_var) == root)
-    return component, equations
+            ends[f.child] = end
+    return prices, ends
 
 
 def verify_instance(instance: "ProblemInstance") -> VerificationReport:
     """Certify one instance's label by elimination and by root walk; mismatches are reported, never fixed."""
     target = instance.questioned_var
     det = solve_exact(instance.formulas, target)
-    prices = solve_all(instance.formulas)
-    walked = None  # the root walk's verdict on the target, None when the formulas are not a forest
-    if prices is not None:
-        price = prices.get(target)
-        walked = Determination.underdetermined() if price is None else Determination.unique(price)
+    walked = solve_all(instance.formulas)
+    verdict = None  # the root walk's verdict on the target, None when the formulas are not a forest
+    if walked is not None:
+        price = walked[0].get(target)
+        verdict = Determination.underdetermined() if price is None else Determination.unique(price)
 
     failure = None
     if instance.variant == ANSWERABLE:
@@ -290,14 +258,14 @@ def verify_instance(instance: "ProblemInstance") -> VerificationReport:
             failure = f"label unanswerable but oracle says {det.kind}"
     else:
         failure = f"unknown variant {instance.variant!r}"
-    if failure is None and walked is None:
+    if failure is None and verdict is None:
         failure = "path solver: formulas are not a forest"
-    elif failure is None and walked != det:
+    elif failure is None and verdict != det:
         failure = "path solver disagrees with elimination"
 
     return VerificationReport(
         determination=det,
-        path_solver_agrees=walked == det,
+        path_solver_agrees=verdict == det,
         label_confirmed=failure is None,
         failure=failure,
     )

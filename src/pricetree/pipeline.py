@@ -93,12 +93,21 @@ class ProblemInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
-        """`from_json` of a corpus line; the variant must be known, every formula
-        variable and the questioned one must be named in itemMap, and metadata.config,
-        whose items group eval records, must be an object of JSON scalars."""
+        """`from_json` of a corpus line; the variant must be known, the id must be
+        pairId-variant, goldAnswer must be present exactly when the variant is
+        answerable, every formula variable and the questioned one must be named in
+        itemMap, and metadata.config, whose items group eval records, must be an
+        object of JSON scalars."""
         if data["variant"] not in (ANSWERABLE, UNANSWERABLE):
             raise ValueError(f"unknown variant {data['variant']!r}")
         instance = from_json(cls, data)
+        if instance.id != f"{instance.pair_id}-{instance.variant}":
+            raise ValueError(f"id must be pairId-variant {instance.pair_id}-{instance.variant}, got {instance.id!r}")
+        if (instance.gold_answer is None) == (instance.variant == ANSWERABLE):
+            raise ValueError(
+                f"{instance.variant} line has goldAnswer {instance.gold_answer}; "
+                "it must be present exactly when the variant is answerable"
+            )
         used = {var for formula in instance.formulas for var in formula.variables()}
         used.add(instance.questioned_var)
         if not used <= instance.item_map.names.keys():

@@ -2,8 +2,10 @@
 
 Variables are mapped injectively to display names (optionally composite,
 "<dish> at <restaurant>"), formulas become one sentence each via fixed
-templates, and gold solutions are rendered as either a spine-walk narrative
-(answerable) or an information-count argument (unanswerable).
+templates, and gold solutions are rendered from one root walk
+(`oracle.solve_all`) as either a spine-walk narrative (answerable) or an
+information-count argument over the questioned variable's component
+(unanswerable).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 from .errors import CertificationError, InvalidConfigError
 from .formulas import Formula, Linear, RootValue
 from .jsonmap import nonblank_lines, read_lines
-from .oracle import constraint_component, exact_quotient
+from .oracle import solve_all
 from .rng import PcgStream
 
 # ---------------------------------------------------------------------------
@@ -278,55 +280,42 @@ def _join_names(names: list[str]) -> str:
     return ", ".join(names[:-1]) + " and " + names[-1]
 
 
-def render_answerable_solution(
+def render_gold_solution(
     formulas: Sequence[Formula],
     sentences: Sequence[str],
     items: ItemMap,
     questioned_var: int,
+    answerable: bool,
 ) -> str:
-    """Spine-walk narrative: restate each spine fact and the price it yields."""
-    by_child = {f.child_var: (f, s) for f, s in zip(formulas, sentences)}
+    """The gold text for the label, from one root walk; `oracle.verify_instance` certifies the label.
 
-    chain: list[tuple[Formula, str]] = []
-    var = questioned_var
-    while True:
-        f, sentence = by_child[var]
-        chain.append((f, sentence))
-        if isinstance(f, RootValue):
-            break
-        var = f.parent
-    chain.reverse()
+    Answerable: restate each spine fact from the direct value down, with the
+    price it yields.  Unanswerable: count the facts left about the
+    questioned variable's component.
+    """
+    walked = solve_all(formulas)
+    if walked is None:
+        raise CertificationError("gold solution: formulas are not a forest")
+    prices, ends = walked
+    end = ends.get(questioned_var, questioned_var)  # a variable in no formula is its own component
+    if answerable:
+        by_child = {f.child_var: (f, s) for f, s in zip(formulas, sentences)}
+        parts = []
+        var = questioned_var
+        while var != end:
+            f, sentence = by_child[var]
+            # str() gives the same digits for an int and an integral Fraction
+            parts.append(
+                f"Combine with the fact that {_lowercase_first(sentence)}, "
+                f"we get {_quantity(1, items.names[var])} costs {prices[var]!s} dollars."
+            )
+            var = f.parent
+        parts.append(f"It is given as a fact that {_lowercase_first(by_child[end][1])}.")
+        return " ".join(reversed(parts))
 
-    root, sentence = chain[0]
-    assert isinstance(root, RootValue)
-    value = root.value
-    parts = [f"It is given as a fact that {_lowercase_first(sentence)}."]
-    for f, sentence in chain[1:]:
-        assert isinstance(f, Linear)
-        value = exact_quotient(f.rhs - f.parent_coeff * value, f.child_coeff)
-        item = items.names[f.child]
-        # str() gives the same digits for an int and an integral Fraction
-        parts.append(
-            f"Combine with the fact that {_lowercase_first(sentence)}, "
-            f"we get {_quantity(1, item)} costs {value!s} dollars."
-        )
-    return " ".join(parts)
-
-
-def render_unanswerable_solution(
-    formulas: Sequence[Formula],
-    sentences: Sequence[str],
-    items: ItemMap,
-    questioned_var: int,
-) -> str:
-    """Count the facts left about the questioned variable's component."""
-    component, _ = constraint_component(formulas, questioned_var)
+    component = {questioned_var, *(v for v, e in ends.items() if e == end)}
     names = [items.names[v].display for v in sorted(component, reverse=True)]
-    facts = [
-        _lowercase_first(s)
-        for f, s in zip(formulas, sentences)
-        if f.child_var in component
-    ]
+    facts = [_lowercase_first(s) for f, s in zip(formulas, sentences) if f.child_var in component]
     formula_word = "linear formula" if len(facts) == 1 else "linear formulas"
     target = items.names[questioned_var]
     return (
@@ -335,16 +324,3 @@ def render_unanswerable_solution(
         f"There are {len(component)} variables but only {len(facts)} {formula_word}, "
         f"so we cannot calculate the price of {_quantity(1, target)}."
     )
-
-
-def render_gold_solution(
-    formulas: Sequence[Formula],
-    sentences: Sequence[str],
-    items: ItemMap,
-    questioned_var: int,
-    answerable: bool,
-) -> str:
-    """Dispatch on the label; `oracle.verify_instance` certifies it."""
-    if answerable:
-        return render_answerable_solution(formulas, sentences, items, questioned_var)
-    return render_unanswerable_solution(formulas, sentences, items, questioned_var)

@@ -22,12 +22,13 @@ from pricetree.formulas import Linear
 from pricetree.harness.report import aggregate, format_rate
 from pricetree.harness.scoring import extract_answer, read_records
 from pricetree.jsonmap import to_json
-from pricetree.oracle import constraint_component, verify_instance
+from pricetree.oracle import verify_instance
 from pricetree.pipeline import GenConfig, generate_corpus, generate_pair, preset
 from pricetree.wording import _template_form
 
 import reference_pair
 import sentence_parser
+from test_properties import cut_subtree, walk_component
 
 DATA_DIR = Path(__file__).parent / "data"
 EXTRA_DISHES = str(DATA_DIR / "extra_dishes.txt")
@@ -117,10 +118,8 @@ def sweep() -> SweepStats:
             else:
                 if report.determination.kind == "underdetermined":
                     stats.unanswerable_underdetermined += 1
-                component, equations = constraint_component(
-                    list(instance.formulas), instance.questioned_var
-                )
-                if equations == len(component) - 1:
+                component, equations = walk_component(instance.formulas, instance.questioned_var)
+                if component == cut_subtree(instance) and equations == len(component) - 1:
                     stats.component_law_holds += 1
     stats.elapsed = time.perf_counter() - start
     return stats
@@ -150,8 +149,8 @@ def test_criterion_2_solver_equivalence(sweep: SweepStats):
 def test_criterion_3_component_count_law(sweep: SweepStats):
     assert sweep.component_law_holds == sweep.pairs
     print(
-        f"PASS criterion 3: equations = variables - 1 held for the questioned "
-        f"component of all {sweep.pairs} unanswerable instances"
+        f"PASS criterion 3: the root walk's questioned component was the cut child's "
+        f"subtree, with equations = variables - 1, in all {sweep.pairs} unanswerable instances"
     )
 
 
@@ -165,8 +164,8 @@ def test_criterion_4_reference_pair_reconstruction():
     assert answerable.gold_solution_text == reference_pair.ANSWERABLE_SOLUTION
     assert unanswerable.gold_solution_text == reference_pair.UNANSWERABLE_SOLUTION
     assert verify_instance(unanswerable).label_confirmed
-    component, equations = constraint_component(list(unanswerable.formulas), unanswerable.questioned_var)
-    assert len(component) == 2 and equations == 1
+    component, equations = walk_component(unanswerable.formulas, unanswerable.questioned_var)
+    assert component == cut_subtree(unanswerable) == {2, 3} and equations == 1
     print(
         "PASS criterion 4: pinned seed fixture reproduced the reference pair "
         "byte-for-byte (texts, struck sentence, gold 11, both solutions)"

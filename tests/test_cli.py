@@ -137,6 +137,7 @@ class TestVerify:
         lines = out.read_text().splitlines()
         record = json.loads(lines[1])
         record["variant"] = "unanswerable"
+        record["id"] = record["id"].replace("-answerable", "-unanswerable")
         del record["goldAnswer"]
         lines[1] = json.dumps(record, ensure_ascii=False)
         out.write_text("\n".join(lines) + "\n")
@@ -146,13 +147,16 @@ class TestVerify:
         out = generate(tmp_path, config_file)
 
         def every_price_minus_one(formulas):  # agrees with neither variant's label
-            return {v: Fraction(-1) for f in formulas for v in f.variables()}
+            named = {v for f in formulas for v in f.variables()}
+            return {v: Fraction(-1) for v in named}, {v: v for v in named}
 
         monkeypatch.setattr(oracle, "solve_all", every_price_minus_one)
         assert main(["verify", "--in", str(out)]) == 1
         assert "certified 0/8 instances (0 label failures, 8 solver disagreements)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("field", ["parentCoeff", "itemMap key", "questionedVar", "conditionSentences"])
+    @pytest.mark.parametrize(
+        "field", ["parentCoeff", "itemMap key", "questionedVar", "conditionSentences", "goldAnswer", "id"]
+    )
     def test_mistyped_corpus_field_names_the_line(self, tmp_path, config_file, capsys, field):
         # line 3 is an unanswerable instance, which a mistyped questionedVar used to leave certified
         out = generate(tmp_path, config_file)
@@ -167,6 +171,10 @@ class TestVerify:
             names["one"] = names.pop("1")
         elif field == "questionedVar":
             record["questionedVar"] = str(record["questionedVar"])
+        elif field == "goldAnswer":  # such a line used to pass verify, and render printed the 7
+            record["goldAnswer"] = 7
+        elif field == "id":
+            record["id"] = record["pairId"] + "-answerable"
         else:
             record["conditionSentences"] = "abc"
         lines[2] = json.dumps(record, ensure_ascii=False)
@@ -202,7 +210,27 @@ class TestRender:
         tree = shown[shown.index("root") : shown.index("root") + len(record["formulas"]) + 1]
         assert all(line.endswith(("no verdict", "no verdict  <- questioned")) for line in tree[1:]), tree
         assert not any("dollars" in line or "underdetermined" in line for line in tree)
-        assert shown[-1].startswith("certification: FAILED (path solver: formulas are not a forest); component ")
+        assert shown[-1] == "certification: FAILED (path solver: formulas are not a forest)"
+
+    def test_questioned_variable_in_no_formula_is_its_own_component(self, tmp_path, config_file, capsys):
+        # the root walk has no end for a variable that no formula names
+        out = generate(tmp_path, config_file)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[3])
+        assert record["variant"] == "answerable"
+        questioned = record["questionedVar"]
+        record["formulas"] = [f for f in record["formulas"] if f.get("child") != questioned]
+        assert not any(questioned in (f.get("var"), f.get("parent")) for f in record["formulas"])  # a leaf
+        lines[3] = json.dumps(record, ensure_ascii=False)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["render", "--in", str(out), "--id", record["id"]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == (
+            "certification: FAILED (label answerable but oracle says underdetermined); "
+            "component 1 variables / 0 formulas"
+        )
 
     @pytest.mark.parametrize("command", ["verify", "render"])
     def test_formula_variable_missing_from_item_map_is_a_clean_error(

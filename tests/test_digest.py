@@ -1,7 +1,8 @@
-"""Byte pins: corpus, eval-record and report files and prompt texts are a pure function of (config, seed).
+"""Byte pins: corpus, eval-record and report files, prompt texts and `render` output.
 
-A refactor must leave these digests unchanged.  Only a deliberate format
-change, which also bumps SCHEMA_VERSION, may re-pin them.
+Each is a pure function of (config, seed).  A refactor must leave these
+digests unchanged.  Only a deliberate format change, which also bumps
+SCHEMA_VERSION, may re-pin them.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import replace
+
+from pricetree.cli import main
 
 from pricetree.corpus_io import SCHEMA_VERSION, dataset_from_lines, dataset_to_lines, write_dataset
 from pricetree.formulas import CONDITION_ORDERS
@@ -26,6 +29,7 @@ CORPUS_SHA256 = "10101f603fb8b9fb64d5a7589d703726332fd2272b2ee174a685796f92ba933
 RECORDS_SHA256 = "c7fe98782549996e1b6b2cbdfa5725791c5ded77053e43a41d442a1ef71e48b3"
 METRICS_SHA256 = "538184bb5e1fa5e206bf0a41e009879ce52e58f2b1c45c962f3f450e77feedcb"
 METRICS_TXT_SHA256 = "3b20d38df4a065ba5673001ea6d561cf4b21fe0060673447c83d592c441957ca"
+RENDER_SHA256 = "a60513543a4eedfa7681d5fc08c49ea5658d43bf067601038a2ab3251105d6f7"
 PROMPTS_SHA256 = "02f9b7e41d03460ea99f75f0be6aff52dd3a3f3fe6796a20777033bf32d71330"
 SERIES_SHA256 = {
     "by_structure.csv": "b7dc80e67052aabcd3a173b4040a1c8c8dd2d60a48b42b3a53218656955900f3",
@@ -139,3 +143,16 @@ def test_prompt_texts_are_pinned():
                 digest.update(b"\1")
             digest.update(("\0".join(few.exemplar_ids) + "\1").encode("utf-8"))
     assert digest.hexdigest() == PROMPTS_SHA256
+
+
+def test_render_output_is_pinned(tmp_path, capsys):
+    # every 40th grid cell and the two 45-variable ones; both variants of each first pair
+    grid = digest_grid()
+    digest = hashlib.sha256()
+    path = tmp_path / "corpus.jsonl"
+    for config in grid[::40] + grid[-2:]:
+        write_dataset(generate_corpus(replace(config, count=1)), path)
+        for variant in ("answerable", "unanswerable"):
+            assert main(["render", "--in", str(path), "--id", f"s{config.corpus_seed}-p000000-{variant}"]) == 0
+            digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == RENDER_SHA256

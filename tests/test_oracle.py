@@ -10,7 +10,6 @@ import pytest
 from pricetree.formulas import Linear, RootValue
 from pricetree.oracle import (
     Determination,
-    constraint_component,
     solve_all,
     solve_exact,
     verify_instance,
@@ -19,7 +18,7 @@ from pricetree.pipeline import generate_pair
 
 import reference_pair
 from factories import make_config
-from test_properties import dense_rref, walk_verdict
+from test_properties import cut_subtree, dense_rref, walk_component, walk_verdict
 
 
 def reference_formulas():
@@ -147,12 +146,14 @@ class TestTwoVariableRows:
             a, b = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-3, -2, -1, 1, 2, 3))
             formulas.append(Linear(child - 1, child, a, b, a * hidden[child - 1] + b * hidden[child]))
         shuffled = rng.sample(formulas, len(formulas))
-        prices = solve_all(shuffled)  # walks far deeper than the recursion limit
+        prices, _ = solve_all(shuffled)  # walks far deeper than the recursion limit
         assert prices == dict(enumerate(hidden[1:], start=1))
         for target in (3000, 1500, 1):
             assert solve_exact(shuffled, target) == Determination.unique(prices[target])
         cut = [f for f in shuffled if f.child_var != 1200]
-        assert solve_all(cut)[3000] is None and solve_all(cut)[1000] == hidden[1000]
+        cut_prices, ends = solve_all(cut)
+        assert cut_prices[3000] is None and cut_prices[1000] == hidden[1000]
+        assert ends[3000] == ends[1200] == 1200 and ends[1000] == 1
         assert solve_exact(cut, 3000) == Determination.underdetermined()
         assert solve_exact(cut, 1000) == Determination.unique(Fraction(hidden[1000]))
 
@@ -168,16 +169,17 @@ NOT_FORESTS = {
 
 class TestSolveAll:
     def test_reference_walk(self):
-        prices = solve_all(reference_formulas())
+        prices, ends = solve_all(reference_formulas())
         assert prices == {1: 14, 2: 8, 3: 11, 4: 10}
+        assert ends == {1: 1, 2: 1, 3: 1, 4: 1}
         assert all(type(price) is int for price in prices.values())
 
     def test_single_value(self):
-        assert solve_all([RootValue(1, 9)]) == {1: 9}
+        assert solve_all([RootValue(1, 9)]) == ({1: 9}, {1: 1})
 
     def test_cut_leaves_the_question_underdetermined(self):
         formulas = [f for f in reference_formulas() if f.child_var != 2]
-        assert solve_all(formulas) == {1: 14, 2: None, 3: None, 4: 10}
+        assert solve_all(formulas) == ({1: 14, 2: None, 3: None, 4: 10}, {1: 1, 2: 2, 3: 2, 4: 1})
 
     def test_any_order_gives_the_same_prices(self):
         assert solve_all(list(reversed(reference_formulas()))) == solve_all(reference_formulas())
@@ -186,7 +188,7 @@ class TestSolveAll:
         config = make_config(order="random", count=1)
         for index in range(50):
             for instance in generate_pair(config, index):
-                prices = solve_all(instance.formulas)
+                prices, _ = solve_all(instance.formulas)
                 for var in range(1, config.num_vars + 1):
                     assert walk_verdict(prices, var) == solve_exact(instance.formulas, var)
                 assert prices[instance.questioned_var] == instance.gold_answer
@@ -197,15 +199,17 @@ class TestSolveAll:
         assert solve_all(formulas) is None
 
 
-class TestConstraintComponent:
+class TestWalkEnds:
+    """The question's component is every variable whose walk ends where the question's does."""
+
     def test_cut_component_counts(self):
         formulas = [f for f in reference_formulas() if f.child_var != 2]
-        component, equations = constraint_component(formulas, 3)
+        component, equations = walk_component(formulas, 3)
         assert component == {2, 3}
         assert equations == 1
 
     def test_direct_value_counts_as_an_equation(self):
-        component, equations = constraint_component(reference_formulas(), 3)
+        component, equations = walk_component(reference_formulas(), 3)
         assert component == {1, 2, 3, 4}
         assert equations == 4
 
@@ -220,7 +224,8 @@ class TestVerifyInstance:
         una_report = verify_instance(unanswerable)
         assert una_report.label_confirmed
         assert una_report.determination == Determination.underdetermined()
-        component, equations = constraint_component(list(unanswerable.formulas), unanswerable.questioned_var)
+        component, equations = walk_component(unanswerable.formulas, unanswerable.questioned_var)
+        assert component == cut_subtree(unanswerable)
         assert equations == len(component) - 1
         assert una_report.path_solver_agrees is True
 
@@ -253,7 +258,7 @@ class TestVerifyInstance:
         assert not report.label_confirmed
         assert report.failure == "label unanswerable but oracle says unique"
         assert report.path_solver_agrees is True
-        assert solve_all(restored.formulas)[restored.questioned_var] == answerable.gold_answer
+        assert solve_all(restored.formulas)[0][restored.questioned_var] == answerable.gold_answer
 
     @pytest.mark.parametrize("formulas", NOT_FORESTS.values(), ids=NOT_FORESTS.keys())
     def test_not_a_forest_is_a_solver_disagreement(self, formulas):
@@ -271,6 +276,6 @@ class TestReferencePairThroughOracle:
         answerable, unanswerable = reference_pair.build_reference_pair()
         assert verify_instance(answerable).label_confirmed
         assert verify_instance(unanswerable).label_confirmed
-        component, equations = constraint_component(list(unanswerable.formulas), unanswerable.questioned_var)
-        assert len(component) == 2
+        component, equations = walk_component(unanswerable.formulas, unanswerable.questioned_var)
+        assert component == cut_subtree(unanswerable) == {2, 3}
         assert equations == 1

@@ -111,14 +111,14 @@ class TestGeneratePair:
 class TestEliminationCount:
     """Each label is certified once: one exact elimination per instance.
 
-    The constraint component is computed once per pair, for the
-    unanswerable gold solution, and never during certification.
+    The root walk runs twice per instance when generating, once for the gold
+    text and once to certify, and once per instance when verifying.
     """
 
     @pytest.fixture
     def calls(self, monkeypatch):
         # count through every module that imported a function, not just the oracle
-        calls = {"solve_exact": [], "constraint_component": []}
+        calls = {"solve_exact": [], "solve_all": []}
         for name, log in calls.items():
             original = getattr(oracle, name)
 
@@ -137,7 +137,7 @@ class TestEliminationCount:
     def test_two_per_generated_pair(self, calls):
         generate_corpus(make_config(num_vars=7, ans_depth=4, cut_depth=2, count=5))
         assert len(calls["solve_exact"]) == 2 * 5
-        assert len(calls["constraint_component"]) == 1 * 5
+        assert len(calls["solve_all"]) == 4 * 5
 
     def test_one_per_verified_instance(self, calls):
         dataset = generate_corpus(make_config(count=3))
@@ -146,7 +146,7 @@ class TestEliminationCount:
         for instance in dataset.instances:
             assert verify_instance(instance).label_confirmed
         assert len(calls["solve_exact"]) == len(dataset.instances)
-        assert calls["constraint_component"] == []
+        assert len(calls["solve_all"]) == len(dataset.instances)
 
 
 class TestGenerateCorpus:

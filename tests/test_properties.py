@@ -12,19 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pricetree.corpus_io import dataset_from_lines, dataset_to_lines
-from pricetree.formulas import Formula, Linear, RootValue
+from pricetree.formulas import Formula, Linear, RootValue, formula_edges
 from pricetree.harness.scoring import extract_answer
 from pricetree.jsonmap import to_json
 from pricetree.oracle import (
     Determination,
-    constraint_component,
     solve_all,
     solve_exact,
     verify_instance,
 )
 from pricetree.pipeline import GenConfig, generate_corpus, generate_pair
 from pricetree.rng import substream
-from pricetree.tree import sample_var_values
+from pricetree.tree import children_by_parent, sample_var_values
 from pricetree.wording import DEFAULT_DISHES
 
 import sentence_parser
@@ -81,8 +80,27 @@ def test_oracle_certifies_both_variants(config: GenConfig, index: int):
     assert ans_report.label_confirmed and una_report.label_confirmed
     assert ans_report.determination.value == answerable.gold_answer
     assert 5 <= answerable.gold_answer <= 15
-    component, equations = constraint_component(list(unanswerable.formulas), unanswerable.questioned_var)
+    component, equations = walk_component(unanswerable.formulas, unanswerable.questioned_var)
+    assert component == cut_subtree(unanswerable)
     assert equations == len(component) - 1
+
+
+def walk_component(formulas, target: int) -> tuple[set[int], int]:
+    """The target's component by the root walk, and the number of formulas defining its variables."""
+    _, ends = solve_all(formulas)
+    component = {v for v, end in ends.items() if end == ends[target]}
+    return component, sum(f.child_var in component for f in formulas)
+
+
+def cut_subtree(instance) -> set[int]:
+    """The cut child and every variable below it in the formula tree, a witness built without the walk."""
+    children = children_by_parent(formula_edges(instance.formulas))
+    subtree, todo = set(), [instance.metadata["cutEdge"]["child"]]
+    while todo:
+        var = todo.pop()
+        subtree.add(var)
+        todo.extend(children.get(var, ()))
+    return subtree
 
 
 def walk_verdict(prices: dict, var: int) -> Determination:
@@ -95,10 +113,10 @@ def walk_verdict(prices: dict, var: int) -> Determination:
 @given(config=gen_configs(), index=st.integers(0, 50))
 def test_forward_substitution_matches_elimination(config: GenConfig, index: int):
     answerable, unanswerable = generate_pair(config, index)
-    path = solve_all(answerable.formulas)[answerable.questioned_var]
+    path = solve_all(answerable.formulas)[0][answerable.questioned_var]
     exact = solve_exact(list(answerable.formulas), answerable.questioned_var)
     assert type(path) is int and path == exact.value == answerable.gold_answer
-    assert solve_all(unanswerable.formulas)[unanswerable.questioned_var] is None
+    assert solve_all(unanswerable.formulas)[0][unanswerable.questioned_var] is None
 
 
 @st.composite
@@ -121,8 +139,8 @@ def any_shape_configs(draw: st.DrawFn) -> GenConfig:
 @given(config=any_shape_configs(), index=st.integers(0, 50))
 def test_root_walk_matches_elimination_on_every_variable(config: GenConfig, index: int):
     for instance in generate_pair(config, index):
-        prices = solve_all(instance.formulas)
-        assert set(prices) == set(range(1, config.num_vars + 1))
+        prices, ends = solve_all(instance.formulas)
+        assert set(prices) == set(ends) == set(range(1, config.num_vars + 1))
         for var in prices:
             assert walk_verdict(prices, var) == solve_exact(instance.formulas, var), var
 
@@ -181,7 +199,7 @@ def forward_systems(draw: st.DrawFn) -> tuple[list[Formula], int]:
 @given(system=forward_systems())
 def test_path_solver_falls_back_to_fractions(system):
     formulas, target = system
-    prices = solve_all(formulas)
+    prices, _ = solve_all(formulas)
     assert solve_exact(formulas, target) == Determination.unique(prices[target])
     assert type(prices[2]) is Fraction and prices[2].denominator == 2
 
@@ -239,8 +257,9 @@ def test_solve_exact_matches_dense_reference_in_any_order(system, data):
 @given(system=formula_lists())
 def test_root_walk_matches_elimination_wherever_it_answers(system):
     formulas, target = system
-    prices = solve_all(formulas)
-    if prices is not None:
+    walked = solve_all(formulas)
+    if walked is not None:
+        prices, _ = walked
         for var in {*prices, target}:
             assert walk_verdict(prices, var) == solve_exact(formulas, var), var
 
