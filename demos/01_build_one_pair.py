@@ -28,15 +28,14 @@ for var, price in values.items():
     print(f"  x{var} = {price} dollars")
 
 print("\n== tree ==")
-tree = build_tree(config.num_vars, config.ans_depth, rng)
-for var in range(1, tree.num_vars + 1):
-    parent = tree.parent_of(var)
+parents = build_tree(config.num_vars, config.ans_depth, rng)  # entry i-1 is the parent of x_i
+for var, parent in enumerate(parents, start=1):
     print(f"  x{var} hangs off {'root' if parent == 0 else f'x{parent}'}")
 print(f"  questioned variable: x{config.ans_depth} (end of the root path)")
 
-print("\n== breadth-first edges (condition order before shuffling) ==")
-for edge in bfs_edges(tree):
-    print(f"  ({'root' if edge.parent == 0 else f'x{edge.parent}'}, x{edge.child})")
+print("\n== breadth-first (parent, child) edges (condition order before shuffling) ==")
+for parent, child in bfs_edges(parents):
+    print(f"  ({'root' if parent == 0 else f'x{parent}'}, x{child})")
 
 # the cut drops the spine edge cutDepth steps above the questioned variable
 print(f"\n== the cut removes the edge whose child is x{config.ans_depth - config.cut_depth} ==")

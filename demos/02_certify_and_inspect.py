@@ -4,20 +4,19 @@
 The pipeline already refuses to emit uncertified instances; this demo runs
 the same oracle again from the outside, the way `pricetree verify` does,
 and inspects the component structure of the unanswerable variants.  The
-questioned variable's component comes from the root walk: every variable
-whose walk ends where the questioned one's does.
+questioned variable's component comes from the root walk's ends, read by
+`component_of`.
 """
 
 from collections import Counter
 
-from pricetree import GenConfig, generate_corpus, solve_all, verify_instance
+from pricetree import GenConfig, component_of, generate_corpus, solve_all, verify_instance
 
 
 def questioned_component(instance):
     """The questioned variable's component, and the number of formulas defining its variables."""
     _, ends = solve_all(instance.formulas)
-    end = ends[instance.questioned_var]
-    component = {v for v, e in ends.items() if e == end}
+    component = component_of(ends, instance.questioned_var)
     return component, sum(f.child_var in component for f in instance.formulas)
 
 

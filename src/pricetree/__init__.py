@@ -19,6 +19,7 @@ from .formulas import Formula, Linear, RootValue
 from .oracle import (
     Determination,
     VerificationReport,
+    component_of,
     solve_all,
     solve_exact,
     verify_instance,
@@ -55,6 +56,7 @@ __all__ = [
     "bfs_edges",
     "build_tree",
     "cell_label",
+    "component_of",
     "generate_corpus",
     "generate_pair",
     "load_gen_config",

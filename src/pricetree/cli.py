@@ -20,7 +20,7 @@ from .harness.prompts import load_profile
 from .harness.report import format_text_table, write_report
 from .harness.scoring import read_records, run_eval, write_records
 from .harness.transport import make_transport
-from .oracle import UNDERDETERMINED, solve_all, verify_instance
+from .oracle import UNDERDETERMINED, component_of, solve_all, verify_instance
 from .pipeline import (
     PRESET_NAMES,
     ProblemInstance,
@@ -138,9 +138,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if ends is None:
         print(f"certification: {status}")
     else:
-        questioned = instance.questioned_var
-        end = ends.get(questioned, questioned)  # a variable in no formula is its own component
-        component = {questioned, *(v for v, e in ends.items() if e == end)}
+        component = component_of(ends, instance.questioned_var)
         equations = sum(f.child_var in component for f in instance.formulas)
         print(f"certification: {status}; component {len(component)} variables / {equations} formulas")
     return 0 if report.label_confirmed else 1

@@ -61,6 +61,11 @@ def dataset_from_lines(lines: list[str], source: str = "<memory>") -> Dataset:
         raise DatasetParseError(f"{source} line {n}: invalid header config ({exc})") from exc
 
     instances = json_lines(numbered[1:], source, ProblemInstance.from_json_dict)
+    first_line: dict[str, int] = {}  # each id -> its line; a repeat would be certified and scored twice
+    for (n, _), instance in zip(numbered[1:], instances):
+        if first_line.setdefault(instance.id, n) != n:
+            first = first_line[instance.id]
+            raise DatasetParseError(f"{source} line {n}: id {instance.id!r} repeats line {first}")
     return Dataset(config=config, instances=instances, certification=header["certification"])
 
 

@@ -13,7 +13,7 @@ from typing import ClassVar, Iterable, Iterator, Union
 
 from .errors import InvalidConfigError
 from .rng import PcgStream
-from .tree import ROOT, Edge
+from .tree import ROOT
 
 COEFFICIENT_CHOICES = (-3, -2, -1, 1, 2, 3)
 
@@ -69,14 +69,14 @@ def formula_edges(formulas: Iterable[Formula]) -> Iterator[tuple[int, int]]:
     return ((ROOT if isinstance(f, RootValue) else f.parent, f.child_var) for f in formulas)
 
 
-def sample_formula(edge: Edge, values: dict[int, int], coefficients: Iterator[int]) -> Formula:
+def sample_formula(parent: int, child: int, values: dict[int, int], coefficients: Iterator[int]) -> Formula:
     """Concrete formula for one edge; root edges take no coefficients, others the next two drawn."""
-    if edge.parent == ROOT:
-        return RootValue(var=edge.child, value=values[edge.child])
+    if parent == ROOT:
+        return RootValue(var=child, value=values[child])
     a = next(coefficients)
     b = next(coefficients)
-    rhs = a * values[edge.parent] + b * values[edge.child]
-    return Linear(parent=edge.parent, child=edge.child, parent_coeff=a, child_coeff=b, rhs=rhs)
+    rhs = a * values[parent] + b * values[child]
+    return Linear(parent=parent, child=child, parent_coeff=a, child_coeff=b, rhs=rhs)
 
 
 def order_formulas(formulas: list[Formula], order: str, rng: PcgStream) -> list[Formula]:

@@ -4,9 +4,9 @@ Two independent solvers: an integer elimination over rows of at most two
 variables (total on any formula list), and a walk from each variable up its
 child -> parent links (total on any forest, which every generated variant
 is).  The walk keeps exact integers and falls back to a ``Fraction`` when a
-division is not exact, and records where each variable's walk ended: the
-questioned variable's component, which the unanswerable gold text and
-``render`` count, is every variable whose walk ends where its own does.
+division is not exact, and records where each variable's walk ended, from
+which ``component_of`` gives the questioned variable's component that the
+unanswerable gold text and ``render`` count.
 Certification cross-checks the two solvers and the stated label on both
 variants; nothing here ever touches floating point.
 """
@@ -197,12 +197,11 @@ def solve_all(
     A walk that ends at a direct value gives an exact price, kept an int while
     every quotient is exact; one that ends at a variable no formula defines
     gives None, underdetermined.  The second map takes each variable to the
-    variable its walk ended at, so on a forest a variable's component is every
-    variable whose walk ends at the same place.  The result is None when the
-    formulas are not a forest: a variable is the child of two formulas, a walk
-    meets a cycle (a self-relation included), or a coefficient is 0.  On a
-    forest every formula pins its child given its parent, so the system is
-    consistent and no elimination is needed.
+    variable its walk ended at, which `component_of` reads.  The result is
+    None when the formulas are not a forest: a variable is the child of two
+    formulas, a walk meets a cycle (a self-relation included), or a
+    coefficient is 0.  On a forest every formula pins its child given its
+    parent, so the system is consistent and no elimination is needed.
     """
     defining = {f.child_var: f for f in formulas}
     if len(defining) < len(formulas):
@@ -235,6 +234,15 @@ def solve_all(
             prices[f.child] = price
             ends[f.child] = end
     return prices, ends
+
+
+def component_of(ends: dict[int, int], var: int) -> set[int]:
+    """var's component on a forest: every variable whose `solve_all` walk ends where var's does.
+
+    A variable in no formula is a component of its own.
+    """
+    end = ends.get(var, var)
+    return {var, *(v for v, e in ends.items() if e == end)}
 
 
 def verify_instance(instance: "ProblemInstance") -> VerificationReport:

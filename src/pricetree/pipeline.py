@@ -155,10 +155,10 @@ def build_pair(
     exact elimination apiece, before either is returned.
     """
     values = sample_var_values(config.num_vars, rng)
-    tree = build_tree(config.num_vars, config.ans_depth, rng)
-    relations = config.num_vars - tree.parent.count(ROOT)  # edges that take two coefficients
+    parents = build_tree(config.num_vars, config.ans_depth, rng)
+    relations = config.num_vars - parents.count(ROOT)  # edges that take two coefficients
     coefficients = iter(rng.pick_each([COEFFICIENT_CHOICES] * (2 * relations)))
-    bfs_formulas = [sample_formula(e, values, coefficients) for e in bfs_edges(tree)]
+    bfs_formulas = [sample_formula(p, c, values, coefficients) for p, c in bfs_edges(parents)]
     ordered = order_formulas(bfs_formulas, config.order, rng)
     items = assign_items(config.num_vars, config.composite_name, vocab, rng)
 
@@ -193,9 +193,7 @@ def build_pair(
             item_map=items,
             questioned_var=questioned,
             gold_answer=gold,
-            gold_solution_text=render_gold_solution(
-                formulas, sentences, items, questioned, variant == ANSWERABLE
-            ),
+            gold_solution_text=render_gold_solution(formulas, sentences, items, questioned),
             pair_id=pair_id,
             metadata=dict(metadata),
         )

@@ -9,7 +9,6 @@ to any node created before them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidConfigError
@@ -20,22 +19,6 @@ ROOT = 0
 PRICE_MIN = 5
 PRICE_MAX = 15
 PRICES = range(PRICE_MIN, PRICE_MAX + 1)
-
-
-@dataclass
-class Edge:
-    parent: int  # ROOT or a variable index
-    child: int  # always a variable index
-
-
-@dataclass(frozen=True, eq=True)
-class Tree:
-    num_vars: int
-    ans_depth: int
-    parent: tuple[int, ...]  # parent[i-1] is the parent node of x_i
-
-    def parent_of(self, var: int) -> int:
-        return self.parent[var - 1]
 
 
 def check_shape(num_vars: int, ans_depth: int, cut_depth: int) -> None:
@@ -60,16 +43,17 @@ def sample_var_values(num_vars: int, rng: PcgStream) -> dict[int, int]:
     return dict(enumerate(rng.pick_each([PRICES] * num_vars), start=1))
 
 
-def build_tree(num_vars: int, ans_depth: int, rng: PcgStream) -> Tree:
-    """Spine first, then each extra variable picks a uniformly random parent.
+def build_tree(num_vars: int, ans_depth: int, rng: PcgStream) -> tuple[int, ...]:
+    """The parent tuple: entry i-1 is the parent node of x_i.
 
+    Spine first, then each extra variable picks a uniformly random parent.
     The shape must pass `check_shape`.  The root is a candidate parent too;
     extras attached to it get a direct value sentence instead of a two-item
     relation.
     """
-    parent = [ROOT] + [i - 1 for i in range(2, ans_depth + 1)]
-    parent += rng.pick_each([range(ROOT, i) for i in range(ans_depth + 1, num_vars + 1)])
-    return Tree(num_vars=num_vars, ans_depth=ans_depth, parent=tuple(parent))
+    parents = [ROOT] + [i - 1 for i in range(2, ans_depth + 1)]
+    parents += rng.pick_each([range(ROOT, i) for i in range(ans_depth + 1, num_vars + 1)])
+    return tuple(parents)
 
 
 def children_by_parent(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
@@ -82,17 +66,17 @@ def children_by_parent(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]
     return children
 
 
-def bfs_edges(tree: Tree) -> list[Edge]:
-    """All edges of the tree breadth first from the root, siblings in ascending index.
+def bfs_edges(parents: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (parent, child) edges of a parent tuple breadth first from the root, siblings in ascending index.
 
     So every edge's parent is the root or the child of an earlier edge.
     """
-    children = children_by_parent((parent, child) for child, parent in enumerate(tree.parent, start=1))
+    children = children_by_parent((parent, child) for child, parent in enumerate(parents, start=1))
     edges = []
     queue = deque([ROOT])
     while queue:
         node = queue.popleft()
         for child in children.get(node, ()):
-            edges.append(Edge(parent=node, child=child))
+            edges.append((node, child))
             queue.append(child)
     return edges

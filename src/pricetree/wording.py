@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .errors import CertificationError, InvalidConfigError
 from .formulas import Formula, Linear, RootValue
 from .jsonmap import nonblank_lines, read_lines
-from .oracle import solve_all
+from .oracle import component_of, solve_all
 from .rng import PcgStream
 
 # ---------------------------------------------------------------------------
@@ -285,21 +285,21 @@ def render_gold_solution(
     sentences: Sequence[str],
     items: ItemMap,
     questioned_var: int,
-    answerable: bool,
 ) -> str:
-    """The gold text for the label, from one root walk; `oracle.verify_instance` certifies the label.
+    """The gold text, from one root walk; `oracle.verify_instance` certifies the label.
 
-    Answerable: restate each spine fact from the direct value down, with the
-    price it yields.  Unanswerable: count the facts left about the
-    questioned variable's component.
+    When the walk prices the questioned variable (answerable): restate each
+    spine fact from the direct value down, with the price it yields.
+    Otherwise (unanswerable): count the facts left about the questioned
+    variable's component.
     """
     walked = solve_all(formulas)
     if walked is None:
         raise CertificationError("gold solution: formulas are not a forest")
     prices, ends = walked
-    end = ends.get(questioned_var, questioned_var)  # a variable in no formula is its own component
-    if answerable:
+    if prices.get(questioned_var) is not None:
         by_child = {f.child_var: (f, s) for f, s in zip(formulas, sentences)}
+        end = ends[questioned_var]
         parts = []
         var = questioned_var
         while var != end:
@@ -313,7 +313,7 @@ def render_gold_solution(
         parts.append(f"It is given as a fact that {_lowercase_first(by_child[end][1])}.")
         return " ".join(reversed(parts))
 
-    component = {questioned_var, *(v for v, e in ends.items() if e == end)}
+    component = component_of(ends, questioned_var)
     names = [items.names[v].display for v in sorted(component, reverse=True)]
     facts = [_lowercase_first(s) for f, s in zip(formulas, sentences) if f.child_var in component]
     formula_word = "linear formula" if len(facts) == 1 else "linear formulas"

@@ -184,6 +184,18 @@ class TestVerify:
         assert main(["verify", "--in", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {out} line 3: ")
 
+    def test_repeated_id_names_the_line(self, tmp_path, config_file, capsys):
+        # line 2 appended again: verify would certify it twice and eval score it twice
+        out = generate(tmp_path, config_file)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        out.write_text("\n".join(lines + lines[1:2]) + "\n", encoding="utf-8")
+        instance_id = json.loads(lines[1])["id"]
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out} line 10: id {instance_id!r} repeats line 2\n"
+
 
 class TestRender:
     def test_prints_instance(self, tmp_path, config_file, capsys):

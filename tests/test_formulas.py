@@ -7,12 +7,13 @@ from pricetree.formulas import (
     COEFFICIENT_CHOICES,
     Linear,
     RootValue,
+    formula_edges,
     order_formulas,
     sample_formula,
 )
 from pricetree.pipeline import GenConfig, generate_pair
 from pricetree.rng import PcgStream
-from pricetree.tree import ROOT, Edge, bfs_edges, build_tree, sample_var_values
+from pricetree.tree import ROOT, bfs_edges, build_tree, sample_var_values
 
 from factories import make_config
 from streams import ScriptedStream
@@ -68,28 +69,30 @@ class TestSampleFormula:
     def test_root_edge_becomes_direct_value(self):
         values = {1: 14}
         coefficients = iter([])
-        assert sample_formula(Edge(ROOT, 1), values, coefficients) == RootValue(var=1, value=14)
+        assert sample_formula(ROOT, 1, values, coefficients) == RootValue(var=1, value=14)
 
     def test_pinned_coefficients(self):
         values = {1: 14, 2: 8}
         coefficients = iter([2, -3, 1])
-        formula = sample_formula(Edge(1, 2), values, coefficients)
+        formula = sample_formula(1, 2, values, coefficients)
         assert formula == Linear(parent=1, child=2, parent_coeff=2, child_coeff=-3, rhs=4)
         assert list(coefficients) == [1]  # an edge takes exactly two
 
     def test_equal_prices_can_give_zero_rhs(self):
         values = {1: 9, 2: 9}
-        formula = sample_formula(Edge(1, 2), values, iter([1, -1]))
+        formula = sample_formula(1, 2, values, iter([1, -1]))
         assert formula == Linear(1, 2, 1, -1, 0)
 
     def test_sampled_formulas_hold_for_their_values(self):
+        # and each formula's edge, as formula_edges reads it back, is the edge it was sampled for
         for seed in range(500):
             rng = PcgStream.from_seed(seed)
             values = sample_var_values(6, rng)
             edges = bfs_edges(build_tree(6, 3, rng))
             coefficients = iter(rng.pick_each([COEFFICIENT_CHOICES] * (2 * len(edges))))
-            for edge in edges:
-                formula = sample_formula(edge, values, coefficients)
+            bfs_formulas = [sample_formula(parent, child, values, coefficients) for parent, child in edges]
+            assert list(formula_edges(bfs_formulas)) == edges
+            for formula in bfs_formulas:
                 assert formula.holds_for(values)
                 if isinstance(formula, Linear):
                     assert formula.parent_coeff in COEFFICIENT_CHOICES

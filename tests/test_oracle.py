@@ -213,6 +213,11 @@ class TestWalkEnds:
         assert component == {1, 2, 3, 4}
         assert equations == 4
 
+    def test_variable_in_no_formula_is_its_own_component(self):
+        component, equations = walk_component(reference_formulas(), 5)
+        assert component == {5}
+        assert equations == 0
+
 
 class TestVerifyInstance:
     def test_confirms_generated_pair(self):

@@ -17,6 +17,7 @@ from pricetree.harness.scoring import extract_answer
 from pricetree.jsonmap import to_json
 from pricetree.oracle import (
     Determination,
+    component_of,
     solve_all,
     solve_exact,
     verify_instance,
@@ -88,7 +89,7 @@ def test_oracle_certifies_both_variants(config: GenConfig, index: int):
 def walk_component(formulas, target: int) -> tuple[set[int], int]:
     """The target's component by the root walk, and the number of formulas defining its variables."""
     _, ends = solve_all(formulas)
-    component = {v for v, end in ends.items() if end == ends[target]}
+    component = component_of(ends, target)
     return component, sum(f.child_var in component for f in formulas)
 
 

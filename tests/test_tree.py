@@ -5,7 +5,7 @@ import pytest
 from pricetree.errors import InvalidConfigError
 from pricetree.pipeline import GenConfig
 from pricetree.rng import PcgStream
-from pricetree.tree import ROOT, Edge, bfs_edges, build_tree, sample_var_values
+from pricetree.tree import ROOT, bfs_edges, build_tree, sample_var_values
 
 from streams import ScriptedStream
 
@@ -38,22 +38,19 @@ class TestBuildTree:
     def test_pinned_attachment(self):
         # spine root->x1->x2->x3 plus x4 choosing x1 as its parent
         rng = ScriptedStream([1])
-        tree = build_tree(4, 3, rng)
-        assert tree.parent == (ROOT, 1, 2, 1)
+        assert build_tree(4, 3, rng) == (ROOT, 1, 2, 1)
         assert rng.exhausted
 
     def test_pure_chain_consumes_no_draws(self):
-        tree = build_tree(5, 5, ScriptedStream([]))
-        assert tree.parent == (ROOT, 1, 2, 3, 4)
+        assert build_tree(5, 5, ScriptedStream([])) == (ROOT, 1, 2, 3, 4)
 
     def test_spine_and_attachment_invariants(self):
         for seed in range(1000):
-            tree = build_tree(8, 4, PcgStream.from_seed(seed))
-            assert tree.parent_of(1) == ROOT
-            for i in range(2, 5):
-                assert tree.parent_of(i) == i - 1
+            parents = build_tree(8, 4, PcgStream.from_seed(seed))
+            assert len(parents) == 8
+            assert parents[:4] == (ROOT, 1, 2, 3)  # the spine
             for i in range(5, 9):
-                assert tree.parent_of(i) < i
+                assert parents[i - 1] < i
 
     def test_invalid_configs_rejected(self):
         # the shape is checked once, by the config that build_tree is fed from
@@ -65,25 +62,18 @@ class TestBuildTree:
 
 class TestBfsEdges:
     def test_pinned_tree_order(self):
-        tree = build_tree(4, 3, ScriptedStream([1]))
-        assert bfs_edges(tree) == [
-            Edge(ROOT, 1),
-            Edge(1, 2),
-            Edge(1, 4),
-            Edge(2, 3),
-        ]
+        parents = build_tree(4, 3, ScriptedStream([1]))
+        assert bfs_edges(parents) == [(ROOT, 1), (1, 2), (1, 4), (2, 3)]
 
     def test_chain_order_is_forced(self):
-        tree = build_tree(3, 3, ScriptedStream([]))
-        assert bfs_edges(tree) == [Edge(ROOT, 1), Edge(1, 2), Edge(2, 3)]
+        assert bfs_edges(build_tree(3, 3, ScriptedStream([]))) == [(ROOT, 1), (1, 2), (2, 3)]
 
     def test_prefix_property_and_length(self):
         # every edge's parent is the root or a child seen earlier
         for seed in range(1000):
-            tree = build_tree(9, 4, PcgStream.from_seed(seed))
-            edges = bfs_edges(tree)
-            assert len(edges) == tree.num_vars
+            edges = bfs_edges(build_tree(9, 4, PcgStream.from_seed(seed)))
+            assert len(edges) == 9
             seen = {ROOT}
-            for edge in edges:
-                assert edge.parent in seen
-                seen.add(edge.child)
+            for parent, child in edges:
+                assert parent in seen
+                seen.add(child)

@@ -229,7 +229,7 @@ class TestGoldSolutions:
         sentences = [render_formula_fixed(f, items) for f in formulas]
         order = [3, 1, 0, 2]
         text = render_gold_solution(
-            [formulas[i] for i in order], [sentences[i] for i in order], items, 4, answerable=True
+            [formulas[i] for i in order], [sentences[i] for i in order], items, 4
         )
         assert text == (
             "It is given as a fact that a pie costs 5 dollars. "
@@ -251,13 +251,7 @@ class TestGoldSolutions:
         items = simple_items("pie", "burger", "pizza", "lasagna")
         sentences = [render_formula_fixed(f, items) for f in formulas]
         kept = [(f, s) for f, s in zip(formulas, sentences) if f.child_var != 2]
-        text = render_gold_solution(
-            [f for f, _ in kept],
-            [s for _, s in kept],
-            items,
-            4,
-            answerable=False,
-        )
+        text = render_gold_solution([f for f, _ in kept], [s for _, s in kept], items, 4)
         assert "There are 3 variables but only 2 linear formulas" in text
         assert text.startswith("All we know about the prices of lasagna, pizza and burger is: ")
 
