@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -102,20 +102,17 @@ def aggregate(records: list[EvalRecord], group_by: list[str]) -> MetricsTable:
     Transport-failed records are excluded from every rate but counted per
     cell so the exclusion is visible.
     """
-    bad = [k for k in group_by if k not in GROUPABLE_KEYS]
-    if bad:
-        raise InvalidConfigError(
-            f"cannot group by {', '.join(bad)}; valid keys: {', '.join(GROUPABLE_KEYS)}"
-        )
-    repeated = [k for n, k in enumerate(group_by) if k in group_by[:n]]
-    if repeated:
-        raise InvalidConfigError(f"group key {repeated[0]} is named more than once")
+    return _roll_up(_tally(records), group_by)
+
+
+def _tally(records: list[EvalRecord]) -> dict[tuple, CellMetrics]:
+    """The counts of each combination of all GROUPABLE_KEYS, in order of first record."""
     cells: dict[tuple, CellMetrics] = {}
     for record in records:
-        key_tuple = tuple(record.config_cell.get(k) for k in group_by)
+        key_tuple = tuple(record.config_cell.get(k) for k in GROUPABLE_KEYS)
         cell = cells.get(key_tuple)
         if cell is None:
-            cell = cells[key_tuple] = CellMetrics(key=dict(zip(group_by, key_tuple)))
+            cell = cells[key_tuple] = CellMetrics(key=dict(zip(GROUPABLE_KEYS, key_tuple)))
         if record.transport_failed:
             cell.excluded += 1
             continue
@@ -132,6 +129,31 @@ def aggregate(records: list[EvalRecord], group_by: list[str]) -> MetricsTable:
             cell.n_unanswerable += 1
             if record.outcome == OUTCOME_HALLUCINATION:
                 cell.hallucinations += 1
+    return cells
+
+
+_COUNTS = [f.name for f in fields(CellMetrics) if f.name != "key"]
+
+
+def _roll_up(tally: dict[tuple, CellMetrics], group_by: list[str]) -> MetricsTable:
+    """Sum the cells of a tally that share their `group_by` values, sorted by those values."""
+    bad = [k for k in group_by if k not in GROUPABLE_KEYS]
+    if bad:
+        raise InvalidConfigError(
+            f"cannot group by {', '.join(bad)}; valid keys: {', '.join(GROUPABLE_KEYS)}"
+        )
+    repeated = [k for n, k in enumerate(group_by) if k in group_by[:n]]
+    if repeated:
+        raise InvalidConfigError(f"group key {repeated[0]} is named more than once")
+    positions = [GROUPABLE_KEYS.index(k) for k in group_by]
+    cells: dict[tuple, CellMetrics] = {}
+    for fine_key, fine in tally.items():
+        key_tuple = tuple(fine_key[i] for i in positions)
+        cell = cells.get(key_tuple)
+        if cell is None:
+            cell = cells[key_tuple] = CellMetrics(key=dict(zip(group_by, key_tuple)))
+        for name in _COUNTS:
+            setattr(cell, name, getattr(cell, name) + getattr(fine, name))
     ordered = sorted(cells, key=lambda k: tuple(str(p) for p in k))
     return MetricsTable(group_keys=list(group_by), cells=[cells[k] for k in ordered])
 
@@ -177,8 +199,9 @@ SERIES = {
 
 def write_report(records: list[EvalRecord], group_by: list[str], out_dir: str | Path) -> MetricsTable:
     """Emit metrics.txt, metrics.json and the two plot-data CSV series."""
+    tally = _tally(records)  # one pass over the records; the table and each series roll it up
+    table = _roll_up(tally, group_by)
     out = Path(out_dir)
-    table = aggregate(records, group_by)
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / "metrics.txt").write_text(format_text_table(table) + "\n", encoding="utf-8")
@@ -186,7 +209,7 @@ def write_report(records: list[EvalRecord], group_by: list[str], out_dir: str | 
             json.dumps(table.to_json_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
         )
         for name, keys in SERIES.items():
-            cells = aggregate(records, keys).cells
+            cells = _roll_up(tally, keys).cells
             with (out / name).open("w", encoding="utf-8", newline="") as fh:
                 if cells:  # no records, no header either
                     writer = csv.writer(fh)

@@ -5,31 +5,35 @@ so that (a) a corpus is a pure function of its seed, and (b) each instance
 gets its own sub-stream derived from ``(corpus_seed, index)``, making batch
 generation order-independent.
 
-Each stage of a pair takes its draws in one call: all prices, then all
-extra-node parents, all edge coefficients, the condition-order
-permutation, the item picks and all phrasing coins.  Batching keeps the
-consumption order of one draw per decision, so the values are the same
-as drawing them one at a time.
-
-The stream of index ``i`` under seed ``s`` is
-``Generator(PCG64(SeedSequence(s, spawn_key=(i,))))``; :func:`substream`
+The bytes rest on three things: numpy's SeedSequence, PCG64's raw 64-bit
+outputs, and the draw rules written here.  The stream of index ``i`` under
+seed ``s`` is ``PCG64(SeedSequence(s, spawn_key=(i,)))``; :func:`substream`
 builds it so.  PCG64 reads only the four ``uint64`` words of that
 SeedSequence's ``generate_state``, and the SeedSequence hash mixes with
 constants that do not depend on the data (NumPy NEP 19).  So
 :func:`substreams` computes numpy's own SeedSequence words for every index
 in one pass of ``uint32`` array arithmetic, and seeds each PCG64 from its
-row.  Nothing compares them with numpy at run time: the byte contract
-rests on the test that they give numpy's PCG64 states for drawn seeds and
-counts (``tests/test_rng.py``).
+row.
+
+:class:`PcgStream` draws from PCG64's raw words in plain Python, by the
+rules numpy's ``Generator`` uses for ``integers``, ``permutation`` and
+``choice(replace=False)``.  Each stage of a pair takes all of its draws in
+one call: all prices, then all extra-node parents, all edge coefficients,
+the condition-order permutation, the item picks and all phrasing coins.
+Nothing compares the streams with numpy at run time: the byte contract
+rests on the tests that the seeding words give numpy's PCG64 states and
+that every draw equals ``Generator``'s, call by call
+(``tests/test_rng.py``).
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterator, Sequence, TypeVar, Union
+from itertools import chain, repeat
+from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random import PCG64, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
 T = TypeVar("T")
@@ -41,38 +45,139 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
+# PCG64 outputs per random_raw batch: a few-shot record (about 16 words) or a
+# small pair fits in the first, a 45-variable pair (about 340 words) in two
+_FIRST_BATCH, _BATCH = 16, 256
+_TAIL_SHUFFLE_MIN_N = 10_000  # numpy's choice shuffles the tail of range(n) above this n ...
+_TAIL_SHUFFLE_CUTOFF = 50  # ... when k > n // 50
+
 Word = Union[int, np.ndarray]  # one uint32 word, or a uint32 array of one word per index
 
 
 class PcgStream:
-    """Uniform draw helpers over one PCG64 stream."""
+    """Uniform draws over one PCG64 stream, equal to numpy ``Generator``'s.
+
+    The stream serves 32-bit words in the order of PCG64's ``next_uint32``:
+    the low half, then the high half, of each 64-bit output.  They come from
+    ``random_raw`` batches taken as they are needed.  A stream belongs to
+    one pair or one few-shot record; its word buffer is not shared between
+    threads.
+    """
 
     def __init__(self, seed_seq: ISeedSequence):
-        self._gen = Generator(PCG64(seed_seq))
+        self._bitgen = PCG64(seed_seq)
+        batches = map(_raw_words, repeat(self._bitgen), chain((_FIRST_BATCH,), repeat(_BATCH)))
+        self._words = chain.from_iterable(batches)  # endless, so a zip with it never stops early
 
     @classmethod
     def from_seed(cls, seed: int) -> "PcgStream":
         return cls(SeedSequence(seed))
 
     def pick_each(self, choices: Sequence[Sequence[T]]) -> list[T]:
-        """One uniform element of each non-empty sequence, from one draw call.
+        """One uniform element of each non-empty sequence, in order.
 
-        numpy's bounded int64 draw keeps no buffer between elements, so the
-        indices are exactly those of one ``integers(len(seq))`` call per
-        sequence, made in order.
+        Each index is numpy's bounded draw from ``[0, len(seq))``, Lemire's
+        method: a word times the bound, whose high word is the draw unless its
+        low word falls below ``2**32 % bound``; then a new word is drawn.  A
+        sequence of one element draws nothing.  So the picks equal one
+        ``Generator.integers(len(seq))`` call per sequence, made in order.
         """
-        if not choices:  # an empty call draws nothing but costs as much as a short one
-            return []
-        indices = self._gen.integers([len(seq) for seq in choices]).tolist()
-        return [seq[i] for seq, i in zip(choices, indices)]
+        if min(map(len, choices), default=2) < 2:
+            bounds = [len(seq) for seq in choices]
+            if min(bounds) < 1:
+                raise ValueError("cannot pick from an empty sequence")
+            one = bounds.index(1)
+            return [*self.pick_each(choices[:one]), choices[one][0], *self.pick_each(choices[one + 1 :])]
+        word = self._words.__next__
+        return [
+            seq[(m if (m := w * (b := len(seq))) & _MASK32 >= b else _redraw(word, m, b)) >> 32]
+            for seq, w in zip(choices, self._words)
+        ]
 
     def permutation(self, n: int) -> list[int]:
-        """Uniform permutation of range(n)."""
-        return self._gen.permutation(n).tolist()
+        """Uniform permutation of range(n), equal to ``Generator.permutation(n)``.
+
+        Fisher-Yates from the top: position i swaps with a draw from [0, i],
+        one word masked to the bits of i and redrawn while above i.
+        """
+        _check_size(n)
+        word = self._words.__next__
+        perm = list(range(n))
+        top = n - 1
+        for bits in range(top.bit_length(), 0, -1):  # positions 2**(bits-1) .. 2**bits - 1 share a mask
+            mask = (1 << bits) - 1
+            for i, w in zip(range(top, mask >> 1, -1), self._words):
+                j = w & mask
+                while j > i:
+                    j = word() & mask
+                perm[i], perm[j] = perm[j], perm[i]
+            top = mask >> 1
+        return perm
 
     def distinct_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices drawn uniformly from range(n), in draw order."""
-        return self._gen.choice(n, size=k, replace=False).tolist()
+        """k distinct indices drawn uniformly from range(n), in draw order.
+
+        Equal to ``Generator.choice(n, k, replace=False)``: Floyd's algorithm,
+        then a Fisher-Yates shuffle of the k picks.  For n above 10,000 and k
+        above n // 50, numpy instead shuffles range(n) from position n - 1
+        down to max(n - k, 1) and takes its last k entries.  Every step is
+        the bounded draw of :meth:`pick_each`.
+        """
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot take {k} distinct indices from range({n})")
+        _check_size(n)
+        if n > _TAIL_SHUFFLE_MIN_N and k > n // _TAIL_SHUFFLE_CUTOFF:
+            indices = list(range(n))
+            self._shuffle(indices, max(n - k, 1))
+            return indices[n - k :]
+        # Floyd: step j, for j = n - k .. n - 1, draws from [0, j] and takes j if the draw is taken
+        word = self._words.__next__
+        picks = [0] if n == k > 0 else []  # a draw from [0, 0] takes no word
+        seen = set(picks)
+        for b, w in zip(range(n - k + 1 + len(picks), n + 1), self._words):
+            if (m := w * b) & _MASK32 < b:
+                m = _redraw(word, m, b)
+            pick = m >> 32
+            if pick in seen:
+                pick = b - 1
+            seen.add(pick)
+            picks.append(pick)
+        self._shuffle(picks, 1)
+        return picks
+
+    def _shuffle(self, data: list, stop: int) -> None:
+        """Swap each position i of `data`, from the last down to `stop`, with a bounded draw from [0, i]."""
+        word = self._words.__next__
+        for i, w in zip(range(len(data) - 1, stop - 1, -1), self._words):
+            b = i + 1
+            if (m := w * b) & _MASK32 < b:
+                m = _redraw(word, m, b)
+            j = m >> 32
+            data[i], data[j] = data[j], data[i]
+
+
+def _raw_words(bitgen: PCG64, outputs: int) -> memoryview:
+    """The next `outputs` PCG64 outputs as 32-bit words, low half first, on any host."""
+    return memoryview(np.asarray(bitgen.random_raw(outputs), "<u8").view("<u4").astype("=u4"))
+
+
+def _redraw(word: Callable[[], int], m: int, bound: int) -> int:
+    """Finish a bounded draw whose product `m` has a low word below `bound`.
+
+    The draw is redrawn while the low word is below ``2**32 % bound``.
+    Bounds above 2**32 would need numpy's 64-bit path.
+    """
+    if bound > 2**32:
+        raise ValueError(f"draw bounds above 2**32 are not supported, got {bound}")
+    threshold = (1 << 32) % bound
+    while m & _MASK32 < threshold:
+        m = word() * bound
+    return m
+
+
+def _check_size(n: int) -> None:
+    if n > 2**32:  # positions above 2**32 - 1 would need numpy's 64-bit draws
+        raise ValueError(f"draw bounds above 2**32 are not supported, got {n}")
 
 
 class SeedWords(ISeedSequence):
@@ -160,7 +265,7 @@ def substreams(seed: int, count: int) -> Iterator[PcgStream]:
     """``substream(seed, i)`` for each i < count, in order.
 
     The seeding words of every index are computed here, in one pass at 32
-    bytes per index; each stream's generator is built only when it is taken.
+    bytes per index; each stream's PCG64 is built only when it is taken.
     """
     if not 0 <= count <= 2**32:  # each index is one uint32 spawn word
         raise ValueError(f"count must be in [0, 2**32], got {count}")

@@ -90,6 +90,33 @@ class TestAggregate:
         second = aggregate(list(records), ["ansDepth"]).to_json_dict()
         assert first == second
 
+    def test_cells_sum_every_record_that_shares_their_keys(self):
+        # cells come from one tally over all groupable keys, rolled up to the asked keys
+        outcomes = [
+            ("unanswerable", OUTCOME_HALLUCINATION, False),
+            ("unanswerable", OUTCOME_CORRECT_UNANSWERABLE, False),
+            ("answerable", OUTCOME_CORRECT_ANSWER, False),
+            ("answerable", OUTCOME_HALLUCINATION, True),
+        ]
+        records = []
+        for n in range(60):
+            cell = {"ansDepth": 2 + n % 3, "cutDepth": 1 + n % 2, "numVars": 4 + n % 5, "compositeName": n % 4 == 0}
+            cell["order"] = ("forward", "random")[n % 7 % 2]
+            variant, outcome, failed = outcomes[n % len(outcomes)]
+            records.append(record(variant=variant, outcome=outcome, cell=cell, transport_failed=failed))
+        for keys in (["ansDepth"], ["numVars", "ansDepth"], ["order", "compositeName", "cutDepth"], []):
+            table = aggregate(records, keys)
+            for cell in table.cells:
+                mine = [r for r in records if all(r.config_cell[k] == v for k, v in cell.key.items())]
+                kept = [r for r in mine if not r.transport_failed]
+                assert (cell.n, cell.excluded) == (len(kept), len(mine) - len(kept))
+                assert cell.hallucinations == sum(r.outcome == OUTCOME_HALLUCINATION for r in kept)
+                assert cell.correct == sum(r.outcome == OUTCOME_CORRECT_ANSWER for r in kept)
+            assert sum(cell.n + cell.excluded for cell in table.cells) == len(records)
+            assert [c.key for c in table.cells] == sorted(
+                (c.key for c in table.cells), key=lambda key: tuple(str(v) for v in key.values())
+            )
+
     def test_unknown_group_key_rejected(self):
         with pytest.raises(InvalidConfigError, match="goldAnswer"):
             aggregate([record()], ["goldAnswer"])

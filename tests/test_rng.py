@@ -1,11 +1,11 @@
 """Corpus bytes rest on two facts about the draw streams, tested here.
 
 `substream` and `substreams` seed PCG64 exactly as numpy's
-``SeedSequence(seed, spawn_key=(index,))`` does.  And `PcgStream.pick_each`
-draws exactly what one scalar draw per element would: each pipeline stage
-takes all of its draws in one `Generator.integers(bounds)` call, and must
-give the values, in the same order, of one `Generator.integers(bound)` call
-per decision.
+``SeedSequence(seed, spawn_key=(index,))`` does.  And every `PcgStream`
+draw, computed in plain Python from PCG64's raw words, equals numpy's
+``Generator`` on the same PCG64, call by call: `pick_each` as one
+``integers(len(seq))`` call per sequence, `permutation` as
+``permutation(n)`` and `distinct_indices` as ``choice(n, k, replace=False)``.
 """
 
 from __future__ import annotations
@@ -69,12 +69,92 @@ def test_empty_batch_draws_nothing():
     assert stream.pick_each([COEFFICIENT_CHOICES] * 3) == fresh.pick_each([COEFFICIENT_CHOICES] * 3)
 
 
+def numpy_call(gen: Generator, name: str, arg):
+    """What numpy's Generator gives for one PcgStream call."""
+    if name == "pick_each":
+        return [int(gen.integers(bound)) for bound in arg]
+    if name == "permutation":
+        return gen.permutation(arg).tolist()
+    n, k = arg
+    return gen.choice(n, size=k, replace=False).tolist()
+
+
+def stream_call(stream: PcgStream, name: str, arg):
+    if name == "pick_each":
+        return stream.pick_each([range(bound) for bound in arg])
+    if name == "permutation":
+        return stream.permutation(arg)
+    return stream.distinct_indices(*arg)
+
+
+# a bound of 1 draws nothing and one of 2**32 returns the word; the rest take Lemire's step
+_BOUNDS = st.sampled_from([1, 2, 6, 11, 2**31, 2**32 - 1, 2**32]) | st.integers(1, 2**32)
+# choice(n, k) shuffles the tail of range(n) when n > 10000 and k > n // 50, and runs Floyd otherwise
+_TAIL_EDGES = [(n, k) for n in (10_001, 20_000) for k in (n // 50, n // 50 + 1)]
+
+
+@st.composite
+def _choice_args(draw) -> tuple[int, int]:
+    n = draw(st.sampled_from([0, 1, 6, 200, 10_000, 10_001, 20_000]) | st.integers(0, 300))
+    k = draw(st.sampled_from([0, n, n // 50, n // 50 + 1, 3]) | st.integers(0, n))
+    return n, min(k, n)
+
+
+_CALLS = st.lists(
+    st.tuples(st.just("pick_each"), st.lists(_BOUNDS, max_size=12))
+    | st.tuples(st.just("permutation"), st.sampled_from([0, 1, 6, 45]) | st.integers(0, 80))
+    | st.tuples(st.just("distinct_indices"), _choice_args()),
+    max_size=6,
+)
+
+
+@given(seed=st.integers(0, 2**128), calls=_CALLS)
+@example(seed=0, calls=[("pick_each", [1, 2, 6, 11, 2**31, 2**32 - 1, 2**32]), ("pick_each", [])])
+@example(seed=1, calls=[("permutation", n) for n in (0, 1, 6, 45)])
+@example(seed=2, calls=[("distinct_indices", nk) for nk in [(0, 0), (7, 0), (7, 7), (45, 45), (10_000, 10_000)]])
+@example(seed=3, calls=[("distinct_indices", nk) for nk in [(20_000, 20_000), *_TAIL_EDGES]])
+@example(seed=4, calls=[("pick_each", [2**32] * 3), ("permutation", 6), ("distinct_indices", (1, 1))])
+def test_stream_calls_equal_numpy_generator(seed, calls):
+    stream = PcgStream(SeedSequence(seed))
+    gen = Generator(PCG64(SeedSequence(seed)))
+    for name, arg in calls:
+        assert stream_call(stream, name, arg) == numpy_call(gen, name, arg), (name, arg)
+
+
+@pytest.mark.parametrize("n, k", [(3, 4), (5, -1), (-1, 0)])
+def test_distinct_indices_outside_range_raise_as_numpy_does(n, k):
+    with pytest.raises(ValueError):
+        Generator(PCG64(SeedSequence(0))).choice(n, size=k, replace=False)
+    with pytest.raises(ValueError, match=rf"cannot take {k} distinct indices from range\({n}\)"):
+        PcgStream.from_seed(0).distinct_indices(n, k)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.pick_each([range(2**32 + 1)]),
+        lambda s: s.pick_each([range(6), range(2**40)]),
+        lambda s: s.permutation(2**32 + 1),
+        lambda s: s.distinct_indices(2**32 + 1, 3),
+    ],
+)
+def test_bounds_above_2_to_the_32_raise(call):
+    # numpy would take its 64-bit draw path for them, which the stream does not implement
+    with pytest.raises(ValueError, match=r"draw bounds above 2\*\*32 are not supported"):
+        call(PcgStream.from_seed(0))
+
+
+def test_empty_sequence_raises():
+    with pytest.raises(ValueError, match="cannot pick from an empty sequence"):
+        PcgStream.from_seed(0).pick_each([range(3), ()])
+
+
 def numpy_state(seed: int, index: int) -> dict:
-    return Generator(PCG64(SeedSequence(seed, spawn_key=(index,)))).bit_generator.state
+    return PCG64(SeedSequence(seed, spawn_key=(index,))).state
 
 
 def stream_state(stream: PcgStream) -> dict:
-    return stream._gen.bit_generator.state
+    return stream._bitgen.state
 
 
 _SEEDS = st.integers(0, 2**256)  # past the 4-word pool, later seed words are hashed one by one
@@ -108,7 +188,7 @@ def test_seed_words_serve_only_what_pcg64_asks_for(n_words, dtype):
 
 def test_substreams_build_each_generator_when_it_is_taken(monkeypatch):
     built = []
-    monkeypatch.setattr(rng, "Generator", lambda bit_generator: built.append(bit_generator) or bit_generator)
+    monkeypatch.setattr(rng, "PCG64", lambda seed_seq: built.append(seed_seq) or PCG64(seed_seq))
     streams = substreams(5, 3)
     assert isinstance(streams, Iterator) and not isinstance(streams, list)
     assert built == []
