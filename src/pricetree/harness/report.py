@@ -109,7 +109,7 @@ def _tally(records: list[EvalRecord]) -> dict[tuple, CellMetrics]:
     """The counts of each combination of all GROUPABLE_KEYS, in order of first record."""
     cells: dict[tuple, CellMetrics] = {}
     for record in records:
-        key_tuple = tuple(record.config_cell.get(k) for k in GROUPABLE_KEYS)
+        key_tuple = tuple(map(record.config_cell.get, GROUPABLE_KEYS))
         cell = cells.get(key_tuple)
         if cell is None:
             cell = cells[key_tuple] = CellMetrics(key=dict(zip(GROUPABLE_KEYS, key_tuple)))

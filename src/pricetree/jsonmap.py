@@ -16,7 +16,11 @@ gets two functions, generated once as straight-line source and exec'd:
   dicts inline.  Strings go through the stdlib's C escaper (the one
   ``JSONEncoder(ensure_ascii=False)`` uses), ints through ``%d``, and float
   and ``dict`` values through `json_line`, so the text is
-  ``json_line(to_json(obj))`` byte for byte.
+  ``json_line(to_json(obj))`` byte for byte.  `json_line` is one C encoder
+  of the stdlib, built at import as ``JSONEncoder(ensure_ascii=False)``
+  builds one on every call; `json_lines` runs one C scanner, built at
+  import, on each line, and leaves a line it cannot take whole to
+  ``json.loads``, so every error text is the stdlib's.
 - `from_json` reads the keys in field order, depth first, and checks the JSON
   type of every value inline, nested ones too, so the first missing key
   (KeyError) or mistyped value (TypeError naming its key) is the one reported.
@@ -36,13 +40,35 @@ import functools
 import json
 import re
 import typing
-from json.encoder import encode_basestring  # the string escaper of JSONEncoder(ensure_ascii=False)
+from json.encoder import c_make_encoder, encode_basestring  # encode_basestring: the escaper of ensure_ascii=False
 from pathlib import Path
 from typing import Any, Callable, Iterable, Union
 
 from .errors import DatasetParseError, InvalidConfigError, PricetreeError
 
-json_line = json.JSONEncoder(ensure_ascii=False).encode  # one JSON Lines entry, without its line end
+
+def _line_encoder() -> Callable[[Any], str]:
+    """The C encoder that ``JSONEncoder(ensure_ascii=False).encode`` builds per call, built once.
+
+    It keeps no markers dict, so it does not detect circular references:
+    one shared dict would keep stale ids after an exception and could later
+    report a false one.  The package hands it only acyclic values that it
+    built or parsed.  Without the C accelerator it is the stdlib's encode.
+    """
+    stdlib = json.JSONEncoder(ensure_ascii=False)
+    if c_make_encoder is None:
+        return stdlib.encode
+    encode = c_make_encoder(None, stdlib.default, encode_basestring, None, ": ", ", ", False, False, True)
+
+    def json_line(value) -> str:
+        """One JSON Lines entry, without its line end: ``JSONEncoder(ensure_ascii=False).encode(value)``."""
+        return "".join(encode(value, 0))
+
+    return json_line
+
+
+json_line = _line_encoder()
+_scan = json.JSONDecoder().scan_once  # the scanner json.loads runs, without its wrappers
 
 
 def _read_text(path: str | Path) -> str:
@@ -68,11 +94,21 @@ def nonblank_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
 
 
 def json_lines(numbered: list[tuple[int, str]], source: str, convert: Callable[[dict], Any]) -> list:
-    """`convert` the JSON object on each numbered line; any failure names the line."""
+    """`convert` the JSON object on each numbered line; any failure names the line.
+
+    Each line is scanned once by the stdlib's scanner; a line with no value
+    at its start, or with text after its value, goes to ``json.loads``,
+    which raises its own error.
+    """
     converted = []
     try:
         for n, line in numbered:
-            data = json.loads(line)
+            try:
+                data, end = _scan(line, 0)
+            except StopIteration:
+                end = -1
+            if end != len(line):
+                data = json.loads(line)
             if not isinstance(data, dict):
                 raise TypeError("expected a JSON object")
             converted.append(convert(data))

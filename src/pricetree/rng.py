@@ -132,16 +132,21 @@ class PcgStream:
             return indices[n - k :]
         # Floyd: step j, for j = n - k .. n - 1, draws from [0, j] and takes j if the draw is taken
         word = self._words.__next__
-        picks = [0] if n == k > 0 else []  # a draw from [0, 0] takes no word
-        seen = set(picks)
-        for b, w in zip(range(n - k + 1 + len(picks), n + 1), self._words):
-            if (m := w * b) & _MASK32 < b:
-                m = _redraw(word, m, b)
-            pick = m >> 32
-            if pick in seen:
-                pick = b - 1
-            seen.add(pick)
-            picks.append(pick)
+        if k == n:  # step j finds 0 .. j - 1 taken, so it takes j: only its draw is needed
+            for b, w in zip(range(2, n + 1), self._words):  # a draw from [0, 0] takes no word
+                if (m := w * b) & _MASK32 < b:
+                    _redraw(word, m, b)
+            picks = list(range(n))
+        else:
+            picks, seen = [], set()
+            for b, w in zip(range(n - k + 1, n + 1), self._words):
+                if (m := w * b) & _MASK32 < b:
+                    m = _redraw(word, m, b)
+                pick = m >> 32
+                if pick in seen:
+                    pick = b - 1
+                seen.add(pick)
+                picks.append(pick)
         self._shuffle(picks, 1)
         return picks
 

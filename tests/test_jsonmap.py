@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pricetree import jsonmap
 from pricetree.corpus_io import dataset_from_lines, dataset_to_lines
 from pricetree.errors import DatasetParseError
 from pricetree.formulas import Linear, RootValue
 from pricetree.harness.prompts import ModelProfile
 from pricetree.harness.scoring import EvalRecord
-from pricetree.jsonmap import from_file_json, from_json, to_json, to_json_line
+from pricetree.jsonmap import from_file_json, from_json, json_line, json_lines, to_json, to_json_line
 from pricetree.pipeline import GenConfig, ProblemInstance
 from pricetree.wording import ItemMap, ItemName
 
@@ -140,13 +141,15 @@ def test_decoder_accepts_a_null_restaurant():
     assert instance.item_map.names[1].dish == record["itemMap"]["names"]["1"]["dish"]
 
 
-# Strings that need escaping or are not ASCII, ints past 64 bits, and float fields holding
-# ints, NaN and infinities: the inputs where a hand-written encoder may part from the stdlib's.
-_texts = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é€😀'), st.characters()))
+# Strings that need escaping, are not ASCII or hold lone surrogates, ints past 64 bits, and float
+# fields holding ints, -0.0, NaN and infinities: the inputs where an encoder may part from the stdlib's.
+_texts = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é€😀\ud800\udfff'), st.characters()))
 _ints = st.one_of(st.integers(), st.integers(min_value=2**70), st.integers(max_value=-(2**70)))
 _floats = st.one_of(st.floats(), st.integers())
 _json_values = st.recursive(
-    st.one_of(st.none(), st.booleans(), _ints, st.floats(), _texts),
+    st.one_of(
+        st.none(), st.booleans(), _ints, st.sampled_from([-0.0, float("nan"), 1e400, -1e400]), st.floats(), _texts
+    ),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
     max_leaves=8,
 )
@@ -218,3 +221,82 @@ def test_a_missing_gold_answer_is_left_out_of_the_line():
     line = to_json_line(_EVERY_OPTIONAL_NONE[0])
     assert "goldAnswer" not in json.loads(line)
     assert from_json(ProblemInstance, json.loads(line)) == _EVERY_OPTIONAL_NONE[0]
+
+
+def stdlib_line(value) -> str:
+    return json.JSONEncoder(ensure_ascii=False).encode(value)
+
+
+@settings(max_examples=300)
+@given(value=_json_values)
+@example(value={"latencyMs": -0.0, "configCell": {"ansDepth": 8, "mode": "few"}, "x": [1e400, float("nan")]})
+@example(value="\ud800")
+def test_json_line_is_the_stdlib_encoding(value):
+    assert json_line(value) == stdlib_line(value)
+
+
+def test_json_line_raises_the_stdlib_type_error_and_recovers():
+    value = {"a": [1, {"b": object()}]}
+    with pytest.raises(TypeError) as stdlib_error:
+        stdlib_line(value)
+    with pytest.raises(TypeError) as error:
+        json_line(value)
+    assert str(error.value) == str(stdlib_error.value) == "Object of type object is not JSON serializable"
+    shared = {"k": 1}
+    assert json_line([shared, shared]) == '[{"k": 1}, {"k": 1}]'  # no stale circular-reference marker
+
+
+def test_json_line_without_the_c_accelerator_is_the_stdlib_encode(monkeypatch):
+    monkeypatch.setattr(jsonmap, "c_make_encoder", None)
+    encode = jsonmap._line_encoder()
+    assert encode.__func__ is json.JSONEncoder.encode and encode.__self__.ensure_ascii is False
+    for value in ({"é": [1.5, None, True, "\x00"]}, 2.0, float("nan"), "\ud800", 10**30):
+        assert encode(value) == json_line(value) == stdlib_line(value)
+
+
+_VALID_LINES = [
+    "{}",
+    '{"a": [1, 2.5, -0.0, null, true, false], "b": {"c": "é\\u00e9\\n"}}',
+    '{"a":1,"b":[]}',
+    '{"n": 1e400, "m": -Infinity, "nan": NaN}',
+    '{"s": "\\ud800"}',
+    ' {"lead": 1}',  # whitespace that a caller did not strip
+    '{"trail": 1} ',
+    '{"deep": ' + "[" * 500 + "]" * 500 + "}",
+]
+
+
+@pytest.mark.parametrize("line", _VALID_LINES)
+def test_json_lines_decodes_as_json_loads(line):
+    assert repr(json_lines([(1, line)], "src", lambda data: data)) == repr([json.loads(line)])
+
+
+_MALFORMED_LINES = {
+    "byte order mark": '\ufeff{"a": 1}',
+    "text after the object": '{"a": 1} x',
+    "two objects": '{"a": 1}{"b": 2}',
+    "truncated object": '{"a": 1, "b": [1, 2',
+    "trailing comma": '{"a": 1,}',
+    "unterminated string": '{"a": "b',
+    "control character": '{"a": "\x01"}',
+    "not JSON": "x",
+    "top-level list": "[1, 2]",
+    "top-level string": '"a"',
+    "top-level NaN": "NaN",
+    "100,000 nested lists": "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("fault", list(_MALFORMED_LINES))
+def test_json_lines_reports_what_json_loads_reports(fault):
+    line = _MALFORMED_LINES[fault]
+    try:
+        data = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        reason = str(exc)
+    else:
+        assert not isinstance(data, dict)
+        reason = "expected a JSON object"
+    with pytest.raises(DatasetParseError) as caught:
+        json_lines([(1, '{"ok": 1}'), (7, line)], "records.jsonl", dict)
+    assert str(caught.value) == f"records.jsonl line 7: {reason}"

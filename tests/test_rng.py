@@ -121,6 +121,16 @@ def test_stream_calls_equal_numpy_generator(seed, calls):
         assert stream_call(stream, name, arg) == numpy_call(gen, name, arg), (name, arg)
 
 
+@pytest.mark.parametrize("seed, n", [(0, 1), (0, 2), (0, 45), (0, 10_000), (29, 10_000)])
+def test_taking_every_index_draws_each_floyd_step(seed, n):
+    # at k == n Floyd's step j always takes j, yet each step's draw (seed 29 redraws at bound 6588) takes its words
+    stream = PcgStream(SeedSequence(seed))
+    gen = Generator(PCG64(SeedSequence(seed)))
+    assert stream.distinct_indices(n, n) == gen.choice(n, n, replace=False).tolist()
+    bounds = [2**31, 6, 2**32 - 1]  # the next draws start where numpy's do
+    assert stream_call(stream, "pick_each", bounds) == numpy_call(gen, "pick_each", bounds)
+
+
 @pytest.mark.parametrize("n, k", [(3, 4), (5, -1), (-1, 0)])
 def test_distinct_indices_outside_range_raise_as_numpy_does(n, k):
     with pytest.raises(ValueError):
