@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import InvalidConfigError, TransportError
-from ..jsonmap import from_json, read_json_lines, to_json_line, write_json_lines
+from ..jsonmap import check_scalar_object, from_json, read_json_lines, to_json_line, write_json_lines
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
 from ..rng import PcgStream, substreams
 from .prompts import FewShotPool, ModelProfile, build_few_shot_prompt, build_zero_shot_prompt
@@ -212,5 +212,12 @@ def write_records(records: list[EvalRecord], path: str | Path) -> None:
     write_json_lines(path, map(to_json_line, records))
 
 
+def _record(data: dict) -> EvalRecord:
+    """`from_json` of a records line; configCell, whose items group the report, must hold only scalars."""
+    record = from_json(EvalRecord, data)
+    check_scalar_object("configCell", record.config_cell)
+    return record
+
+
 def read_records(path: str | Path) -> list[EvalRecord]:
-    return read_json_lines(path, lambda data: from_json(EvalRecord, data))
+    return read_json_lines(path, _record)

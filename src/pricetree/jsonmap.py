@@ -15,22 +15,23 @@ gets two functions, generated once as straight-line source and exec'd:
   ``%``-template, nested dataclasses, sequences, tagged unions and int-keyed
   dicts inline.  Strings go through the stdlib's C escaper (the one
   ``JSONEncoder(ensure_ascii=False)`` uses), ints through ``%d``, and float
-  and ``dict`` values through `json_line`, so the text is
-  ``json_line(to_json(obj))`` byte for byte.  `json_line` is one C encoder
-  of the stdlib, built at import as ``JSONEncoder(ensure_ascii=False)``
-  builds one on every call; `json_lines` runs one C scanner, built at
-  import, on each line, and leaves a line it cannot take whole to
-  ``json.loads``, so every error text is the stdlib's.
+  and ``dict`` values through `json_line`, so the text is `json_line` of its
+  own parse byte for byte.  `json_line` is one C encoder of the stdlib, built
+  at import as ``JSONEncoder(ensure_ascii=False)`` builds one on every call;
+  `json_lines` runs one C scanner, built at import, on each line, and leaves a
+  line it cannot take whole to ``json.loads``, so every error text is the
+  stdlib's.
 - `from_json` reads the keys in field order, depth first, and checks the JSON
   type of every value inline, nested ones too, so the first missing key
   (KeyError) or mistyped value (TypeError naming its key) is the one reported.
 
-`to_json`, the same form as dicts and lists, is walked at run time; it serves
-the header config, ``metadata.config`` and the defaults of `from_file_json`.
-The mapping knows int (not bool), float (int too), bool, str, dict,
-Optional[T], tuple[T, ...], list[T], dict[int, T] (string keys, each exactly
-as ``str(int)`` writes it), nested dataclasses and Unions of dataclasses told
-apart by a ``kind`` ClassVar; any other annotation raises on first use.
+`to_json`, the same form as dicts and lists, is the parse of that line, so the
+generated encoder is the one statement of each class's JSON form; it serves the
+header config and ``metadata.config``.  The mapping knows int (not bool),
+float (int too), bool, str, dict, Optional[T], tuple[T, ...], list[T],
+dict[int, T] (string keys, each exactly as ``str(int)`` writes it), nested
+dataclasses and Unions of dataclasses told apart by a ``kind`` ClassVar; any
+other annotation raises on first use.
 """
 
 from __future__ import annotations
@@ -144,7 +145,6 @@ def read_json_file(cls: type, path: str | Path, what: str):
 
 
 _PLAIN = {int: (int,), float: (float, int), bool: (bool,), str: (str,), dict: (dict,)}
-_SCALARS = frozenset({int, float, bool, str, type(None)})  # their own JSON form under any annotation
 
 _OMIT_NONE = "pricetree.jsonmap.omitNone"
 
@@ -183,6 +183,12 @@ def _shape(tp, key: str) -> tuple[str, Any]:
     raise NotImplementedError(f"{key}: no JSON form for the annotation {tp!r}")
 
 
+def check_scalar_object(key: str, value) -> None:
+    """Raise the TypeError of a value that is not a JSON object whose values are all scalars."""
+    if type(value) is not dict or not {list, dict}.isdisjoint(map(type, value.values())):
+        raise TypeError(f"{key} must be an object of JSON scalars, got {json.dumps(value)}")
+
+
 def _mistyped(key: str, types: tuple, value):
     """The TypeError of a value whose type is not one of `types` (so a bool is not an int)."""
     raise TypeError(f"{key} must be {types[0].__name__}, got {type(value).__name__}")
@@ -210,22 +216,6 @@ class _Source:
         name = self.name("r")
         self.env[name] = value
         return name
-
-
-def _json_form(tp, value, key: str):
-    """The JSON form of `value`, whose annotation is `tp`, as dicts and lists."""
-    form, detail = _shape(tp, key)
-    if form == "plain" or value is None:
-        return value
-    if form == "optional":
-        return _json_form(detail, value, key)
-    if form == "object":
-        return to_json(value)
-    if form == "tagged":
-        return {"kind": value.kind, **to_json(value)}
-    if form == "sequence":
-        return [_json_form(detail[1], item, key) for item in value]
-    return {str(number): _json_form(detail, item, key) for number, item in value.items()}
 
 
 # The text encoder: `src` is an expression that may be evaluated more than once.
@@ -381,17 +371,12 @@ def _compiled(cls: type) -> tuple[Callable, Callable]:
 
 
 def to_json(obj) -> dict:
-    """Every field of a dataclass instance under its camelCase key, in its JSON form."""
-    return {
-        key: value if type(value) in _SCALARS else _json_form(tp, value, key)
-        for key, name, tp, omit in _fields(type(obj))
-        for value in (getattr(obj, name),)
-        if not (omit and value is None)
-    }
+    """Every field of a dataclass instance under its camelCase key, in its JSON form: the parse of its line."""
+    return json.loads(to_json_line(obj))
 
 
 def to_json_line(obj) -> str:
-    """``json_line(to_json(obj))``, written straight from the fields of a dataclass instance."""
+    """The JSON Lines text of a dataclass instance, without its line end, written straight from its fields."""
     return _compiled(type(obj))[0](obj)
 
 
@@ -410,16 +395,9 @@ def from_file_json(cls: type, data: dict, what: str):
     unknown = sorted(set(data) - {key for key, *_ in fields})
     if unknown:
         raise InvalidConfigError(f"unknown {what} keys: {', '.join(unknown)}")
-    defaults, missing = {}, []
-    for (key, _, tp, _), field in zip(fields, dataclasses.fields(cls)):
-        if key in data:
-            continue
-        if field.default is not dataclasses.MISSING:
-            defaults[key] = _json_form(tp, field.default, key)
-        elif field.default_factory is not dataclasses.MISSING:
-            defaults[key] = _json_form(tp, field.default_factory(), key)
-        else:
-            missing.append(key)
+    # every default of a file-read class is a JSON scalar, its own JSON form
+    defaults = {key: field.default for (key, *_), field in zip(fields, dataclasses.fields(cls)) if key not in data}
+    missing = [key for key, default in defaults.items() if default is dataclasses.MISSING]
     if missing:
         raise InvalidConfigError(f"missing {what} keys: {', '.join(missing)}")
     return from_json(cls, {**data, **defaults})

@@ -7,13 +7,12 @@ than writing bad labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CertificationError, InvalidConfigError
 from .formulas import COEFFICIENT_CHOICES, CONDITION_ORDERS, Formula, order_formulas, sample_formula
-from .jsonmap import from_json, omitted_when_none, to_json
+from .jsonmap import check_scalar_object, from_json, omitted_when_none, to_json
 from .oracle import ANSWERABLE, UNANSWERABLE, verify_instance
 from .rng import PcgStream, substream, substreams
 from .tree import ROOT, bfs_edges, build_tree, check_shape, sample_var_values
@@ -113,9 +112,7 @@ class ProblemInstance:
         if not used <= instance.item_map.names.keys():
             unnamed = ", ".join(map(str, sorted(used - instance.item_map.names.keys())))
             raise ValueError(f"variables not in itemMap.names: {unnamed}")
-        config = instance.metadata.get("config", {})
-        if type(config) is not dict or not {list, dict}.isdisjoint(map(type, config.values())):
-            raise TypeError(f"metadata.config must be an object of JSON scalars, got {json.dumps(config)}")
+        check_scalar_object("metadata.config", instance.metadata.get("config", {}))
         return instance
 
 
@@ -142,8 +139,12 @@ def build_pair(
     index: int,
     rng: PcgStream,
     vocab: Vocabulary,
+    config_json: dict,
 ) -> tuple[ProblemInstance, ProblemInstance]:
     """Build and certify one answerable/unanswerable pair from one stream.
+
+    `config_json` is ``to_json(config)``, made once per corpus; it becomes
+    ``metadata.config``.
 
     Stream consumption order is part of the determinism contract:
     variable values, tree attachment, edge coefficients (breadth-first,
@@ -177,7 +178,7 @@ def build_pair(
 
     pair_id = f"s{config.corpus_seed}-p{index:06d}"  # unique across corpus seeds
     metadata = {
-        "config": to_json(config),
+        "config": config_json,
         "index": index,
         "cutEdge": {"parent": cut_child - 1, "child": cut_child},  # parent 0 is the root
         "phrasing": {str(var): coin for var, coin in sorted(phrasing.items())},
@@ -211,15 +212,16 @@ def build_pair(
 def generate_pair(config: GenConfig, index: int) -> tuple[ProblemInstance, ProblemInstance]:
     """One certified pair, deterministic given (config, corpusSeed, index)."""
     vocab = load_vocabulary(config.dish_vocab, config.restaurant_vocab)
-    return build_pair(config, index, substream(config.corpus_seed, index), vocab)
+    return build_pair(config, index, substream(config.corpus_seed, index), vocab, to_json(config))
 
 
 def generate_corpus(config: GenConfig) -> Dataset:
     """config.count certified pairs; per-index sub-seeds keep them independent."""
     vocab = load_vocabulary(config.dish_vocab, config.restaurant_vocab)
+    config_json = to_json(config)
     instances: list[ProblemInstance] = []
     for index, rng in enumerate(substreams(config.corpus_seed, config.count)):
-        instances.extend(build_pair(config, index, rng, vocab))
+        instances.extend(build_pair(config, index, rng, vocab, config_json))
     certification = {
         "instances": len(instances),
         "answerable": config.count,
@@ -234,49 +236,31 @@ def generate_corpus(config: GenConfig) -> Dataset:
 # Presets
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = ("table-main", "fig-structure", "fig-cutdepth")
+# name -> (numVars, ansDepth, cutDepth, compositeName) of each cell, in seed order
+PRESETS = {
+    "table-main": [(depth + 2, depth, depth // 2, True) for depth in (2, 4, 6, 8)],
+    "fig-structure": [
+        (num_vars, depth, depth // 2, composite)
+        for depth in range(4, 9)
+        for num_vars in (depth, depth + 2)
+        for composite in (False, True)
+    ],
+    "fig-cutdepth": [(depth + 2, depth, cut, True) for depth in (7, 8) for cut in range(1, depth)],
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset(name: str, corpus_seed: int = 0, count: int = 500) -> list[GenConfig]:
-    """The shipped experiment grids; each cell gets its own derived seed.
+    """The shipped experiment grids; cell i gets the seed ``corpus_seed + i``.
 
     table-main fixes cutDepth = ansDepth // 2, numVars = ansDepth + 2 and
     composite names; those values are an assumption of this package, chosen
     to mirror the fig-structure defaults, and are not claimed to match any
     particular published run.
     """
-    cells: list[GenConfig] = []
-
-    def add(**kwargs) -> None:
-        cells.append(GenConfig(corpus_seed=corpus_seed + len(cells), count=count, **kwargs))
-
-    if name == "table-main":
-        for depth in (2, 4, 6, 8):
-            add(
-                num_vars=depth + 2,
-                ans_depth=depth,
-                cut_depth=depth // 2,
-                composite_name=True,
-            )
-    elif name == "fig-structure":
-        for depth in range(4, 9):
-            for num_vars in (depth, depth + 2):
-                for composite in (False, True):
-                    add(
-                        num_vars=num_vars,
-                        ans_depth=depth,
-                        cut_depth=depth // 2,
-                        composite_name=composite,
-                    )
-    elif name == "fig-cutdepth":
-        for depth in (7, 8):
-            for cut in range(1, depth):
-                add(
-                    num_vars=depth + 2,
-                    ans_depth=depth,
-                    cut_depth=cut,
-                    composite_name=True,
-                )
-    else:
+    if name not in PRESETS:
         raise InvalidConfigError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
-    return cells
+    return [
+        GenConfig(num_vars, ans_depth, cut_depth, composite, count=count, corpus_seed=corpus_seed + i)
+        for i, (num_vars, ans_depth, cut_depth, composite) in enumerate(PRESETS[name])
+    ]

@@ -35,6 +35,17 @@ def test_annotation_without_a_json_form_raises_on_first_use(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "required, built",
+    [
+        ({"numVars": 4, "ansDepth": 3, "cutDepth": 1, "compositeName": True}, GenConfig(4, 3, 1, True)),
+        ({"endpoint": "e", "model": "m"}, ModelProfile("e", "m")),
+    ],
+)
+def test_missing_file_keys_take_the_defaults(required, built):
+    assert from_file_json(type(built), required, "file") == built
+
+
 def test_bool_is_not_an_int():
     with pytest.raises(TypeError, match="concurrency must be int, got bool"):
         profile(concurrency=True)
@@ -213,8 +224,9 @@ _EVERY_OPTIONAL_NONE = [
 @example(obj=_EVERY_OPTIONAL_NONE[2])
 def test_text_encoder_writes_the_stdlib_line(obj):
     line = to_json_line(obj)
-    assert line == json.JSONEncoder(ensure_ascii=False).encode(to_json(obj))
-    assert to_json_line(from_json(type(obj), json.loads(line))) == line
+    parsed = json.loads(line)
+    assert line == stdlib_line(parsed)  # the stdlib's encoding of its own parse, which is to_json(obj)
+    assert to_json_line(from_json(type(obj), parsed)) == line
 
 
 def test_a_missing_gold_answer_is_left_out_of_the_line():

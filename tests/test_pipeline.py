@@ -19,6 +19,7 @@ from pricetree.errors import CertificationError, DatasetParseError, InvalidConfi
 from pricetree.jsonmap import from_file_json, to_json
 from pricetree.oracle import Determination, verify_instance
 from pricetree.pipeline import (
+    PRESET_NAMES,
     GenConfig,
     cell_label,
     generate_corpus,
@@ -329,3 +330,28 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(InvalidConfigError):
             preset("everything")
+
+    # (numVars, ansDepth, cutDepth, compositeName, corpusSeed) of each cell at seed 7: the order sets the seeds
+    PINNED = {
+        "table-main": [(4, 2, 1, True, 7), (6, 4, 2, True, 8), (8, 6, 3, True, 9), (10, 8, 4, True, 10)],
+        "fig-structure": [
+            (4, 4, 2, False, 7), (4, 4, 2, True, 8), (6, 4, 2, False, 9), (6, 4, 2, True, 10),
+            (5, 5, 2, False, 11), (5, 5, 2, True, 12), (7, 5, 2, False, 13), (7, 5, 2, True, 14),
+            (6, 6, 3, False, 15), (6, 6, 3, True, 16), (8, 6, 3, False, 17), (8, 6, 3, True, 18),
+            (7, 7, 3, False, 19), (7, 7, 3, True, 20), (9, 7, 3, False, 21), (9, 7, 3, True, 22),
+            (8, 8, 4, False, 23), (8, 8, 4, True, 24), (10, 8, 4, False, 25), (10, 8, 4, True, 26),
+        ],
+        "fig-cutdepth": [
+            (9, 7, 1, True, 7), (9, 7, 2, True, 8), (9, 7, 3, True, 9), (9, 7, 4, True, 10),
+            (9, 7, 5, True, 11), (9, 7, 6, True, 12), (10, 8, 1, True, 13), (10, 8, 2, True, 14),
+            (10, 8, 3, True, 15), (10, 8, 4, True, 16), (10, 8, 5, True, 17), (10, 8, 6, True, 18),
+            (10, 8, 7, True, 19),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_grid_cells_and_seeds_are_pinned(self, name):
+        cells = preset(name, corpus_seed=7, count=3)
+        assert [(c.num_vars, c.ans_depth, c.cut_depth, c.composite_name, c.corpus_seed) for c in cells] == self.PINNED[name]
+        assert all(c.count == 3 for c in cells)
+        assert PRESET_NAMES == tuple(self.PINNED)

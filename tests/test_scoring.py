@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
@@ -290,11 +291,19 @@ class TestRecordsIO:
     def test_malformed_line_names_the_line(self, tmp_path):
         corpus = make_corpus(count=1)
         record = run_eval(corpus, make_profile(), "zero", mock("gold", corpus))[0]
-        mistyped = {**to_json(record), "configCell": 5}  # once read without a check; `report` then crashed
+        data = to_json(record)
+        nested = [{**data["configCell"], "ansDepth": value} for value in ([2], {"a": 1})]
         path = tmp_path / "records.jsonl"
-        for line, match in [({"instanceId": "a"}, "line 1"), (mistyped, "line 1: configCell must be dict, got int")]:
+        for line, message in [  # each configCell was once read without a check; `report` then crashed
+            ({"instanceId": "a"}, "line 1: missing key 'pairId'"),
+            ({**data, "configCell": 5}, "line 1: configCell must be dict, got int"),
+            *(
+                ({**data, "configCell": cell}, f"line 1: configCell must be an object of JSON scalars, got {json.dumps(cell)}")
+                for cell in nested
+            ),
+        ]:
             path.write_text(json.dumps(line) + "\n", encoding="utf-8")
-            with pytest.raises(DatasetParseError, match=match):
+            with pytest.raises(DatasetParseError, match=re.escape(message)):
                 read_records(path)
 
 
