@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .errors import DatasetParseError, InvalidConfigError
 from .jsonmap import (
+    check_unique,
     from_file_json,
     json_line,
     json_lines,
@@ -61,11 +62,7 @@ def dataset_from_lines(lines: list[str], source: str = "<memory>") -> Dataset:
         raise DatasetParseError(f"{source} line {n}: invalid header config ({exc})") from exc
 
     instances = json_lines(numbered[1:], source, ProblemInstance.from_json_dict)
-    first_line: dict[str, int] = {}  # each id -> its line; a repeat would be certified and scored twice
-    for (n, _), instance in zip(numbered[1:], instances):
-        if first_line.setdefault(instance.id, n) != n:
-            first = first_line[instance.id]
-            raise DatasetParseError(f"{source} line {n}: id {instance.id!r} repeats line {first}")
+    check_unique(numbered[1:], (instance.id for instance in instances), source, "id")
     return Dataset(config=config, instances=instances, certification=header["certification"])
 
 

@@ -35,9 +35,6 @@ class RootValue:
     def variables(self) -> tuple[int, ...]:
         return (self.var,)
 
-    def holds_for(self, values: dict[int, int]) -> bool:
-        return values[self.var] == self.value
-
 
 @dataclass
 class Linear:
@@ -56,9 +53,6 @@ class Linear:
 
     def variables(self) -> tuple[int, ...]:
         return (self.parent, self.child)
-
-    def holds_for(self, values: dict[int, int]) -> bool:
-        return self.parent_coeff * values[self.parent] + self.child_coeff * values[self.child] == self.rhs
 
 
 Formula = Union[RootValue, Linear]

@@ -119,6 +119,14 @@ def json_lines(numbered: list[tuple[int, str]], source: str, convert: Callable[[
     return converted
 
 
+def check_unique(numbered: list[tuple[int, str]], keys: Iterable, source: str, what: str) -> None:
+    """Reject a line whose key repeats an earlier line's, naming both: it would be read twice or silently win."""
+    first_line: dict = {}
+    for (n, _), key in zip(numbered, keys):
+        if first_line.setdefault(key, n) != n:
+            raise DatasetParseError(f"{source} line {n}: {what} {key!r} repeats line {first_line[key]}")
+
+
 def read_json_lines(path: str | Path, convert: Callable[[dict], Any]) -> list:
     """`convert` each entry of a JSON Lines file."""
     return json_lines(nonblank_lines(read_lines(path)), str(path), convert)

@@ -11,9 +11,9 @@ seed ``s`` is ``PCG64(SeedSequence(s, spawn_key=(i,)))``; :func:`substream`
 builds it so.  PCG64 reads only the four ``uint64`` words of that
 SeedSequence's ``generate_state``, and the SeedSequence hash mixes with
 constants that do not depend on the data (NumPy NEP 19).  So
-:func:`substreams` computes numpy's own SeedSequence words for every index
-in one pass of ``uint32`` array arithmetic, and seeds each PCG64 from its
-row.
+:func:`substreams` lets numpy mix the seed once, into ``SeedSequence(seed)``'s
+pool, then hashes only the spawn word, for every index in one pass of
+``uint32`` array arithmetic, and seeds each PCG64 from its row.
 
 :class:`PcgStream` draws from PCG64's raw words in plain Python, by the
 rules numpy's ``Generator`` uses for ``integers``, ``permutation`` and
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from itertools import chain, repeat
-from typing import Callable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from numpy.random import PCG64, SeedSequence
@@ -50,8 +50,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _FIRST_BATCH, _BATCH = 16, 256
 _TAIL_SHUFFLE_MIN_N = 10_000  # numpy's choice shuffles the tail of range(n) above this n ...
 _TAIL_SHUFFLE_CUTOFF = 50  # ... when k > n // 50
-
-Word = Union[int, np.ndarray]  # one uint32 word, or a uint32 array of one word per index
 
 
 class PcgStream:
@@ -197,17 +195,6 @@ class SeedWords(ISeedSequence):
         return self._words
 
 
-def _uint32_words(n: int) -> list[int]:
-    """The little-endian uint32 words of a non-negative int, as SeedSequence splits it."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
 def _hash_consts(init: int, mult: int, calls: int) -> list[int]:
     """The constants of `calls` hashmix calls: call k xors with entry k and multiplies by entry k + 1."""
     consts = [init]
@@ -219,38 +206,29 @@ def _hash_consts(init: int, mult: int, calls: int) -> list[int]:
 _OUT_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]  # generate_state's 8 calls
 
 
-def _hashmix(value: Word, xor: Word, mult: Word) -> Word:
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
 
 
-def _mix(x: Word, y: Word) -> Word:
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
     return result ^ result >> 16
 
 
 def _seed_words(seed: int, count: int) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` for each i < count.
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` for each i < count, a row each.
 
-    Returns one row of 4 uint64 words per index.
+    numpy mixes the seed into ``SeedSequence(seed).pool`` as it does under a
+    spawn key, zero padding included.  The spawn word, one more word hashed
+    into each pool word, is hashed here for every index at once: the pool
+    becomes a (4, count) array, one column per index.
     """
-    entropy = _uint32_words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))  # a spawned SeedSequence pads its seed to the pool size
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (len(entropy) + 1))
-    pool = [_hashmix(word, consts[k], consts[k + 1]) for k, word in enumerate(entropy[:_POOL_SIZE])]
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k], consts[k + 1]))
-                k += 1
-    # Each later word is hashed into the four pool words independently, so the pool
-    # becomes a (4, n) array, one column per index, and takes a word in 4 calls at once.
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    for word in [*entropy[_POOL_SIZE:], np.arange(count, dtype=np.uint32)]:  # the last is the spawn key
-        pool = _mix(pool, _hashmix(word, column[k : k + _POOL_SIZE], column[k + 1 : k + _POOL_SIZE + 1]))
-        k += _POOL_SIZE
+    pool = SeedSequence(seed).pool[:, None]
+    # the seed took 4 hashmix calls per uint32 word, and a seed of up to 4 words counts as 4
+    k = _POOL_SIZE * max(_POOL_SIZE, -(-operator.index(seed).bit_length() // 32))
+    consts = np.array(_hash_consts(_INIT_A, _MULT_A, k + _POOL_SIZE), dtype=np.uint32)[k:, None]
+    pool = _mix(pool, _hashmix(np.arange(count, dtype=np.uint32), consts[:-1], consts[1:]))
     state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_CONSTS[:-1], _OUT_CONSTS[1:])  # 8 words per index
     rows = np.ascontiguousarray(state.T, dtype="<u4")  # numpy's word order on any host
     return rows.view("<u8").astype(np.uint64)

@@ -11,6 +11,7 @@ from pricetree.formulas import (
     order_formulas,
     sample_formula,
 )
+from pricetree.oracle import solve_all
 from pricetree.pipeline import GenConfig, generate_pair
 from pricetree.rng import PcgStream
 from pricetree.tree import ROOT, bfs_edges, build_tree, sample_var_values
@@ -92,8 +93,8 @@ class TestSampleFormula:
             coefficients = iter(rng.pick_each([COEFFICIENT_CHOICES] * (2 * len(edges))))
             bfs_formulas = [sample_formula(parent, child, values, coefficients) for parent, child in edges]
             assert list(formula_edges(bfs_formulas)) == edges
+            assert solve_all(bfs_formulas)[0] == values  # the walk prices every variable at its hidden value
             for formula in bfs_formulas:
-                assert formula.holds_for(values)
                 if isinstance(formula, Linear):
                     assert formula.parent_coeff in COEFFICIENT_CHOICES
                     assert formula.child_coeff in COEFFICIENT_CHOICES

@@ -182,7 +182,12 @@ def test_substream_seeds_pcg64_as_numpy_does(seed, index):
 
 @given(seed=_SEEDS, count=st.integers(0, 40))
 @example(seed=2**32, count=3)  # a seed of two words, padded to the pool size
+@example(seed=2**128 - 1, count=3)  # four words, none past the pool
 @example(seed=2**128, count=3)  # a seed of five words, one past the pool
+@example(seed=2**160, count=3)  # six words
+@example(seed=2**256, count=3)  # nine words, the most the strategy draws
+@example(seed=np.int64(5), count=3)  # numpy integers, which have no bit_length
+@example(seed=np.uint64(2**64 - 1), count=3)
 def test_substreams_seed_pcg64_as_numpy_does(seed, count):
     states = [stream_state(stream) for stream in substreams(seed, count)]
     assert states == [numpy_state(seed, index) for index in range(count)]

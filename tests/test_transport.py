@@ -79,6 +79,20 @@ class TestReplay:
         with pytest.raises(DatasetParseError, match="replay.jsonl line 2: .*responseText"):
             ReplayTransport.from_file(path)
 
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        # the last response would otherwise win without a sign, and be scored
+        path = tmp_path / "replay.jsonl"
+        lines = [
+            {"instanceId": "s3-p000000-answerable", "responseText": "Answer: 7"},
+            {"instanceId": "s3-p000000-unanswerable", "responseText": "Answer: unknown."},
+            {"instanceId": "s3-p000000-answerable", "responseText": "Answer: unknown."},
+        ]
+        path.write_text(json.dumps(lines[0]) + "\n\n" + "".join(json.dumps(line) + "\n" for line in lines[1:]))
+        message = f"{path} line 4: instanceId 's3-p000000-answerable' repeats line 1"
+        with pytest.raises(DatasetParseError) as excinfo:
+            ReplayTransport.from_file(path)
+        assert str(excinfo.value) == message
+
 
 class TestMocks:
     def test_named_behaviours(self):
