@@ -43,12 +43,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         for config in configs:  # fail before the first file is written
             vocab = load_vocabulary(config.dish_vocab, config.restaurant_vocab)
             check_vocabulary(vocab, config.num_vars, config.composite_name)
-        out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise PricetreeError(f"{exc.filename or out_dir}: cannot write ({exc.strerror or exc})") from exc
-        outputs = [(config, out_dir / f"{cell_label(config)}.jsonl") for config in configs]
+        outputs = [(config, Path(args.out) / f"{cell_label(config)}.jsonl") for config in configs]
     else:
         outputs = [(dataclasses.replace(load_gen_config(args.config), **overrides), args.out)]
     for config, path in outputs:

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .errors import DatasetParseError, InvalidConfigError
 from .jsonmap import (
-    check_unique,
     from_file_json,
     json_line,
     json_lines,
@@ -46,7 +45,7 @@ def dataset_from_lines(lines: list[str], source: str = "<memory>") -> Dataset:
     if not numbered:
         raise DatasetParseError(f"{source}: empty corpus file")
 
-    (header,) = json_lines(numbered[:1], source, dict)
+    (header,) = json_lines(numbered[:1], source, dict, None)
     n = numbered[0][0]
     version = header.get("schemaVersion")
     if type(version) is not int or version != SCHEMA_VERSION:  # True and 1.0 equal 1 too
@@ -61,8 +60,7 @@ def dataset_from_lines(lines: list[str], source: str = "<memory>") -> Dataset:
     except (InvalidConfigError, TypeError, ValueError) as exc:
         raise DatasetParseError(f"{source} line {n}: invalid header config ({exc})") from exc
 
-    instances = json_lines(numbered[1:], source, ProblemInstance.from_json_dict)
-    check_unique(numbered[1:], (instance.id for instance in instances), source, "id")
+    instances = json_lines(numbered[1:], source, ProblemInstance.from_json_dict, "id")
     return Dataset(config=config, instances=instances, certification=header["certification"])
 
 

@@ -8,13 +8,15 @@ as missing, never as 0%.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from ..errors import InvalidConfigError, PricetreeError
+from ..errors import InvalidConfigError
+from ..jsonmap import write_text
 from ..pipeline import ANSWERABLE
 from .scoring import (
     GROUPABLE_KEYS,
@@ -202,22 +204,16 @@ def write_report(records: list[EvalRecord], group_by: list[str], out_dir: str | 
     tally = _tally(records)  # one pass over the records; the table and each series roll it up
     table = _roll_up(tally, group_by)
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.txt").write_text(format_text_table(table) + "\n", encoding="utf-8")
-        (out / "metrics.json").write_text(
-            json.dumps(table.to_json_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
-        for name, keys in SERIES.items():
-            cells = _roll_up(tally, keys).cells
-            with (out / name).open("w", encoding="utf-8", newline="") as fh:
-                if cells:  # no records, no header either
-                    writer = csv.writer(fh)
-                    writer.writerow([*keys, "nUnanswerable", "hallucinationRate"])
-                    writer.writerows(
-                        [*cell.key.values(), cell.n_unanswerable, _rate_float(cell.hallucination_rate)]
-                        for cell in cells
-                    )
-    except OSError as exc:
-        raise PricetreeError(f"{exc.filename or out}: cannot write ({exc.strerror or exc})") from exc
+    write_text(out / "metrics.txt", [format_text_table(table) + "\n"])
+    write_text(out / "metrics.json", [json.dumps(table.to_json_dict(), ensure_ascii=False, indent=2) + "\n"])
+    for name, keys in SERIES.items():
+        cells = _roll_up(tally, keys).cells
+        text = io.StringIO()  # csv.writer ends its rows with \r\n, written as they are
+        if cells:  # no records, no header either
+            writer = csv.writer(text)
+            writer.writerow([*keys, "nUnanswerable", "hallucinationRate"])
+            writer.writerows(
+                [*cell.key.values(), cell.n_unanswerable, _rate_float(cell.hallucination_rate)] for cell in cells
+            )
+        write_text(out / name, [text.getvalue()])
     return table

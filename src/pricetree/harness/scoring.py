@@ -220,4 +220,4 @@ def _record(data: dict) -> EvalRecord:
 
 
 def read_records(path: str | Path) -> list[EvalRecord]:
-    return read_json_lines(path, _record)
+    return read_json_lines(path, _record, None)  # one instance may have several records

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import InvalidConfigError, TransientTransportError, TransportError
-from ..jsonmap import check_unique, from_json, json_lines, nonblank_lines, read_lines
+from ..jsonmap import from_json, read_json_lines
 from ..pipeline import ANSWERABLE, Dataset
 from .prompts import Message, ModelProfile
 
@@ -117,9 +117,7 @@ class ReplayTransport:
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayTransport":
         """One ``{"instanceId": ..., "responseText": ...}`` object per line, each id on one line."""
-        numbered = nonblank_lines(read_lines(path))
-        lines = json_lines(numbered, str(path), lambda data: from_json(_ReplayLine, data))
-        check_unique(numbered, (line.instance_id for line in lines), str(path), "instanceId")
+        lines = read_json_lines(path, lambda data: from_json(_ReplayLine, data), "instanceId")
         return cls({line.instance_id: line.response_text for line in lines})
 
     def complete(self, messages: list[Message], instance_id: Optional[str] = None) -> str:

@@ -3,8 +3,11 @@
 A file is text lines (vocabularies), one JSON object (configs, profiles) or
 JSON Lines (corpora, records, replays: one object per line, blank lines
 skipped, UTF-8, non-ASCII kept, ``\\n`` after every line).  Only this module
-opens, decodes and splits files; a missing, unreadable, non-UTF-8 or badly
-framed file is a PricetreeError naming the path, and the line if there is one.
+opens files and makes directories.  A missing, unreadable, non-UTF-8 or badly
+framed file, or a repeat of the key a JSON Lines reader names as unique, is a
+PricetreeError naming the path, and the line if there is one.  `write_text`
+writes every output (corpora, records, the report's text, JSON and CSV files)
+whole, and makes its missing directories.
 
 A dataclass field ``snake_case`` is stored under the key ``snakeCase``, in
 field order; a field made with `omitted_when_none` is left out when it is None
@@ -94,14 +97,19 @@ def nonblank_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
     return [(n, text) for n, line in enumerate(lines, start=1) if (text := line.strip())]
 
 
-def json_lines(numbered: list[tuple[int, str]], source: str, convert: Callable[[dict], Any]) -> list:
+def json_lines(
+    numbered: list[tuple[int, str]], source: str, convert: Callable[[dict], Any], unique: str | None
+) -> list:
     """`convert` the JSON object on each numbered line; any failure names the line.
 
-    Each line is scanned once by the stdlib's scanner; a line with no value
-    at its start, or with text after its value, goes to ``json.loads``,
-    which raises its own error.
+    A converted line whose `unique` key (None: entries may repeat) repeats an
+    earlier line's is rejected, naming both: it would be read twice or
+    silently win.  Each line is scanned once by the stdlib's scanner; a line
+    with no value at its start, or with text after its value, goes to
+    ``json.loads``, which raises its own error.
     """
     converted = []
+    first_line: dict = {}
     try:
         for n, line in numbered:
             try:
@@ -113,32 +121,37 @@ def json_lines(numbered: list[tuple[int, str]], source: str, convert: Callable[[
             if not isinstance(data, dict):
                 raise TypeError("expected a JSON object")
             converted.append(convert(data))
+            if unique is not None and first_line.setdefault(key := data[unique], n) != n:
+                raise DatasetParseError(f"{source} line {n}: {unique} {key!r} repeats line {first_line[key]}")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # a RecursionError: nested too deeply
         reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
         raise DatasetParseError(f"{source} line {n}: {reason}") from exc
     return converted
 
 
-def check_unique(numbered: list[tuple[int, str]], keys: Iterable, source: str, what: str) -> None:
-    """Reject a line whose key repeats an earlier line's, naming both: it would be read twice or silently win."""
-    first_line: dict = {}
-    for (n, _), key in zip(numbered, keys):
-        if first_line.setdefault(key, n) != n:
-            raise DatasetParseError(f"{source} line {n}: {what} {key!r} repeats line {first_line[key]}")
+def read_json_lines(path: str | Path, convert: Callable[[dict], Any], unique: str | None) -> list:
+    """`convert` each entry of a JSON Lines file, whose `unique` key, if any, names one line each."""
+    return json_lines(nonblank_lines(read_lines(path)), str(path), convert, unique)
 
 
-def read_json_lines(path: str | Path, convert: Callable[[dict], Any]) -> list:
-    """`convert` each entry of a JSON Lines file."""
-    return json_lines(nonblank_lines(read_lines(path)), str(path), convert)
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to a UTF-8 file as they come, line ends as given, making its missing directories."""
+    try:
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="")
+        except (FileNotFoundError, NotADirectoryError):  # a missing directory, or a file in its place
+            # mkdir only now: on an existing directory it cost 25-45 us, half a small corpus file's write
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            fh = open(path, "w", encoding="utf-8", newline="")
+        with fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise PricetreeError(f"{exc.filename or path}: cannot write ({exc.strerror or exc})") from exc
 
 
 def write_json_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write `json_line` entries to a UTF-8 file, each ended by ``\\n``."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(line + "\n" for line in lines)
-    except OSError as exc:
-        raise PricetreeError(f"{path}: cannot write ({exc.strerror or exc})") from exc
+    write_text(path, (line + "\n" for line in lines))
 
 
 def read_json_file(cls: type, path: str | Path, what: str):

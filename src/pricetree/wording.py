@@ -148,19 +148,11 @@ def check_vocabulary(vocab: Vocabulary, num_vars: int, composite: bool) -> None:
 def assign_items(num_vars: int, composite: bool, vocab: Vocabulary, rng: PcgStream) -> ItemMap:
     """Injective uniform draw of display names for x1..x_num_vars."""
     check_vocabulary(vocab, num_vars, composite)
-    if composite:
-        picks = rng.distinct_indices(len(vocab.dishes) * len(vocab.restaurants), num_vars)
-        names = {}
-        for var, k in enumerate(picks, start=1):
-            dish = vocab.dishes[k // len(vocab.restaurants)]
-            restaurant = vocab.restaurants[k % len(vocab.restaurants)]
-            names[var] = ItemName(dish.singular, dish.plural, restaurant)
-    else:
-        picks = rng.distinct_indices(len(vocab.dishes), num_vars)
-        names = {
-            var: ItemName(vocab.dishes[k].singular, vocab.dishes[k].plural)
-            for var, k in enumerate(picks, start=1)
-        }
+    restaurants = vocab.restaurants if composite else (None,)  # a simple name is a composite one with no restaurant
+    names = {}
+    for var, k in enumerate(rng.distinct_indices(len(vocab.dishes) * len(restaurants), num_vars), start=1):
+        dish = vocab.dishes[k // len(restaurants)]
+        names[var] = ItemName(dish.singular, dish.plural, restaurants[k % len(restaurants)])
     return ItemMap(composite=composite, names=names)
 
 

@@ -115,6 +115,21 @@ class TestGenerate:
         assert taken.read_text(encoding="utf-8") == "keep"
 
 
+    def test_config_out_in_a_new_directory_is_written(self, tmp_path, config_file, capsys):
+        out = tmp_path / "new" / "c.jsonl"
+        assert main(["generate", "--config", str(config_file), "--out", str(out)]) == 0
+        assert f"wrote 8 instances to {out}" in capsys.readouterr().out
+        assert len(read_dataset(out).instances) == 8
+
+    def test_config_out_under_a_file_is_a_clean_error(self, tmp_path, config_file, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep", encoding="utf-8")
+        code = main(["generate", "--config", str(config_file), "--out", str(taken / "c.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {taken}: cannot write (File exists)\n"
+        assert taken.read_text(encoding="utf-8") == "keep"
+
+
 class TestVerify:
     def test_clean_corpus_passes(self, tmp_path, config_file, capsys):
         out = generate(tmp_path, config_file)
@@ -316,6 +331,23 @@ class TestEvalAndReport:
         capsys.readouterr()
         assert main(["report", "--in", str(records_path), "--group", "ansDepth", "--out", str(taken)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {taken}: cannot write")
+        assert taken.read_text(encoding="utf-8") == "keep"
+
+    def test_eval_out_in_a_new_directory_is_written(self, tmp_path, config_file, profile_file):
+        corpus = generate(tmp_path, config_file)
+        records_path = tmp_path / "new" / "r.jsonl"
+        args = ["--profile", str(profile_file), "--mode", "zero", "--transport", "mock:gold"]
+        assert main(["eval", "--in", str(corpus), *args, "--out", str(records_path)]) == 0
+        assert len(scoring.read_records(records_path)) == 8
+
+    def test_eval_out_under_a_file_is_a_clean_error(self, tmp_path, config_file, profile_file, capsys):
+        corpus = generate(tmp_path, config_file)
+        taken = tmp_path / "taken"
+        taken.write_text("keep", encoding="utf-8")
+        capsys.readouterr()
+        args = ["--profile", str(profile_file), "--mode", "zero", "--transport", "mock:gold"]
+        assert main(["eval", "--in", str(corpus), *args, "--out", str(taken / "r.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {taken}: cannot write (File exists)\n"
         assert taken.read_text(encoding="utf-8") == "keep"
 
     def test_few_shot_pool_sharing_seed_fails(self, tmp_path, config_file, profile_file, capsys):

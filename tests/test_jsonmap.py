@@ -9,11 +9,20 @@ from hypothesis import strategies as st
 
 from pricetree import jsonmap
 from pricetree.corpus_io import dataset_from_lines, dataset_to_lines
-from pricetree.errors import DatasetParseError
+from pricetree.errors import DatasetParseError, PricetreeError
 from pricetree.formulas import Linear, RootValue
 from pricetree.harness.prompts import ModelProfile
 from pricetree.harness.scoring import EvalRecord
-from pricetree.jsonmap import from_file_json, from_json, json_line, json_lines, to_json, to_json_line
+from pricetree.jsonmap import (
+    from_file_json,
+    from_json,
+    json_line,
+    json_lines,
+    to_json,
+    to_json_line,
+    write_json_lines,
+    write_text,
+)
 from pricetree.pipeline import GenConfig, ProblemInstance
 from pricetree.wording import ItemMap, ItemName
 
@@ -280,7 +289,7 @@ _VALID_LINES = [
 
 @pytest.mark.parametrize("line", _VALID_LINES)
 def test_json_lines_decodes_as_json_loads(line):
-    assert repr(json_lines([(1, line)], "src", lambda data: data)) == repr([json.loads(line)])
+    assert repr(json_lines([(1, line)], "src", lambda data: data, None)) == repr([json.loads(line)])
 
 
 _MALFORMED_LINES = {
@@ -310,5 +319,51 @@ def test_json_lines_reports_what_json_loads_reports(fault):
         assert not isinstance(data, dict)
         reason = "expected a JSON object"
     with pytest.raises(DatasetParseError) as caught:
-        json_lines([(1, '{"ok": 1}'), (7, line)], "records.jsonl", dict)
+        json_lines([(1, '{"ok": 1}'), (7, line)], "records.jsonl", dict, None)
     assert str(caught.value) == f"records.jsonl line 7: {reason}"
+
+
+_REPEATING = [(1, '{"id": "a", "n": 1}'), (3, '{"id": "b", "n": 2}'), (4, '{"id": "a", "n": 3}'), (6, "x")]
+
+
+def test_json_lines_without_a_key_keeps_repeated_ids():
+    lines = _REPEATING[:3]
+    assert json_lines(lines, "records.jsonl", dict, None) == [json.loads(text) for _, text in lines]
+
+
+def test_json_lines_with_a_key_rejects_the_repeat_naming_both_lines():
+    # the repeat is found in the one pass, before the malformed line after it is read
+    with pytest.raises(DatasetParseError) as caught:
+        json_lines(_REPEATING, "corpus.jsonl", dict, "id")
+    assert str(caught.value) == "corpus.jsonl line 4: id 'a' repeats line 1"
+
+
+def test_json_lines_checks_the_key_after_converting_the_line():
+    def convert(data):
+        if data["n"] == 3:
+            raise ValueError("n must not be 3")
+        return data
+
+    with pytest.raises(DatasetParseError) as caught:
+        json_lines(_REPEATING, "corpus.jsonl", convert, "id")
+    assert str(caught.value) == "corpus.jsonl line 4: n must not be 3"
+
+
+def test_write_text_makes_the_directory_and_keeps_line_ends(tmp_path):
+    path = tmp_path / "new" / "deeper" / "series.csv"
+    write_text(path, ["a,b\r\n", "1,2\r\n", "é\n"])
+    assert path.read_bytes() == "a,b\r\n1,2\r\né\n".encode("utf-8")
+    write_json_lines(str(tmp_path / "fresh" / "r.jsonl"), iter(['{"a": 1}', '{"b": 2}']))
+    assert (tmp_path / "fresh" / "r.jsonl").read_bytes() == b'{"a": 1}\n{"b": 2}\n'
+
+
+def test_write_text_under_a_file_is_one_error_naming_it(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep", encoding="utf-8")
+    with pytest.raises(PricetreeError) as caught:
+        write_text(taken / "r.jsonl", ["x\n"])
+    assert str(caught.value) == f"{taken}: cannot write (File exists)"
+    with pytest.raises(PricetreeError) as caught:
+        write_text(tmp_path, ["x\n"])
+    assert str(caught.value) == f"{tmp_path}: cannot write (Is a directory)"
+    assert taken.read_text(encoding="utf-8") == "keep"

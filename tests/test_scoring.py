@@ -288,6 +288,17 @@ class TestRecordsIO:
         write_records(records, path)
         assert read_records(path) == records
 
+    def test_repeated_instance_id_keeps_both_records(self, tmp_path):
+        # zero- and few-shot runs, or replicates of one mode, may share a file; `report` counts each record
+        corpus = make_corpus(count=1)
+        zero = run_eval(corpus, make_profile(), "zero", mock("gold", corpus))
+        again = run_eval(corpus, make_profile(), "zero", mock("unknown", corpus))
+        path = tmp_path / "records.jsonl"
+        write_records(zero + again, path)
+        records = read_records(path)
+        assert records == zero + again
+        assert [record.instance_id for record in records] == [record.instance_id for record in zero] * 2
+
     def test_malformed_line_names_the_line(self, tmp_path):
         corpus = make_corpus(count=1)
         record = run_eval(corpus, make_profile(), "zero", mock("gold", corpus))[0]
