@@ -59,16 +59,15 @@ class Vocabulary:
     dishes: tuple[Dish, ...]
     restaurants: tuple[str, ...]
 
-    @classmethod
-    def default(cls) -> "Vocabulary":
-        return cls(dishes=DEFAULT_DISHES, restaurants=DEFAULT_RESTAURANTS)
-
 
 def _vocabulary_entries(path: str | Path, what: str, parse) -> tuple:
-    """`parse(line)` -> (name, entry) for each non-blank line; names must be unique."""
+    """`parse(line)` -> (name, entry), or ValueError saying what the line lacks; names must be unique."""
     entries = {}
     for n, line in nonblank_lines(read_lines(path)):
-        name, entry = parse(line)
+        try:
+            name, entry = parse(line)
+        except ValueError as exc:
+            raise InvalidConfigError(f"{path} line {n}: {what} entry {line!r} {exc}") from None
         if name in entries:
             raise InvalidConfigError(f"{path} line {n}: duplicate {what} entry {name!r}")
         entries[name] = entry
@@ -79,24 +78,24 @@ def _vocabulary_entries(path: str | Path, what: str, parse) -> tuple:
 
 def _dish(line: str) -> tuple[str, Dish]:
     singular, sep, plural = (part.strip() for part in line.partition("|"))
+    if not singular or (sep and not plural):
+        raise ValueError("needs a singular and a plural")
     return singular, Dish(singular, plural if sep else singular + "s")
 
 
-def load_dishes(path: str | Path) -> tuple[Dish, ...]:
-    """One dish per line as "singular|plural"; plural defaults to singular+"s"."""
-    return _vocabulary_entries(path, "dish", _dish)
-
-
-def load_restaurants(path: str | Path) -> tuple[str, ...]:
-    """One restaurant display name per line."""
-    return _vocabulary_entries(path, "restaurant", lambda line: (line, line))
-
-
 def load_vocabulary(dish_path: Optional[str], restaurant_path: Optional[str]) -> Vocabulary:
-    return Vocabulary(
-        dishes=load_dishes(dish_path) if dish_path else DEFAULT_DISHES,
-        restaurants=load_restaurants(restaurant_path) if restaurant_path else DEFAULT_RESTAURANTS,
+    """The vocabulary from UTF-8 files, one unique entry per non-blank line; None: the built-in list.
+
+    Dish file: "singular|plural", or "singular" alone for the plural
+    singular+"s".  Restaurant file: the display name.
+    """
+    dishes = _vocabulary_entries(dish_path, "dish", _dish) if dish_path else DEFAULT_DISHES
+    restaurants = (
+        _vocabulary_entries(restaurant_path, "restaurant", lambda line: (line, line))
+        if restaurant_path
+        else DEFAULT_RESTAURANTS
     )
+    return Vocabulary(dishes=dishes, restaurants=restaurants)
 
 
 # ---------------------------------------------------------------------------
@@ -129,26 +128,23 @@ class ItemMap:
     names: dict[int, ItemName]
 
 
+def _restaurant_part(vocab: Vocabulary, composite: bool) -> tuple:
+    """The restaurant half of a name: a simple name is a composite one with no restaurant."""
+    return vocab.restaurants if composite else (None,)
+
+
 def check_vocabulary(vocab: Vocabulary, num_vars: int, composite: bool) -> None:
     """Raise unless the vocabulary can name num_vars distinct items in this mode."""
-    if composite:
-        pool = len(vocab.dishes) * len(vocab.restaurants)
-        if num_vars > pool:
-            raise InvalidConfigError(
-                f"composite naming needs at least {num_vars} dish/restaurant pairs, "
-                f"vocabulary offers {pool}"
-            )
-    elif num_vars > len(vocab.dishes):
-        raise InvalidConfigError(
-            f"simple naming needs at least {num_vars} dishes, "
-            f"vocabulary offers {len(vocab.dishes)}"
-        )
+    pool = len(vocab.dishes) * len(_restaurant_part(vocab, composite))
+    if num_vars > pool:
+        mode, unit = ("composite", "dish/restaurant pairs") if composite else ("simple", "dishes")
+        raise InvalidConfigError(f"{mode} naming needs at least {num_vars} {unit}, vocabulary offers {pool}")
 
 
 def assign_items(num_vars: int, composite: bool, vocab: Vocabulary, rng: PcgStream) -> ItemMap:
     """Injective uniform draw of display names for x1..x_num_vars."""
     check_vocabulary(vocab, num_vars, composite)
-    restaurants = vocab.restaurants if composite else (None,)  # a simple name is a composite one with no restaurant
+    restaurants = _restaurant_part(vocab, composite)
     names = {}
     for var, k in enumerate(rng.distinct_indices(len(vocab.dishes) * len(restaurants), num_vars), start=1):
         dish = vocab.dishes[k // len(restaurants)]
@@ -240,16 +236,17 @@ def render_formula_fixed(f: Formula, items: ItemMap, phrasing: Optional[str] = N
     )
 
 
-QUESTION_PHRASINGS = ("how-much", "price-of")
+QUESTION_TEMPLATES = {
+    "how-much": "Question: how much does {} cost?",
+    "price-of": "Question: what is the price of {}?",
+}
+QUESTION_PHRASINGS = tuple(QUESTION_TEMPLATES)
 
 
 def render_question(items: ItemMap, questioned_var: int, phrasing: str = "how-much") -> str:
-    item = items.names[questioned_var]
-    if phrasing == "how-much":
-        return f"Question: how much does {_quantity(1, item)} cost?"
-    if phrasing == "price-of":
-        return f"Question: what is the price of {_quantity(1, item)}?"
-    raise InvalidConfigError(f"question phrasing must be one of {QUESTION_PHRASINGS}, got {phrasing!r}")
+    if phrasing not in QUESTION_PHRASINGS:
+        raise InvalidConfigError(f"question phrasing must be one of {QUESTION_PHRASINGS}, got {phrasing!r}")
+    return QUESTION_TEMPLATES[phrasing].format(_quantity(1, items.names[questioned_var]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from pricetree.wording import Vocabulary
+from pricetree.wording import Vocabulary, load_vocabulary
 
 
 @pytest.fixture
 def vocab() -> Vocabulary:
-    return Vocabulary.default()
+    return load_vocabulary(None, None)

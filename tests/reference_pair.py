@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pricetree.jsonmap import to_json
 from pricetree.pipeline import GenConfig, build_pair
-from pricetree.wording import Vocabulary
+from pricetree.wording import load_vocabulary
 
 from streams import ScriptedStream
 
@@ -75,6 +75,6 @@ UNANSWERABLE_SOLUTION = (
 def build_reference_pair():
     """Run the real pipeline over the pinned draws."""
     stream = ScriptedStream(DRAWS)
-    pair = build_pair(CONFIG, 0, stream, Vocabulary.default(), to_json(CONFIG))
+    pair = build_pair(CONFIG, 0, stream, load_vocabulary(None, None), to_json(CONFIG))
     assert stream.exhausted, "reference pair left unused draws in the script"
     return pair

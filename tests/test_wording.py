@@ -7,14 +7,15 @@ from pricetree.formulas import Linear, RootValue
 from pricetree.rng import PcgStream
 from pricetree.wording import (
     DEFAULT_DISHES,
+    QUESTION_PHRASINGS,
     Dish,
     ItemMap,
     ItemName,
     Vocabulary,
     assemble_text,
     assign_items,
-    load_dishes,
-    load_restaurants,
+    check_vocabulary,
+    load_vocabulary,
     needs_phrasing_coin,
     render_formula_fixed,
     render_gold_solution,
@@ -50,7 +51,7 @@ def composite_items(*pairs: tuple[str, str]) -> ItemMap:
 
 class TestAssignItems:
     def test_pinned_reference_assignment(self):
-        items = assign_items(4, False, Vocabulary.default(), ScriptedStream([[0, 1, 2, 3]]))
+        items = assign_items(4, False, load_vocabulary(None, None), ScriptedStream([[0, 1, 2, 3]]))
         assert [items.names[i].dish for i in range(1, 5)] == [
             "burger",
             "scrambled egg",
@@ -68,7 +69,7 @@ class TestAssignItems:
         assert displays == {"burger at Urban Plate", "burger at Bistro Nice"}
 
     def test_composite_displays_never_collide(self):
-        vocab = Vocabulary.default()
+        vocab = load_vocabulary(None, None)
         for seed in range(1000):
             items = assign_items(10, True, vocab, PcgStream.from_seed(seed))
             displays = [n.display for n in items.names.values()]
@@ -76,17 +77,33 @@ class TestAssignItems:
 
     def test_insufficient_vocabulary_names_required_size(self):
         with pytest.raises(InvalidConfigError, match="at least 12 dishes"):
-            assign_items(12, False, Vocabulary.default(), PcgStream.from_seed(0))
+            assign_items(12, False, load_vocabulary(None, None), PcgStream.from_seed(0))
         tiny = Vocabulary(dishes=(Dish("pie", "pies"),), restaurants=("Texas BBQ",))
         with pytest.raises(InvalidConfigError, match="at least 2 dish/restaurant pairs"):
             assign_items(2, True, tiny, PcgStream.from_seed(0))
+
+    @pytest.mark.parametrize(
+        "composite, pool, message",
+        [
+            (False, 9, "simple naming needs at least 10 dishes, vocabulary offers 9"),
+            (True, 45, "composite naming needs at least 46 dish/restaurant pairs, vocabulary offers 45"),
+        ],
+        ids=["simple", "composite"],
+    )
+    def test_pool_boundary(self, vocab, composite, pool, message):
+        check_vocabulary(vocab, pool, composite)
+        items = assign_items(pool, composite, vocab, PcgStream.from_seed(0))
+        assert len({name.display for name in items.names.values()}) == pool
+        with pytest.raises(InvalidConfigError) as exc:
+            check_vocabulary(vocab, pool + 1, composite)
+        assert str(exc.value) == message
 
 
 class TestVocabularyFiles:
     def test_dish_file_with_explicit_and_default_plurals(self, tmp_path):
         path = tmp_path / "dishes.txt"
         path.write_text("taco\nbowl of ramen|bowls of ramen\n\nwrap\n", encoding="utf-8")
-        dishes = load_dishes(path)
+        dishes = load_vocabulary(path, None).dishes
         assert dishes == (
             Dish("taco", "tacos"),
             Dish("bowl of ramen", "bowls of ramen"),
@@ -97,17 +114,34 @@ class TestVocabularyFiles:
         path = tmp_path / "dishes.txt"
         path.write_text("taco\ntaco\n", encoding="utf-8")
         with pytest.raises(InvalidConfigError, match="duplicate"):
-            load_dishes(path)
+            load_vocabulary(path, None)
         rest = tmp_path / "rest.txt"
         rest.write_text("Cafe One\nCafe One\n", encoding="utf-8")
         with pytest.raises(InvalidConfigError, match="duplicate"):
-            load_restaurants(rest)
+            load_vocabulary(None, rest)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "dishes.txt"
         path.write_text("\n\n", encoding="utf-8")
         with pytest.raises(InvalidConfigError):
-            load_dishes(path)
+            load_vocabulary(path, None)
+
+    @pytest.mark.parametrize("line", ["|pies", "taco|", "|"])
+    def test_dish_missing_singular_or_plural_rejected(self, tmp_path, line):
+        path = tmp_path / "dishes.txt"
+        path.write_text(f"wrap\n{line}\n", encoding="utf-8")
+        with pytest.raises(InvalidConfigError) as exc:
+            load_vocabulary(path, None)
+        assert str(exc.value) == f"{path} line 2: dish entry {line!r} needs a singular and a plural"
+
+    def test_restaurant_file_too_small_for_composite_pool(self, tmp_path):
+        rest = tmp_path / "rest.txt"
+        rest.write_text("Cafe One\n", encoding="utf-8")
+        vocab = load_vocabulary(None, rest)
+        assert vocab.restaurants == ("Cafe One",)
+        with pytest.raises(InvalidConfigError) as exc:
+            check_vocabulary(vocab, 10, True)
+        assert str(exc.value) == "composite naming needs at least 10 dish/restaurant pairs, vocabulary offers 9"
 
 
 class TestRenderFormula:
@@ -205,8 +239,13 @@ class TestRenderQuestion:
         assert render_question(items, 1, "price-of") == "Question: what is the price of a pie?"
 
     def test_unknown_phrasing_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError) as exc:
             render_question(simple_items("pie"), 1, "riddle")
+        assert str(exc.value) == "question phrasing must be one of ('how-much', 'price-of'), got 'riddle'"
+
+    def test_phrasing_order_is_pinned(self):
+        # digest grids and benchmark cells index phrasings by position
+        assert QUESTION_PHRASINGS == ("how-much", "price-of")
 
 
 class TestAssembleText:
