@@ -2,8 +2,8 @@
 
 Non-reasoning profiles get a chain-of-thought system message plus the user
 message; reasoning profiles get the user message only and never receive a
-temperature.  Few-shot prompts prepend 3 answerable and 3 unanswerable
-worked examples drawn from a held-out pool, interleaved in stream order.
+temperature.  Few-shot prompts prepend EXEMPLARS_PER_VARIANT worked examples
+of each variant from a held-out pool, interleaved in stream order.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ INSTRUCTION = (
     "If the known conditions are not sufficient to answer the question, "
     "please answer in the form 'Answer: unknown.'."
 )
+
+EXEMPLARS_PER_VARIANT = 3  # answerable, and as many unanswerable, in a few-shot prompt
 
 
 @dataclass
@@ -82,9 +84,13 @@ def build_zero_shot_prompt(instance: ProblemInstance, profile: ModelProfile) -> 
     return _messages(profile, f"{INSTRUCTION}\n\n{_question(instance)}")
 
 
+def answer_line(instance: ProblemInstance) -> str:
+    """The right response's last line: the gold answer, or unknown when there is none."""
+    return f"Answer: {'unknown.' if instance.gold_answer is None else instance.gold_answer}"
+
+
 def _exemplar_block(instance: ProblemInstance) -> str:
-    answer = instance.gold_answer if instance.variant == ANSWERABLE else "unknown."
-    return f"{_question(instance)}{instance.gold_solution_text}\nAnswer: {answer}"
+    return f"{_question(instance)}{instance.gold_solution_text}\n{answer_line(instance)}"
 
 
 @dataclass
@@ -106,7 +112,7 @@ class FewShotPool:
 
     @classmethod
     def prepare(cls, pool: Dataset, target: Dataset) -> "FewShotPool":
-        """Reject a pool that shares a pair with the target or lacks 3 instances of a variant.
+        """Reject a pool that shares a pair with the target or lacks EXEMPLARS_PER_VARIANT of a variant.
 
         Exemplars sharing a tree with a question under evaluation would leak
         its solution.
@@ -120,9 +126,9 @@ class FewShotPool:
             )
         answerable = tuple(p for p in pool.instances if p.variant == ANSWERABLE)
         unanswerable = tuple(p for p in pool.instances if p.variant != ANSWERABLE)
-        if len(answerable) < 3 or len(unanswerable) < 3:
+        if min(len(answerable), len(unanswerable)) < EXEMPLARS_PER_VARIANT:
             raise InvalidConfigError(
-                f"few-shot pool needs at least 3 instances of each variant, "
+                f"few-shot pool needs at least {EXEMPLARS_PER_VARIANT} instances of each variant, "
                 f"got {len(answerable)} answerable and {len(unanswerable)} unanswerable"
             )
         return cls(answerable, unanswerable)
@@ -134,14 +140,16 @@ def build_few_shot_prompt(
     rng: PcgStream,
     profile: ModelProfile,
 ) -> FewShotPrompt:
-    """3 answerable + 3 unanswerable worked examples before the target question.
+    """EXEMPLARS_PER_VARIANT worked examples of each variant, shuffled, before the target question.
 
     `pool` comes from :meth:`FewShotPool.prepare` on the corpus `instance` belongs to.
     """
-    answerable, unanswerable = pool.answerable, pool.unanswerable
-    picked = [answerable[i] for i in rng.distinct_indices(len(answerable), 3)]
-    picked += [unanswerable[i] for i in rng.distinct_indices(len(unanswerable), 3)]
-    exemplars = [picked[i] for i in rng.permutation(6)]
+    picked = [
+        variant[i]
+        for variant in (pool.answerable, pool.unanswerable)
+        for i in rng.distinct_indices(len(variant), EXEMPLARS_PER_VARIANT)
+    ]
+    exemplars = [picked[i] for i in rng.permutation(len(picked))]
 
     body = (
         f"{INSTRUCTION} Here are some worked examples.\n\n"

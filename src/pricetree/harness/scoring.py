@@ -85,6 +85,7 @@ def score_outcome(variant: str, gold_answer: Optional[int], parsed: ParsedAnswer
 # Evaluation records
 # ---------------------------------------------------------------------------
 
+MODES = ("zero", "few")  # zero-shot, or few-shot with an exemplar pool
 GROUPABLE_KEYS = ("ansDepth", "cutDepth", "numVars", "compositeName", "order")
 
 
@@ -93,7 +94,7 @@ class EvalRecord:
     instance_id: str
     pair_id: str
     variant: str
-    mode: str  # "zero" | "few"
+    mode: str  # one of MODES
     outcome: Optional[str]  # None when the transport failed
     verdict: Optional[str]
     value: Optional[int]
@@ -111,6 +112,18 @@ def _config_cell(instance: ProblemInstance) -> dict:
     return {key: config.get(key) for key in GROUPABLE_KEYS}
 
 
+def check_eval_request(mode: str, pool_given: bool, eval_seed: int) -> None:
+    """The eval arguments' rules, checked before any file is read or request sent."""
+    if mode not in MODES:
+        raise InvalidConfigError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+    if eval_seed < 0:
+        raise InvalidConfigError(f"evalSeed must be >= 0, got {eval_seed}")
+    if mode == "few" and not pool_given:
+        raise InvalidConfigError("few-shot mode needs an exemplar pool")
+    if mode == "zero" and pool_given:
+        raise InvalidConfigError("zero-shot mode takes no exemplar pool")
+
+
 def run_eval(
     dataset: Dataset,
     profile: ModelProfile,
@@ -122,29 +135,22 @@ def run_eval(
 ) -> list[EvalRecord]:
     """Score every instance of a dataset with `profile.concurrency` requests in flight.
 
-    The seed and the few-shot pool are checked once, before any request is
-    sent; a pool given in zero-shot mode is an error.  Few-shot record i
+    The arguments (:func:`check_eval_request`) and the few-shot pool are
+    checked once, before any request is sent.  Few-shot record i
     draws its exemplars from ``substream(eval_seed, i)``.  Records come back
     in dataset order regardless of completion order.  Transport
     failures (after retries) yield records flagged as excluded rather than
     aborting the run; any other exception stops every worker from taking
     another instance and is re-raised here.
     """
-    if mode not in ("zero", "few"):
-        raise InvalidConfigError(f"mode must be 'zero' or 'few', got {mode!r}")
-    if eval_seed < 0:
-        raise InvalidConfigError(f"evalSeed must be >= 0, got {eval_seed}")
-    if mode == "few":
-        if pool is None:
-            raise InvalidConfigError("few-shot mode needs an exemplar pool")
+    check_eval_request(mode, pool is not None, eval_seed)
+    if pool is None:
+        streams = itertools.repeat(None)
+    else:
         exemplars = FewShotPool.prepare(pool, dataset)
         streams = substreams(eval_seed, len(dataset.instances))
-    elif pool is not None:
-        raise InvalidConfigError("zero-shot mode takes no exemplar pool")
-    else:
-        streams = itertools.repeat(None)
 
-    def evaluate(index: int, instance: ProblemInstance, rng: Optional[PcgStream]) -> EvalRecord:
+    def evaluate(instance: ProblemInstance, rng: Optional[PcgStream]) -> EvalRecord:
         exemplar_ids = None
         if rng is None:
             messages = build_zero_shot_prompt(instance, profile)
@@ -176,7 +182,7 @@ def run_eval(
         )
 
     records: list[Optional[EvalRecord]] = [None] * len(dataset.instances)
-    todo = zip(itertools.count(), dataset.instances, streams)
+    todo = enumerate(zip(dataset.instances, streams))
     lock = threading.Lock()
     stop = threading.Event()
     errors: list[BaseException] = []
@@ -188,7 +194,7 @@ def run_eval(
             if item is None:
                 return
             try:
-                records[item[0]] = evaluate(*item)
+                records[item[0]] = evaluate(*item[1])
             except BaseException as exc:  # re-raised by the caller
                 with lock:
                     errors.append(exc)

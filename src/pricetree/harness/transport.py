@@ -20,12 +20,12 @@ import urllib.request
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import InvalidConfigError, TransientTransportError, TransportError
 from ..jsonmap import from_json, read_json_lines
-from ..pipeline import ANSWERABLE, Dataset
-from .prompts import Message, ModelProfile
+from ..pipeline import Dataset, ProblemInstance
+from .prompts import Message, ModelProfile, answer_line
 
 BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_CAP_SECONDS = 30.0
@@ -126,27 +126,20 @@ class ReplayTransport:
         return self.responses[instance_id]
 
 
-MOCK_NAMES = ("unknown", "five", "gold")
+# each named mock's response to an instance: all unknown, all 5, or the right answer line
+MOCKS: dict[str, Callable[[ProblemInstance], str]] = {
+    "unknown": lambda instance: "Answer: unknown.",
+    "five": lambda instance: "Answer: 5",
+    "gold": answer_line,
+}
+MOCK_NAMES = tuple(MOCKS)
 
 
 def mock_responses(name: str, dataset: Dataset) -> dict[str, str]:
-    """Scripted responses per instance id, for a ReplayTransport.
-
-    unknown   answers "Answer: unknown." to everything
-    five      answers "Answer: 5" to everything
-    gold      echoes each instance's gold answer, "unknown." when there is none
-    """
-    if name not in MOCK_NAMES:
+    """The named mock's response per instance id, for a ReplayTransport."""
+    if name not in MOCKS:
         raise InvalidConfigError(f"unknown mock {name!r}, expected one of {MOCK_NAMES}")
-    responses = {}
-    for inst in dataset.instances:
-        if name == "five":
-            responses[inst.id] = "Answer: 5"
-        elif name == "gold" and inst.variant == ANSWERABLE:
-            responses[inst.id] = f"Answer: {inst.gold_answer}"
-        else:
-            responses[inst.id] = "Answer: unknown."
-    return responses
+    return {inst.id: MOCKS[name](inst) for inst in dataset.instances}
 
 
 def make_transport(spec: str, profile: ModelProfile, dataset: Dataset):

@@ -67,10 +67,6 @@ class PcgStream:
         batches = map(_raw_words, repeat(self._bitgen), chain((_FIRST_BATCH,), repeat(_BATCH)))
         self._words = chain.from_iterable(batches)  # endless, so a zip with it never stops early
 
-    @classmethod
-    def from_seed(cls, seed: int) -> "PcgStream":
-        return cls(SeedSequence(seed))
-
     def pick_each(self, choices: Sequence[Sequence[T]]) -> list[T]:
         """One uniform element of each non-empty sequence, in order.
 
@@ -168,10 +164,8 @@ def _redraw(word: Callable[[], int], m: int, bound: int) -> int:
     """Finish a bounded draw whose product `m` has a low word below `bound`.
 
     The draw is redrawn while the low word is below ``2**32 % bound``.
-    Bounds above 2**32 would need numpy's 64-bit path.
     """
-    if bound > 2**32:
-        raise ValueError(f"draw bounds above 2**32 are not supported, got {bound}")
+    _check_size(bound)
     threshold = (1 << 32) % bound
     while m & _MASK32 < threshold:
         m = word() * bound

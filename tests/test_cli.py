@@ -169,6 +169,27 @@ class TestVerify:
         assert main(["verify", "--in", str(out)]) == 1
         assert "certified 0/8 instances (0 label failures, 8 solver disagreements)" in capsys.readouterr().out
 
+    def test_label_failure_on_formulas_that_are_not_a_forest_is_a_label_failure(self, tmp_path, capsys):
+        # a second rootValue for the questioned variable makes the formulas inconsistent and
+        # no forest, so the walk has no verdict; the label is what fails
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"numVars": 6, "ansDepth": 4, "cutDepth": 2, "compositeName": True, "count": 1}))
+        out = tmp_path / "corpus.jsonl"
+        assert main(["generate", "--config", str(config), "--out", str(out), "--seed", "3"]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        assert record["variant"] == "answerable"
+        second = {"kind": "rootValue", "var": record["questionedVar"], "value": record["goldAnswer"] + 1}
+        record["formulas"].append(second)
+        lines[1] = json.dumps(record, ensure_ascii=False)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL s3-p000000-answerable: label answerable but oracle says inconsistent\n"
+            "certified 1/2 instances (1 label failures, 0 solver disagreements)\n"
+        )
+
     @pytest.mark.parametrize(
         "field", ["parentCoeff", "itemMap key", "questionedVar", "conditionSentences", "goldAnswer", "id"]
     )
@@ -390,23 +411,29 @@ class TestEvalAndReport:
         assert capsys.readouterr().err == "error: evalSeed must be >= 0, got -1\n"
         assert sent == [] and not out.exists()
 
-    def test_pool_without_few_mode_fails_before_reading_files(self, tmp_path, profile_file, capsys):
-        # neither input exists: the option clash is reported before either is opened
+    def test_pool_without_few_mode_fails_before_reading_files(self, tmp_path, capsys):
+        # no input exists: each argument error is reported before any file is opened
         out = tmp_path / "r.jsonl"
-        code = main(
-            [
-                "eval",
-                "--in", str(tmp_path / "missing.jsonl"),
-                "--profile", str(profile_file),
-                "--mode", "zero",
-                "--pool", str(tmp_path / "missing-pool.jsonl"),
-                "--transport", "mock:gold",
-                "--out", str(out),
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == "error: --pool is only for --mode few\n"
-        assert not out.exists()
+        pool = ["--pool", str(tmp_path / "missing-pool.jsonl")]
+        for mode, extra, error in [
+            ("zero", pool, "zero-shot mode takes no exemplar pool"),
+            ("few", [], "few-shot mode needs an exemplar pool"),
+            ("few", [*pool, "--seed", "-1"], "evalSeed must be >= 0, got -1"),
+        ]:
+            code = main(
+                [
+                    "eval",
+                    "--in", str(tmp_path / "missing.jsonl"),
+                    "--profile", str(tmp_path / "missing-profile.json"),
+                    "--mode", mode,
+                    *extra,
+                    "--transport", "mock:gold",
+                    "--out", str(out),
+                ]
+            )
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {error}\n"
+            assert not out.exists()
 
     def test_replay_transport_round_trip(self, tmp_path, config_file, profile_file):
         corpus = generate(tmp_path, config_file)

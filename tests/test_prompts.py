@@ -4,9 +4,11 @@ import json
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from numpy.random import SeedSequence
 
 from pricetree.errors import InvalidConfigError
 from pricetree.harness.prompts import (
+    EXEMPLARS_PER_VARIANT,
     SYSTEM_MESSAGE,
     FewShotPool,
     ModelProfile,
@@ -94,13 +96,13 @@ class TestFewShot:
 
     def test_deterministic_given_stream(self):
         pool, target, profile = self.prepared(), self.target(), make_profile()
-        first = build_few_shot_prompt(target, pool, PcgStream.from_seed(5), profile)
-        second = build_few_shot_prompt(target, pool, PcgStream.from_seed(5), profile)
+        first = build_few_shot_prompt(target, pool, PcgStream(SeedSequence(5)), profile)
+        second = build_few_shot_prompt(target, pool, PcgStream(SeedSequence(5)), profile)
         assert first == second
 
     def test_three_of_each_variant(self):
         pool, target = self.pool(), self.target()
-        prompt = build_few_shot_prompt(target, self.prepared(), PcgStream.from_seed(1), make_profile())
+        prompt = build_few_shot_prompt(target, self.prepared(), PcgStream(SeedSequence(1)), make_profile())
         assert len(prompt.exemplar_ids) == 6
         variants = [pool.by_id(i).variant for i in prompt.exemplar_ids]
         assert variants.count("answerable") == 3
@@ -108,7 +110,7 @@ class TestFewShot:
 
     def test_exemplars_carry_solution_and_answer(self):
         pool, target = self.pool(), self.target()
-        prompt = build_few_shot_prompt(target, self.prepared(), PcgStream.from_seed(1), make_profile())
+        prompt = build_few_shot_prompt(target, self.prepared(), PcgStream(SeedSequence(1)), make_profile())
         body = prompt.messages[-1].content
         for exemplar_id in prompt.exemplar_ids:
             exemplar = pool.by_id(exemplar_id)
@@ -132,6 +134,17 @@ class TestFewShot:
         pool = make_corpus(count=2, corpus_seed=777)
         with pytest.raises(InvalidConfigError, match="at least 3"):
             FewShotPool.prepare(pool, self.target_corpus())
+
+    @pytest.mark.parametrize(
+        "short, counts", [("answerable", "2 answerable and 5 unanswerable"), ("unanswerable", "5 answerable and 2 unanswerable")]
+    )
+    def test_pool_one_short_of_a_variant_rejected(self, short, counts):
+        pool = self.pool()  # 5 pairs
+        kept = [p for p in pool.instances if p.variant == short][: EXEMPLARS_PER_VARIANT - 1]
+        pool = replace(pool, instances=[*kept, *(p for p in pool.instances if p.variant != short)])
+        with pytest.raises(InvalidConfigError) as excinfo:
+            FewShotPool.prepare(pool, self.target_corpus())
+        assert str(excinfo.value) == f"few-shot pool needs at least 3 instances of each variant, got {counts}"
 
     def test_pool_split_keeps_pool_order(self):
         pool = self.pool()

@@ -22,6 +22,7 @@ from pricetree.harness.scoring import (
     VERDICT_UNPARSEABLE,
     EvalRecord,
     ParsedAnswer,
+    check_eval_request,
     extract_answer,
     read_records,
     run_eval,
@@ -258,6 +259,26 @@ class TestRunEval:
         corpus = make_corpus(count=1)
         with pytest.raises(InvalidConfigError, match="mode"):
             run_eval(corpus, make_profile(), "one", mock("unknown", corpus))
+
+
+class TestCheckEvalRequest:
+    @pytest.mark.parametrize(
+        "mode, pool_given, eval_seed, message",
+        [
+            ("one", True, -1, "mode must be 'zero' or 'few', got 'one'"),
+            ("few", False, -1, "evalSeed must be >= 0, got -1"),
+            ("few", False, 0, "few-shot mode needs an exemplar pool"),
+            ("zero", True, 0, "zero-shot mode takes no exemplar pool"),
+        ],
+    )
+    def test_each_rule_raises_its_text_in_order(self, mode, pool_given, eval_seed, message):
+        with pytest.raises(InvalidConfigError) as excinfo:
+            check_eval_request(mode, pool_given, eval_seed)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("mode, pool_given", [("zero", False), ("few", True)])
+    def test_valid_requests_accepted(self, mode, pool_given):
+        assert check_eval_request(mode, pool_given, 0) is None
 
 
 class TestRecordsIO:

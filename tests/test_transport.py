@@ -14,10 +14,11 @@ from pricetree.errors import (
     TransientTransportError,
     TransportError,
 )
-from pricetree.harness.prompts import Message
+from pricetree.harness.prompts import Message, answer_line
 from pricetree.harness import transport as transport_module
 from pricetree.harness.scoring import OUTCOME_CORRECT_UNANSWERABLE, OUTCOME_FALSE_UNANSWERABLE, run_eval
 from pricetree.harness.transport import (
+    MOCK_NAMES,
     LiveTransport,
     ReplayTransport,
     build_payload,
@@ -105,6 +106,13 @@ class TestMocks:
         assert five.complete([], answerable.id) == "Answer: 5"
         assert gold.complete([], answerable.id) == f"Answer: {answerable.gold_answer}"
         assert gold.complete([], unanswerable.id) == "Answer: unknown."
+
+    def test_gold_mock_is_the_answer_line(self):
+        corpus = make_corpus(count=3)
+        assert mock_responses("gold", corpus) == {inst.id: answer_line(inst) for inst in corpus.instances}
+
+    def test_mock_names_pinned(self):
+        assert MOCK_NAMES == ("unknown", "five", "gold")
 
     def test_unknown_mock_name_rejected(self):
         corpus = make_corpus(count=1)

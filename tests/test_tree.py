@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from numpy.random import SeedSequence
 
 from pricetree.errors import InvalidConfigError
 from pricetree.pipeline import GenConfig
@@ -16,14 +17,14 @@ class TestSampleVarValues:
         assert sample_var_values(4, rng) == {1: 14, 2: 8, 3: 11, 4: 10}
 
     def test_values_in_range(self):
-        values = sample_var_values(2, PcgStream.from_seed(3))
+        values = sample_var_values(2, PcgStream(SeedSequence(3)))
         assert all(5 <= v <= 15 for v in values.values())
 
     def test_sweep_hits_full_support(self):
         # brute-force sweep: bounds hold everywhere and every price occurs
         seen = set()
         for seed in range(1000):
-            values = sample_var_values(10, PcgStream.from_seed(seed))
+            values = sample_var_values(10, PcgStream(SeedSequence(seed)))
             assert len(values) == 10
             assert set(values) == set(range(1, 11))
             seen.update(values.values())
@@ -31,7 +32,7 @@ class TestSampleVarValues:
 
     def test_too_few_vars_rejected(self):
         with pytest.raises(InvalidConfigError):
-            sample_var_values(1, PcgStream.from_seed(0))
+            sample_var_values(1, PcgStream(SeedSequence(0)))
 
 
 class TestBuildTree:
@@ -46,7 +47,7 @@ class TestBuildTree:
 
     def test_spine_and_attachment_invariants(self):
         for seed in range(1000):
-            parents = build_tree(8, 4, PcgStream.from_seed(seed))
+            parents = build_tree(8, 4, PcgStream(SeedSequence(seed)))
             assert len(parents) == 8
             assert parents[:4] == (ROOT, 1, 2, 3)  # the spine
             for i in range(5, 9):
@@ -71,7 +72,7 @@ class TestBfsEdges:
     def test_prefix_property_and_length(self):
         # every edge's parent is the root or a child seen earlier
         for seed in range(1000):
-            edges = bfs_edges(build_tree(9, 4, PcgStream.from_seed(seed)))
+            edges = bfs_edges(build_tree(9, 4, PcgStream(SeedSequence(seed))))
             assert len(edges) == 9
             seen = {ROOT}
             for parent, child in edges:

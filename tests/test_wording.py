@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from numpy.random import SeedSequence
 
 from pricetree.errors import CertificationError, InvalidConfigError
 from pricetree.formulas import Linear, RootValue
@@ -71,16 +72,16 @@ class TestAssignItems:
     def test_composite_displays_never_collide(self):
         vocab = load_vocabulary(None, None)
         for seed in range(1000):
-            items = assign_items(10, True, vocab, PcgStream.from_seed(seed))
+            items = assign_items(10, True, vocab, PcgStream(SeedSequence(seed)))
             displays = [n.display for n in items.names.values()]
             assert len(set(displays)) == 10
 
     def test_insufficient_vocabulary_names_required_size(self):
         with pytest.raises(InvalidConfigError, match="at least 12 dishes"):
-            assign_items(12, False, load_vocabulary(None, None), PcgStream.from_seed(0))
+            assign_items(12, False, load_vocabulary(None, None), PcgStream(SeedSequence(0)))
         tiny = Vocabulary(dishes=(Dish("pie", "pies"),), restaurants=("Texas BBQ",))
         with pytest.raises(InvalidConfigError, match="at least 2 dish/restaurant pairs"):
-            assign_items(2, True, tiny, PcgStream.from_seed(0))
+            assign_items(2, True, tiny, PcgStream(SeedSequence(0)))
 
     @pytest.mark.parametrize(
         "composite, pool, message",
@@ -92,7 +93,7 @@ class TestAssignItems:
     )
     def test_pool_boundary(self, vocab, composite, pool, message):
         check_vocabulary(vocab, pool, composite)
-        items = assign_items(pool, composite, vocab, PcgStream.from_seed(0))
+        items = assign_items(pool, composite, vocab, PcgStream(SeedSequence(0)))
         assert len({name.display for name in items.names.values()}) == pool
         with pytest.raises(InvalidConfigError) as exc:
             check_vocabulary(vocab, pool + 1, composite)
