@@ -20,6 +20,7 @@ from .harness.prompts import load_profile
 from .harness.report import format_text_table, write_report
 from .harness.scoring import MODES, check_eval_request, read_records, run_eval, write_records
 from .harness.transport import MOCK_NAMES, make_transport
+from .jsonmap import make_parents
 from .oracle import UNDERDETERMINED, component_of, solve_all, verify_instance
 from .pipeline import (
     PRESET_NAMES,
@@ -141,6 +142,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     check_eval_request(args.mode, args.pool is not None, args.seed)  # before any file is read
+    make_parents(args.out)  # before any request, whose response would be lost
     dataset = read_dataset(args.input)
     profile = load_profile(args.profile)
     pool = None if args.pool is None else read_dataset(args.pool)

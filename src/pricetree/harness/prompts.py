@@ -103,12 +103,13 @@ class FewShotPrompt:
 class FewShotPool:
     """A held-out exemplar pool checked against one target corpus, split by variant in pool order.
 
-    Build it with :meth:`prepare`, once per run, so the checks and the split
-    are not repeated for every prompt.
+    Build it with :meth:`prepare`, once per run, so the checks, the split
+    and each exemplar's worked text are not repeated for every prompt.
     """
 
     answerable: tuple[ProblemInstance, ...]
     unanswerable: tuple[ProblemInstance, ...]
+    blocks: tuple[tuple[str, ...], tuple[str, ...]]  # the worked text of each instance above
 
     @classmethod
     def prepare(cls, pool: Dataset, target: Dataset) -> "FewShotPool":
@@ -131,7 +132,8 @@ class FewShotPool:
                 f"few-shot pool needs at least {EXEMPLARS_PER_VARIANT} instances of each variant, "
                 f"got {len(answerable)} answerable and {len(unanswerable)} unanswerable"
             )
-        return cls(answerable, unanswerable)
+        blocks = tuple(tuple(map(_exemplar_block, variant)) for variant in (answerable, unanswerable))
+        return cls(answerable, unanswerable, blocks)
 
 
 def build_few_shot_prompt(
@@ -145,15 +147,12 @@ def build_few_shot_prompt(
     `pool` comes from :meth:`FewShotPool.prepare` on the corpus `instance` belongs to.
     """
     picked = [
-        variant[i]
-        for variant in (pool.answerable, pool.unanswerable)
+        (variant[i], blocks[i])
+        for variant, blocks in zip((pool.answerable, pool.unanswerable), pool.blocks)
         for i in rng.distinct_indices(len(variant), EXEMPLARS_PER_VARIANT)
     ]
     exemplars = [picked[i] for i in rng.permutation(len(picked))]
 
-    body = (
-        f"{INSTRUCTION} Here are some worked examples.\n\n"
-        + "\n\n".join(_exemplar_block(e) for e in exemplars)
-        + f"\n\n{_question(instance)}"
-    )
-    return FewShotPrompt(messages=_messages(profile, body), exemplar_ids=[e.id for e in exemplars])
+    header = f"{INSTRUCTION} Here are some worked examples."
+    body = "\n\n".join([header, *(block for _, block in exemplars), _question(instance)])
+    return FewShotPrompt(messages=_messages(profile, body), exemplar_ids=[e.id for e, _ in exemplars])

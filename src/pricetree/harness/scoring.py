@@ -135,13 +135,12 @@ def run_eval(
 ) -> list[EvalRecord]:
     """Score every instance of a dataset with `profile.concurrency` requests in flight.
 
-    The arguments (:func:`check_eval_request`) and the few-shot pool are
-    checked once, before any request is sent.  Few-shot record i
-    draws its exemplars from ``substream(eval_seed, i)``.  Records come back
-    in dataset order regardless of completion order.  Transport
-    failures (after retries) yield records flagged as excluded rather than
-    aborting the run; any other exception stops every worker from taking
-    another instance and is re-raised here.
+    The caller is one of those workers.  The arguments (:func:`check_eval_request`)
+    and the few-shot pool are checked once, before any request is sent.  Few-shot
+    record i draws its exemplars from ``substream(eval_seed, i)``.  Records come
+    back in dataset order.  Transport failures (after retries) yield records
+    flagged as excluded; any other exception stops every worker from taking
+    another instance and is re-raised once the caller's own request is done.
     """
     check_eval_request(mode, pool is not None, eval_seed)
     if pool is None:
@@ -201,12 +200,14 @@ def run_eval(
                     stop.set()
 
     count = min(profile.concurrency, len(records))
-    workers = [threading.Thread(target=work, daemon=True) for _ in range(count)]
-    for worker in workers:
-        worker.start()
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(count - 1)]
+    for helper in helpers:
+        helper.start()
     try:
-        for worker in workers:
-            worker.join()
+        work()
+        if not errors:  # on an error the helpers finish only the requests they hold
+            for helper in helpers:
+                helper.join()
     finally:
         stop.set()  # an interrupted caller leaves only the requests already in flight
     if errors:

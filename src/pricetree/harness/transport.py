@@ -17,7 +17,7 @@ import ssl
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import Callable, Optional
@@ -60,19 +60,22 @@ def _opener() -> urllib.request.OpenerDirector:
 
 @dataclass(frozen=True)
 class LiveTransport:
-    """POSTs to a chat-completion endpoint; auth comes from the environment."""
+    """POSTs to a chat-completion endpoint; the API key is read from the environment once, when made."""
 
     profile: ModelProfile
+    api_key: Optional[str] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        name = self.profile.api_key_env
+        key = os.environ.get(name) if name else None
+        if name and not key:  # fail before the first request, as every request would
+            raise TransportError(f"environment variable {name} is not set")
+        object.__setattr__(self, "api_key", key)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
-        if self.profile.api_key_env:
-            key = os.environ.get(self.profile.api_key_env)
-            if not key:
-                raise TransportError(
-                    f"environment variable {self.profile.api_key_env} is not set"
-                )
-            headers["Authorization"] = f"Bearer {key}"
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
     def complete(self, messages: list[Message], instance_id: Optional[str] = None) -> str:

@@ -134,6 +134,18 @@ def read_json_lines(path: str | Path, convert: Callable[[dict], Any], unique: st
     return json_lines(nonblank_lines(read_lines(path)), str(path), convert, unique)
 
 
+def _cannot_write(path: str | Path, exc: OSError) -> PricetreeError:
+    return PricetreeError(f"{exc.filename or path}: cannot write ({exc.strerror or exc})")
+
+
+def make_parents(path: str | Path) -> None:
+    """Make the missing directories of output file `path`, failing as `write_text` does."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """Write `chunks` to a UTF-8 file as they come, line ends as given, making its missing directories."""
     try:
@@ -141,12 +153,12 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> None:
             fh = open(path, "w", encoding="utf-8", newline="")
         except (FileNotFoundError, NotADirectoryError):  # a missing directory, or a file in its place
             # mkdir only now: on an existing directory it cost 25-45 us, half a small corpus file's write
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            make_parents(path)
             fh = open(path, "w", encoding="utf-8", newline="")
         with fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise PricetreeError(f"{exc.filename or path}: cannot write ({exc.strerror or exc})") from exc
+        raise _cannot_write(path, exc) from exc
 
 
 def write_json_lines(path: str | Path, lines: Iterable[str]) -> None:

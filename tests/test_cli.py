@@ -361,15 +361,33 @@ class TestEvalAndReport:
         assert main(["eval", "--in", str(corpus), *args, "--out", str(records_path)]) == 0
         assert len(scoring.read_records(records_path)) == 8
 
-    def test_eval_out_under_a_file_is_a_clean_error(self, tmp_path, config_file, profile_file, capsys):
+    def test_eval_out_under_a_file_is_a_clean_error(self, tmp_path, config_file, profile_file, capsys, monkeypatch):
         corpus = generate(tmp_path, config_file)
         taken = tmp_path / "taken"
         taken.write_text("keep", encoding="utf-8")
         capsys.readouterr()
+
+        def no_eval(*args, **kwargs):
+            raise AssertionError("--out was checked only after the requests")
+
+        monkeypatch.setattr("pricetree.cli.run_eval", no_eval)
         args = ["--profile", str(profile_file), "--mode", "zero", "--transport", "mock:gold"]
         assert main(["eval", "--in", str(corpus), *args, "--out", str(taken / "r.jsonl")]) == 1
         assert capsys.readouterr().err == f"error: {taken}: cannot write (File exists)\n"
         assert taken.read_text(encoding="utf-8") == "keep"
+
+    def test_eval_unset_api_key_fails_before_any_request(self, tmp_path, config_file, capsys, monkeypatch):
+        corpus = generate(tmp_path, config_file)
+        monkeypatch.delenv("PRICETREE_UNSET_KEY", raising=False)
+        profile = tmp_path / "live.json"
+        live = {"endpoint": "http://127.0.0.1:9/", "model": "stub", "apiKeyEnv": "PRICETREE_UNSET_KEY"}
+        profile.write_text(json.dumps(live), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "r.jsonl"
+        args = ["--profile", str(profile), "--mode", "zero", "--transport", "live", "--out", str(out)]
+        assert main(["eval", "--in", str(corpus), *args]) == 1
+        assert capsys.readouterr().err == "error: environment variable PRICETREE_UNSET_KEY is not set\n"
+        assert not out.exists()
 
     def test_few_shot_pool_sharing_seed_fails(self, tmp_path, config_file, profile_file, capsys):
         corpus = generate(tmp_path, config_file)

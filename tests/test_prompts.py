@@ -7,6 +7,7 @@ import pytest
 from numpy.random import SeedSequence
 
 from pricetree.errors import InvalidConfigError
+from pricetree.harness import prompts
 from pricetree.harness.prompts import (
     EXEMPLARS_PER_VARIANT,
     SYSTEM_MESSAGE,
@@ -16,6 +17,8 @@ from pricetree.harness.prompts import (
     build_zero_shot_prompt,
     load_profile,
 )
+from pricetree.harness.scoring import run_eval
+from pricetree.harness.transport import ReplayTransport, mock_responses
 from pricetree.rng import PcgStream, substream
 
 from factories import make_corpus, make_profile
@@ -151,6 +154,15 @@ class TestFewShot:
         prepared = self.prepared()
         assert list(prepared.answerable) == [p for p in pool.instances if p.variant == "answerable"]
         assert list(prepared.unanswerable) == [p for p in pool.instances if p.variant == "unanswerable"]
+
+    def test_each_exemplar_text_is_built_once_per_run(self, monkeypatch):
+        target, pool = make_corpus(count=12, corpus_seed=12), make_corpus(count=5, corpus_seed=34)
+        built = []
+        block = prompts._exemplar_block
+        monkeypatch.setattr(prompts, "_exemplar_block", lambda instance: built.append(instance.id) or block(instance))
+        records = run_eval(target, make_profile(), "few", ReplayTransport(mock_responses("gold", target)), pool=pool)
+        assert len(records) == 24 and len(pool.instances) == 10
+        assert sorted(built) == sorted(p.id for p in pool.instances)
 
     def test_target_never_sampled_across_seeds(self):
         pool, target, profile = self.pool(), self.target(), make_profile()

@@ -11,6 +11,7 @@ import pytest
 
 from pricetree.errors import DatasetParseError, InvalidConfigError, TransportError
 from pricetree.jsonmap import from_json, to_json
+from pricetree.harness import scoring
 from pricetree.harness.scoring import (
     OUTCOME_CORRECT_ANSWER,
     OUTCOME_CORRECT_UNANSWERABLE,
@@ -224,6 +225,52 @@ class TestRunEval:
             assert [r.instance_id for r in records] == [i.id for i in corpus.instances]
             runs.append([replace(r, latency_ms=0.0) for r in records])
         assert runs[0] == runs[1]
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        corpus = make_corpus(count=12, corpus_seed=12)
+        pool = make_corpus(count=5, corpus_seed=34)
+        runs = [run_eval(corpus, make_profile(concurrency=4), "few", mock("gold", corpus), pool=pool)]
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("run_eval started a thread at concurrency 1")
+
+        monkeypatch.setattr(scoring.threading, "Thread", no_thread)
+        runs.append(run_eval(corpus, make_profile(concurrency=1), "few", mock("gold", corpus), pool=pool))
+        assert [replace(r, latency_ms=0.0) for r in runs[0]] == [replace(r, latency_ms=0.0) for r in runs[1]]
+
+    def test_caller_error_is_raised_while_a_helper_still_holds_its_request(self):
+        class Interrupt(BaseException):
+            pass
+
+        corpus = make_corpus(count=1)  # two instances: one for the caller, one for the helper
+        helper_in_flight, release, helper_done = threading.Event(), threading.Event(), threading.Event()
+        raised = []
+
+        class BlockingTransport:
+            def complete(self, messages, instance_id=None):
+                if threading.current_thread() is caller:
+                    assert helper_in_flight.wait(timeout=60)
+                    raise Interrupt
+                helper_in_flight.set()
+                release.wait(timeout=60)
+                helper_done.set()
+                return "Answer: unknown."
+
+        def call():
+            try:
+                run_eval(corpus, make_profile(concurrency=2), "zero", BlockingTransport())
+            except Interrupt as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        try:
+            caller.start()
+            caller.join(timeout=30)  # at concurrency 2 the caller is a worker, so this returns at once
+            assert not caller.is_alive() and len(raised) == 1
+            assert helper_in_flight.is_set() and not helper_done.is_set()
+        finally:
+            release.set()
+        assert helper_done.wait(timeout=60)
 
     def test_leaking_pool_rejected_before_any_request(self):
         corpus = make_corpus(count=3, corpus_seed=12)

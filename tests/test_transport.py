@@ -252,9 +252,8 @@ class TestLiveTransport:
     def test_missing_api_key_fails_fast(self, chat_server, monkeypatch):
         _, url = chat_server
         monkeypatch.delenv("TEST_API_KEY", raising=False)
-        transport = LiveTransport(make_profile(endpoint=url, api_key_env="TEST_API_KEY"))
         with pytest.raises(TransportError, match="TEST_API_KEY"):
-            transport.complete([Message("user", "hello")])
+            LiveTransport(make_profile(endpoint=url, api_key_env="TEST_API_KEY"))
 
     def test_server_errors_are_transient(self, chat_server):
         _, url = chat_server
