@@ -4,18 +4,18 @@
 The pipeline already refuses to emit uncertified instances; this demo runs
 the same oracle again from the outside, the way `pricetree verify` does,
 and inspects the component structure of the unanswerable variants.  The
-questioned variable's component comes from the root walk's ends, read by
-`component_of`.
+questioned variable's component comes from the ends of the root walk that
+each `VerificationReport` keeps, read by `component_of`.
 """
 
 from collections import Counter
 
-from pricetree import GenConfig, component_of, generate_corpus, solve_all, verify_instance
+from pricetree import GenConfig, component_of, generate_corpus, verify_instance
 
 
-def questioned_component(instance):
+def questioned_component(instance, report):
     """The questioned variable's component, and the number of formulas defining its variables."""
-    _, ends = solve_all(instance.formulas)
+    _, ends = report.walk
     component = component_of(ends, instance.questioned_var)
     return component, sum(f.child_var in component for f in instance.formulas)
 
@@ -40,7 +40,7 @@ for instance in dataset.instances:
     verdicts[(instance.variant, report.determination.kind)] += 1
     if instance.variant == "unanswerable":
         # m variables held together by m-1 equations: underdetermined by counting
-        component, equations = questioned_component(instance)
+        component, equations = questioned_component(instance, report)
         assert equations == len(component) - 1
         component_sizes[len(component)] += 1
 
@@ -54,7 +54,7 @@ for size, n in sorted(component_sizes.items()):
 
 # drill into one unanswerable instance
 instance = next(i for i in dataset.instances if i.variant == "unanswerable")
-component, equations = questioned_component(instance)
+component, equations = questioned_component(instance, verify_instance(instance))
 names = {v: instance.item_map.names[v].display for v in sorted(component)}
 print(f"\nexample: {instance.id}")
 print(f"  questioned: x{instance.questioned_var} ({names[instance.questioned_var]})")

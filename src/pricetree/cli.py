@@ -21,7 +21,7 @@ from .harness.report import format_text_table, write_report
 from .harness.scoring import MODES, check_eval_request, read_records, run_eval, write_records
 from .harness.transport import MOCK_NAMES, make_transport
 from .jsonmap import make_parents
-from .oracle import UNDERDETERMINED, component_of, solve_all, verify_instance
+from .oracle import SOLVER_FAILURE, UNDERDETERMINED, component_of, verify_instance
 from .pipeline import (
     PRESET_NAMES,
     ProblemInstance,
@@ -63,7 +63,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if report.label_confirmed:
             continue
         print(f"FAIL {instance.id}: {report.failure}")
-        if report.failure.startswith("path solver"):  # the walk is checked only once the label holds
+        if report.failure_kind == SOLVER_FAILURE:
             path_disagreements += 1
         else:
             failures += 1
@@ -119,17 +119,17 @@ def _cmd_render(args: argparse.Namespace) -> int:
         instance = dataset.by_id(args.id)
     except KeyError:
         raise PricetreeError(f"no instance with id {args.id!r} in {args.input}") from None
+    report = verify_instance(instance)
+    prices, ends = report.walk or (None, None)  # None when the formulas are not a forest
     print(f"id: {instance.id}  variant: {instance.variant}")
     print()
     print(instance.full_text)
     print()
-    prices, ends = solve_all(instance.formulas) or (None, None)  # None when the formulas are not a forest
     print("\n".join(_render_tree(instance, prices)))
     print()
     if instance.gold_answer is not None:
         print(f"gold answer: {instance.gold_answer}")
     print(f"gold solution: {instance.gold_solution_text}")
-    report = verify_instance(instance)
     status = "confirmed" if report.label_confirmed else f"FAILED ({report.failure})"
     if ends is None:
         print(f"certification: {status}")

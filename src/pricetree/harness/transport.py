@@ -2,6 +2,8 @@
 
 The live transport opens one connection per call through ``urllib.request``,
 so the threads of a concurrent eval share no connection, only a TLS context.
+It alone imports the network stack (``urllib.request``, ``ssl``,
+``http.client``), on its first request, so offline commands never load it.
 The harness never needs network access to be exercised: replay transports
 serve recorded responses keyed by instance id, and the named mocks are
 response maps for the degenerate all-unknown / all-number / echo-gold
@@ -10,22 +12,21 @@ behaviours.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
-import ssl
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import InvalidConfigError, TransientTransportError, TransportError
 from ..jsonmap import from_json, read_json_lines
 from ..pipeline import Dataset, ProblemInstance
 from .prompts import Message, ModelProfile, answer_line
+
+if TYPE_CHECKING:  # pragma: no cover
+    import urllib.request
 
 BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_CAP_SECONDS = 30.0
@@ -53,6 +54,9 @@ def build_payload(profile: ModelProfile, messages: list[Message]) -> dict:
 @cache
 def _opener() -> urllib.request.OpenerDirector:
     """urlopen's handlers with one TLS context: loading the system trust store takes tens of ms."""
+    import ssl
+    import urllib.request
+
     context = ssl.create_default_context()
     context.set_alpn_protocols(["http/1.1"])  # as http.client does for a context it makes
     return urllib.request.build_opener(urllib.request.HTTPSHandler(context=context))
@@ -79,6 +83,10 @@ class LiveTransport:
         return headers
 
     def complete(self, messages: list[Message], instance_id: Optional[str] = None) -> str:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         try:
             request = urllib.request.Request(
                 self.profile.endpoint,

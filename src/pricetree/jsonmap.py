@@ -40,8 +40,10 @@ other annotation raises on first use.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import json
+import os
 import re
 import typing
 from json.encoder import c_make_encoder, encode_basestring  # encode_basestring: the escaper of ensure_ascii=False
@@ -139,8 +141,10 @@ def _cannot_write(path: str | Path, exc: OSError) -> PricetreeError:
 
 
 def make_parents(path: str | Path) -> None:
-    """Make the missing directories of output file `path`, failing as `write_text` does."""
+    """Make the missing directories of output file `path`, failing as `write_text` does, on a directory too."""
     try:
+        if Path(path).is_dir():  # write_text's open would fail the same way, but only once the work is done
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _cannot_write(path, exc) from exc

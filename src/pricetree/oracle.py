@@ -8,12 +8,13 @@ division is not exact, and records where each variable's walk ended, from
 which ``component_of`` gives the questioned variable's component that the
 unanswerable gold text and ``render`` count.
 Certification cross-checks the two solvers and the stated label on both
-variants; nothing here ever touches floating point.
+variants, and its report keeps the walk, so the gold text and ``render``
+read it without walking again; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -56,6 +57,12 @@ class Determination:
         return self.kind == UNIQUE
 
 
+LABEL_FAILURE = "label"  # the elimination contradicts the stated label or gold answer
+SOLVER_FAILURE = "solver"  # the label holds, but the root walk gives another verdict or none
+
+Walk = tuple[dict[int, int | Fraction | None], dict[int, int]]  # `solve_all`'s (prices, ends)
+
+
 @dataclass
 class VerificationReport:
     """Outcome of certifying one instance against the oracle."""
@@ -64,6 +71,8 @@ class VerificationReport:
     path_solver_agrees: bool
     label_confirmed: bool
     failure: Optional[str] = None
+    failure_kind: Optional[str] = None  # LABEL_FAILURE or SOLVER_FAILURE; None when the label is confirmed
+    walk: Optional[Walk] = field(default=None, repr=False, compare=False)  # the verdict's solve_all; None: no forest
 
 
 def solve_exact(formulas: Sequence[Formula], target_var: int) -> Determination:
@@ -189,9 +198,7 @@ def solve_exact(formulas: Sequence[Formula], target_var: int) -> Determination:
 _OPEN = object()  # marks a variable whose walk is under way, so meeting it again closes a cycle
 
 
-def solve_all(
-    formulas: Sequence[Formula],
-) -> Optional[tuple[dict[int, int | Fraction | None], dict[int, int]]]:
+def solve_all(formulas: Sequence[Formula]) -> Optional[Walk]:
     """Every named variable's price and walk end, from one memoised walk up the child -> parent links.
 
     A walk that ends at a direct value gives an exact price, kept an int while
@@ -266,14 +273,17 @@ def verify_instance(instance: "ProblemInstance") -> VerificationReport:
             failure = f"label unanswerable but oracle says {det.kind}"
     else:
         failure = f"unknown variant {instance.variant!r}"
-    if failure is None and verdict is None:
-        failure = "path solver: formulas are not a forest"
-    elif failure is None and verdict != det:
-        failure = "path solver disagrees with elimination"
+    kind = None if failure is None else LABEL_FAILURE
+    if kind is None and verdict is None:  # the walk is asked only once the label holds
+        failure, kind = "path solver: formulas are not a forest", SOLVER_FAILURE
+    elif kind is None and verdict != det:
+        failure, kind = "path solver disagrees with elimination", SOLVER_FAILURE
 
     return VerificationReport(
         determination=det,
         path_solver_agrees=verdict == det,
         label_confirmed=failure is None,
         failure=failure,
+        failure_kind=kind,
+        walk=walked,
     )

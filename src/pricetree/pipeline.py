@@ -155,7 +155,8 @@ def build_pair(
     Each stage takes all of its draws in one call, in that same order.
     The two variants share every draw; the unanswerable one just drops the
     cut sentence.  Each variant is certified by `verify_instance`, one
-    exact elimination apiece, before either is returned.
+    exact elimination and one root walk apiece, before either is returned;
+    its gold text is then read from that certification's walk.
     """
     values = sample_var_values(config.num_vars, rng)
     parents = build_tree(config.num_vars, config.ans_depth, rng)
@@ -194,13 +195,14 @@ def build_pair(
             item_map=items,
             questioned_var=questioned,
             gold_answer=gold,
-            gold_solution_text=render_gold_solution(formulas, sentences, items, questioned),
+            gold_solution_text="",  # read from the certification's walk below
             pair_id=pair_id,
             metadata=dict(metadata),
         )
         report = verify_instance(instance)
         if not report.label_confirmed:
             raise CertificationError(f"{instance.id}: {report.failure}")
+        instance.gold_solution_text = render_gold_solution(formulas, sentences, items, questioned, report.walk)
         return instance
 
     return (

@@ -2,8 +2,9 @@
 
 Variables are mapped injectively to display names (optionally composite,
 "<dish> at <restaurant>"), formulas become one sentence each via fixed
-templates, and gold solutions are rendered from one root walk
-(`oracle.solve_all`) as either a spine-walk narrative (answerable) or an
+templates, and gold solutions are rendered from the root walk
+(`oracle.solve_all`) that certified the instance, kept in its
+`VerificationReport`, as either a spine-walk narrative (answerable) or an
 information-count argument over the questioned variable's component
 (unanswerable).
 """
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 from .errors import CertificationError, InvalidConfigError
 from .formulas import Formula, Linear, RootValue
 from .jsonmap import nonblank_lines, read_lines
-from .oracle import component_of, solve_all
+from .oracle import Walk, component_of
 from .rng import PcgStream
 
 # ---------------------------------------------------------------------------
@@ -274,15 +275,17 @@ def render_gold_solution(
     sentences: Sequence[str],
     items: ItemMap,
     questioned_var: int,
+    walked: Optional[Walk],
 ) -> str:
-    """The gold text, from one root walk; `oracle.verify_instance` certifies the label.
+    """The gold text, read from `walked`, the formulas' `solve_all` walk.
 
+    `build_pair` passes the walk `oracle.verify_instance` made to certify
+    the label, so no second walk is made; None (no forest) raises.
     When the walk prices the questioned variable (answerable): restate each
     spine fact from the direct value down, with the price it yields.
     Otherwise (unanswerable): count the facts left about the questioned
     variable's component.
     """
-    walked = solve_all(formulas)
     if walked is None:
         raise CertificationError("gold solution: formulas are not a forest")
     prices, ends = walked

@@ -376,6 +376,24 @@ class TestEvalAndReport:
         assert capsys.readouterr().err == f"error: {taken}: cannot write (File exists)\n"
         assert taken.read_text(encoding="utf-8") == "keep"
 
+    def test_eval_out_naming_a_directory_is_a_clean_error(
+        self, tmp_path, config_file, profile_file, capsys, monkeypatch
+    ):
+        # it used to run every request and only then fail to open the directory
+        corpus = generate(tmp_path, config_file)
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        capsys.readouterr()
+
+        def no_eval(*args, **kwargs):
+            raise AssertionError("--out was checked only after the requests")
+
+        monkeypatch.setattr("pricetree.cli.run_eval", no_eval)
+        args = ["--profile", str(profile_file), "--mode", "zero", "--transport", "mock:gold"]
+        assert main(["eval", "--in", str(corpus), *args, "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: {outdir}: cannot write (Is a directory)\n"
+        assert list(outdir.iterdir()) == []
+
     def test_eval_unset_api_key_fails_before_any_request(self, tmp_path, config_file, capsys, monkeypatch):
         corpus = generate(tmp_path, config_file)
         monkeypatch.delenv("PRICETREE_UNSET_KEY", raising=False)

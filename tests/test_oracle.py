@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from pricetree import oracle
 from pricetree.formulas import Linear, RootValue
 from pricetree.oracle import (
+    LABEL_FAILURE,
+    SOLVER_FAILURE,
     Determination,
     solve_all,
     solve_exact,
@@ -233,6 +236,15 @@ class TestVerifyInstance:
         assert component == cut_subtree(unanswerable)
         assert equations == len(component) - 1
         assert una_report.path_solver_agrees is True
+        for instance, report in ((answerable, ans_report), (unanswerable, una_report)):
+            assert report.failure_kind is None
+            assert report.walk == solve_all(instance.formulas)
+
+    def test_walk_is_neither_shown_nor_compared(self):
+        answerable, _ = generate_pair(make_config(count=1), 0)
+        report = verify_instance(answerable)
+        assert "walk" not in repr(report)
+        assert report == dataclasses.replace(report, walk=None)
 
     def test_negative_control_mislabelled_instance(self):
         answerable, _ = generate_pair(make_config(count=1), 0)
@@ -240,6 +252,7 @@ class TestVerifyInstance:
         report = verify_instance(forged)
         assert not report.label_confirmed
         assert "unanswerable" in report.failure
+        assert report.failure_kind == LABEL_FAILURE
 
     @pytest.mark.parametrize("variant", ["answerabel", "", "Unanswerable"])
     def test_unknown_variant_is_a_failure(self, variant):
@@ -247,12 +260,14 @@ class TestVerifyInstance:
             report = verify_instance(dataclasses.replace(instance, variant=variant))
             assert not report.label_confirmed
             assert report.failure == f"unknown variant {variant!r}"
+            assert report.failure_kind == LABEL_FAILURE
 
     def test_negative_control_wrong_gold_value(self):
         answerable, _ = generate_pair(make_config(count=1), 0)
         forged = dataclasses.replace(answerable, gold_answer=answerable.gold_answer + 1)
         report = verify_instance(forged)
         assert not report.label_confirmed
+        assert report.failure_kind == LABEL_FAILURE
 
     def test_cut_formula_put_back_fails(self):
         answerable, unanswerable = generate_pair(make_config(count=1), 0)
@@ -262,6 +277,7 @@ class TestVerifyInstance:
         report = verify_instance(restored)
         assert not report.label_confirmed
         assert report.failure == "label unanswerable but oracle says unique"
+        assert report.failure_kind == LABEL_FAILURE
         assert report.path_solver_agrees is True
         assert solve_all(restored.formulas)[0][restored.questioned_var] == answerable.gold_answer
 
@@ -274,6 +290,18 @@ class TestVerifyInstance:
         assert report.path_solver_agrees is False
         assert not report.label_confirmed
         assert report.failure == "path solver: formulas are not a forest"
+        assert report.failure_kind == SOLVER_FAILURE
+        assert report.walk is None
+
+    def test_walk_price_off_by_one_is_a_solver_disagreement(self, monkeypatch):
+        answerable, _ = generate_pair(make_config(count=1), 0)
+        prices, ends = solve_all(answerable.formulas)
+        off = ({**prices, answerable.questioned_var: answerable.gold_answer + 1}, ends)
+        monkeypatch.setattr(oracle, "solve_all", lambda formulas: off)
+        report = verify_instance(answerable)
+        assert report.failure == "path solver disagrees with elimination"
+        assert report.failure_kind == SOLVER_FAILURE
+        assert report.walk is off
 
 
 class TestReferencePairThroughOracle:

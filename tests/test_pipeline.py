@@ -15,6 +15,7 @@ from pricetree.corpus_io import (
     write_dataset,
 )
 from pricetree import oracle
+from pricetree.cli import main
 from pricetree.errors import CertificationError, DatasetParseError, InvalidConfigError
 from pricetree.jsonmap import from_file_json, to_json
 from pricetree.oracle import Determination, verify_instance
@@ -26,6 +27,7 @@ from pricetree.pipeline import (
     generate_pair,
     preset,
 )
+from pricetree.wording import render_gold_solution
 
 from factories import make_config
 
@@ -112,8 +114,8 @@ class TestGeneratePair:
 class TestEliminationCount:
     """Each label is certified once: one exact elimination per instance.
 
-    The root walk runs twice per instance when generating, once for the gold
-    text and once to certify, and once per instance when verifying.
+    The root walk runs once per certified instance, generated, verified or
+    rendered: the gold text and `render` read the walk `verify_instance` made.
     """
 
     @pytest.fixture
@@ -138,7 +140,7 @@ class TestEliminationCount:
     def test_two_per_generated_pair(self, calls):
         generate_corpus(make_config(num_vars=7, ans_depth=4, cut_depth=2, count=5))
         assert len(calls["solve_exact"]) == 2 * 5
-        assert len(calls["solve_all"]) == 4 * 5
+        assert len(calls["solve_all"]) == 2 * 5
 
     def test_one_per_verified_instance(self, calls):
         dataset = generate_corpus(make_config(count=3))
@@ -148,6 +150,46 @@ class TestEliminationCount:
             assert verify_instance(instance).label_confirmed
         assert len(calls["solve_exact"]) == len(dataset.instances)
         assert len(calls["solve_all"]) == len(dataset.instances)
+
+    @pytest.mark.parametrize("variant", ["answerable", "unanswerable"])
+    def test_one_per_render(self, calls, tmp_path, capsys, variant):
+        path = tmp_path / "corpus.jsonl"
+        write_dataset(generate_corpus(make_config(count=2)), path)
+        for log in calls.values():
+            log.clear()
+        assert main(["render", "--in", str(path), "--id", f"s11-p000001-{variant}"]) == 0
+        assert "certification: confirmed" in capsys.readouterr().out
+        assert len(calls["solve_exact"]) == 1
+        assert len(calls["solve_all"]) == 1
+
+
+# (numVars, ansDepth, cutDepth, compositeName, order): small to 45/40, both orders, and simple
+# names up to the 9 built-in dishes
+GOLD_SHAPES = [
+    (4, 2, 1, False, "forward"),
+    (9, 8, 7, False, "random"),
+    (10, 8, 4, True, "random"),
+    (45, 8, 3, True, "forward"),
+    (45, 40, 20, True, "random"),
+    (45, 40, 1, True, "random"),
+]
+
+
+@pytest.mark.parametrize("shape", GOLD_SHAPES, ids=["-".join(map(str, shape)) for shape in GOLD_SHAPES])
+def test_gold_text_from_the_certification_walk_equals_one_from_a_fresh_walk(shape):
+    num_vars, ans_depth, cut_depth, composite, order = shape
+    config = make_config(
+        num_vars=num_vars, ans_depth=ans_depth, cut_depth=cut_depth, composite_name=composite, order=order, count=3
+    )
+    for instance in generate_corpus(config).instances:
+        fresh = render_gold_solution(
+            instance.formulas,
+            instance.condition_sentences,
+            instance.item_map,
+            instance.questioned_var,
+            oracle.solve_all(instance.formulas),
+        )
+        assert instance.gold_solution_text == fresh
 
 
 class TestGenerateCorpus:

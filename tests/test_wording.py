@@ -5,6 +5,7 @@ from numpy.random import SeedSequence
 
 from pricetree.errors import CertificationError, InvalidConfigError
 from pricetree.formulas import Linear, RootValue
+from pricetree.oracle import solve_all
 from pricetree.rng import PcgStream
 from pricetree.wording import (
     DEFAULT_DISHES,
@@ -268,9 +269,8 @@ class TestGoldSolutions:
         items = simple_items("pie", "burger", "pizza", "lasagna")
         sentences = [render_formula_fixed(f, items) for f in formulas]
         order = [3, 1, 0, 2]
-        text = render_gold_solution(
-            [formulas[i] for i in order], [sentences[i] for i in order], items, 4
-        )
+        shuffled = [formulas[i] for i in order]
+        text = render_gold_solution(shuffled, [sentences[i] for i in order], items, 4, solve_all(shuffled))
         assert text == (
             "It is given as a fact that a pie costs 5 dollars. "
             "Combine with the fact that a pie and 2 burgers cost 8 dollars, we get a burger costs 3/2 dollars. "
@@ -291,9 +291,19 @@ class TestGoldSolutions:
         items = simple_items("pie", "burger", "pizza", "lasagna")
         sentences = [render_formula_fixed(f, items) for f in formulas]
         kept = [(f, s) for f, s in zip(formulas, sentences) if f.child_var != 2]
-        text = render_gold_solution([f for f, _ in kept], [s for _, s in kept], items, 4)
+        kept_formulas = [f for f, _ in kept]
+        text = render_gold_solution(kept_formulas, [s for _, s in kept], items, 4, solve_all(kept_formulas))
         assert "There are 3 variables but only 2 linear formulas" in text
         assert text.startswith("All we know about the prices of lasagna, pizza and burger is: ")
+
+    def test_no_walk_raises(self):
+        # a walk of None means the formulas are not a forest: no gold text is written from them
+        formulas = [RootValue(1, 5), RootValue(1, 6)]
+        assert solve_all(formulas) is None
+        items = simple_items("pie")
+        sentences = [render_formula_fixed(f, items) for f in formulas]
+        with pytest.raises(CertificationError, match="^gold solution: formulas are not a forest$"):
+            render_gold_solution(formulas, sentences, items, 1, None)
 
 
 class TestSentenceRoundTrip:
