@@ -3,10 +3,10 @@
 Two independent solvers: an integer elimination over rows of at most two
 variables (total on any formula list), and a walk from each variable up its
 child -> parent links (total on any forest, which every generated variant
-is).  The walk keeps exact integers and falls back to a ``Fraction`` when a
-division is not exact, and records where each variable's walk ended, from
-which ``component_of`` gives the questioned variable's component that the
-unanswerable gold text and ``render`` count.
+is).  Both give a whole value as an int and build a ``Fraction`` only for
+one that is not whole.  The walk also records where each variable's walk
+ended, from which ``component_of`` gives the questioned variable's
+component that the unanswerable gold text and ``render`` count.
 Certification cross-checks the two solvers and the stated label on both
 variants, and its report keeps the walk, so the gold text and ``render``
 read it without walking again; nothing here ever touches floating point.
@@ -35,13 +35,13 @@ INCONSISTENT = "inconsistent"
 
 @dataclass
 class Determination:
-    """Oracle verdict for one target variable."""
+    """Oracle verdict for one target variable: a unique one carries its value, an int when whole."""
 
     kind: str
-    value: Optional[Fraction] = None
+    value: Optional[int | Fraction] = None
 
     @classmethod
-    def unique(cls, value: Fraction) -> "Determination":
+    def unique(cls, value: int | Fraction) -> "Determination":
         return cls(UNIQUE, value)
 
     @classmethod
@@ -80,119 +80,131 @@ def solve_exact(formulas: Sequence[Formula], target_var: int) -> Determination:
 
     Each formula becomes a row ``a*x_u + b*x_v = c`` in integers, where the
     ``v`` term may be absent; a variable named twice is merged and a zero
-    coefficient dropped.  Rows never grow: eliminating ``x`` with a pivot on
-    ``{x, y}`` turns a row on ``{x, z}`` into ``m*row - n*pivot`` on
-    ``{y, z}``, merged when ``y == z`` and divided by the gcd of its
-    integers.  Every variable but the target leaves: one held by a single
-    row leaves with it, unsolved, as that row can be met whatever values the
-    others take; any other is eliminated, on a one-variable pivot row when
-    there is one.  The rows left over involve the target alone.  Any
-    ``0 = nonzero`` row, or two rows giving the target different values,
-    make the system inconsistent; otherwise a target coefficient makes the
-    target unique, and its ``Fraction`` is built only then.
+    coefficient dropped.  Rows never grow, and are dropped but never edited:
+    eliminating ``x`` with a pivot on ``{x, y}`` replaces a row on ``{x, z}``
+    with a new row ``m*row - n*pivot`` on ``{y, z}``, merged when ``y == z``
+    and divided by the gcd of its integers.  Every variable but the target
+    leaves: one held by a single row leaves with it, unsolved, as that row
+    can be met whatever values the others take; any other is eliminated, on
+    a one-variable pivot row when there is one.  The rows left over involve
+    the target alone.  Any ``0 = nonzero`` row, or two rows giving the
+    target different values, make the system inconsistent; otherwise a
+    target coefficient makes the target unique, as an int when the value is
+    whole and a ``Fraction`` only when it is not.
     """
-    rows: list[Optional[tuple]] = [None] * len(formulas)  # (u, a, v, b, c), None once gone
-    holders: dict[int, set[int]] = {}  # each non-target variable -> the rows holding it
-    peel: list[int] = []  # variables held by one row when pushed
-    units: list[int] = []  # rows in one non-target variable when pushed
+    rows: list[Optional[tuple]] = []  # (u, a, v, b, c) with u never the target and b = 0 without v; None once gone
+    held: dict[int, list[int]] = {}  # each non-target variable -> every row filed on it, append-only
+    live: dict[int, int] = {}  # each non-target variable still in play -> how many live rows hold it
+    peel: list[int] = []  # variables that may be held by one row or none, checked when popped
+    units: list[int] = []  # rows in one non-target variable
     left: list[tuple[int, int]] = []  # (a, c) of each row a*target = c
-
-    def settle(i: int, u, a: int, v, b: int, c: int) -> bool:
-        """File row i, or drop it when it holds no variable; False when it reads 0 = nonzero."""
-        if u == v:
-            a, v, b = a + b, None, 0
-        if not b:
-            v = None
-        if not a:
-            u, a, v, b = v, b, None, 0
-        if u is None:
-            rows[i] = None
-            return not c
-        if v == target_var:
-            u, a, v, b = v, b, u, a
-        g = gcd(a, b, c)
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
-        if v is None:
+    todo = [  # rows to file: the input, then each pivot's combined rows
+        (f.var, 1, None, 0, f.value) if type(f) is RootValue else (f.parent, f.parent_coeff, f.child, f.child_coeff, f.rhs)
+        for f in formulas
+    ]
+    while True:
+        for u, a, v, b, c in todo:
+            if u == v or not (a and b):
+                if u == v:
+                    a, v, b = a + b, None, 0
+                if not b:
+                    v = None
+                if not a:
+                    u, a, v, b = v, b, None, 0
+                if u is None:
+                    if c:
+                        return Determination.inconsistent()
+                    continue
             if u == target_var:
-                rows[i] = None
-                left.append((a, c))
-                return True
-            units.append(i)
-        rows[i] = (u, a, v, b, c)
-        for var in (u, v):
-            if var is not None and var != target_var:
-                held = holders.get(var)
-                if held is None:
-                    holders[var] = {i}
-                    peel.append(var)
+                if v is None:
+                    left.append((a, c))
+                    continue
+                u, a, v, b = v, b, u, a
+            i = len(rows)
+            rows.append((u, a, v, b, c))
+            n = live.get(u, 0)
+            live[u] = n + 1
+            if n:
+                held[u].append(i)
+            else:
+                held[u] = [i]
+                peel.append(u)
+            if v is None:
+                units.append(i)
+            elif v != target_var:
+                n = live.get(v, 0)
+                live[v] = n + 1
+                if n:
+                    held[v].append(i)
                 else:
-                    held.add(i)
-        return True
-
-    def release(var, i: int) -> None:  # row i no longer holds var; a no-op for the target or an absent term
-        held = holders.get(var)
-        if held is not None:
-            held.discard(i)
-            if len(held) == 1:
-                peel.append(var)
-            elif not held:
-                del holders[var]
-
-    for i, f in enumerate(formulas):
-        if isinstance(f, RootValue):
-            consistent = settle(i, f.var, 1, None, 0, f.value)
-        else:
-            consistent = settle(i, f.parent, f.parent_coeff, f.child, f.child_coeff, f.rhs)
-        if not consistent:
-            return Determination.inconsistent()
-
-    while holders:
-        if peel:
+                    held[v] = [i]
+                    peel.append(v)
+        todo.clear()
+        while peel:
             x = peel.pop()
-            held = holders.get(x)
-            if held is not None and len(held) == 1:
-                (p,) = held
-                del holders[x]
+            n = live.get(x, 2)
+            if n > 1:  # gone already, or held by more rows since it was pushed
+                continue
+            del live[x]
+            if n:
+                for p in held[x]:
+                    if rows[p] is not None:
+                        break
                 u, _, v, _, _ = rows[p]
                 rows[p] = None
-                release(v if u == x else u, p)
-            continue
-        while units and (rows[units[-1]] is None or rows[units[-1]][2] is not None):
-            units.pop()  # no longer a one-variable row
+                v = v if u == x else u
+                if v in live:
+                    live[v] = n = live[v] - 1
+                    if n < 2:
+                        peel.append(v)
+        if not live:
+            break
+        while units and rows[units[-1]] is None:
+            units.pop()
         if units:
             p = units.pop()
             x = rows[p][0]
         else:
-            x = next(iter(holders))
-            p = next(iter(holders[x]))
+            x = next(iter(live))
+            p = next(i for i in held[x] if rows[i] is not None)
         pu, pa, pv, pb, pc = rows[p]
         if pv == x:
             pa, pv, pb = pb, pu, pa
-        rows[p] = None
-        held = holders.pop(x)
-        held.discard(p)
-        release(pv, p)
-        for i in held:
-            u, a, v, b, c = rows[i]
+        del live[x]
+        for i in held[x]:  # the pivot row and every row it eliminates x from
+            row = rows[i]
+            if row is None:
+                continue
+            rows[i] = None
+            u, a, v, b, c = row
             if v == x:
                 a, v, b = b, u, a
-            release(v, i)
+            if v in live:  # v's combined row files it again; pv may lose rows, so it is pushed below
+                live[v] -= 1
+            if i == p:
+                continue
             g = gcd(pa, a)
             m, n = pa // g, a // g
-            if not settle(i, v, m * b, pv, -n * pb, m * c - n * pc):
-                return Determination.inconsistent()
+            b, d, c = m * b, -n * pb, m * c - n * pc
+            if v == pv:
+                b, d = b + d, 0
+            g = gcd(b, d, c)
+            if g > 1:
+                b, d, c = b // g, d // g, c // g
+            todo.append((v, b, pv, d, c))
+        if pv in live:
+            peel.append(pv)
 
     values = set()  # (coefficient, rhs) of each row in the target, reduced
-    for a, b in left:
-        g = gcd(a, b) if a > 0 else -gcd(a, b)
-        values.add((a // g, b // g))
+    for a, c in left:
+        g = gcd(a, c) if a > 0 else -gcd(a, c)
+        values.add((a // g, c // g))
     if len(values) > 1:
         return Determination.inconsistent()
     if not values:
         return Determination.underdetermined()
-    a, b = values.pop()
-    return Determination.unique(Fraction(b, a))
+    a, c = values.pop()
+    return Determination.unique(c if a == 1 else Fraction(c, a))
 
 
 _OPEN = object()  # marks a variable whose walk is under way, so meeting it again closes a cycle
@@ -201,14 +213,14 @@ _OPEN = object()  # marks a variable whose walk is under way, so meeting it agai
 def solve_all(formulas: Sequence[Formula]) -> Optional[Walk]:
     """Every named variable's price and walk end, from one memoised walk up the child -> parent links.
 
-    A walk that ends at a direct value gives an exact price, kept an int while
-    every quotient is exact; one that ends at a variable no formula defines
-    gives None, underdetermined.  The second map takes each variable to the
-    variable its walk ended at, which `component_of` reads.  The result is
-    None when the formulas are not a forest: a variable is the child of two
-    formulas, a walk meets a cycle (a self-relation included), or a
-    coefficient is 0.  On a forest every formula pins its child given its
-    parent, so the system is consistent and no elimination is needed.
+    A walk that ends at a direct value gives an exact price, an int when it
+    is whole, as in `solve_exact`; one that ends at a variable no formula
+    defines gives None, underdetermined.  The second map takes each variable
+    to the variable its walk ended at, which `component_of` reads.  The
+    result is None when the formulas are not a forest: a variable is the
+    child of two formulas, a walk meets a cycle (a self-relation included),
+    or a coefficient is 0.  On a forest every formula pins its child given
+    its parent, so the system is consistent and no elimination is needed.
     """
     defining = {f.child_var: f for f in formulas}
     if len(defining) < len(formulas):
@@ -235,9 +247,9 @@ def solve_all(formulas: Sequence[Formula]) -> Optional[Walk]:
             return None
         end = ends[var]
         for f in reversed(walk):
-            if price is not None:  # an int while the quotient is exact, else a Fraction
+            if price is not None:  # an int when the quotient is whole, after a Fraction too
                 num, den = f.rhs - f.parent_coeff * price, f.child_coeff
-                price = num // den if type(num) is int and not num % den else Fraction(num, den)
+                price = num // den if not num % den else Fraction(num, den)
             prices[f.child] = price
             ends[f.child] = end
     return prices, ends

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,9 @@ def reference_formulas():
 
 class TestSolveExact:
     def test_reference_system_pins_the_question(self):
-        assert solve_exact(reference_formulas(), 3) == Determination.unique(Fraction(11))
+        det = solve_exact(reference_formulas(), 3)
+        assert det == Determination.unique(Fraction(11))
+        assert type(det.value) is int  # a whole value is an int, as the root walk gives it
 
     def test_cut_system_is_underdetermined(self):
         formulas = [f for f in reference_formulas() if f.child_var != 2]
@@ -67,6 +70,7 @@ class TestSolveExact:
         # 3*x1 = 5 has the non-integer solution 5/3
         det = solve_exact([Linear(1, 2, 3, 3, 10), Linear(1, 2, 3, -3, 0)], 1)
         assert det == Determination.unique(Fraction(5, 3))
+        assert type(det.value) is Fraction
 
     def test_degenerate_self_relations(self):
         # both endpoints naming the same variable still solve correctly
@@ -161,6 +165,57 @@ class TestTwoVariableRows:
         assert solve_exact(cut, 1000) == Determination.unique(Fraction(hidden[1000]))
 
 
+def without_recursion(fn, *args):
+    """fn(*args) under a recursion limit a few dozen frames above the caller's, which a recursive solver exceeds."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestDeepPeelsAndWidePivots:
+    """Forests far larger than any preset, each in forward, backward and shuffled order, checked against the walk."""
+
+    @staticmethod
+    def tree(parents: dict[int, int], seed: int) -> list:
+        """A root value for variable 1, then one relation per child -> parent link, true of hidden prices."""
+        rng = random.Random(seed)
+        hidden = {v: rng.randint(5, 15) for v in (1, *parents)}
+        formulas = [RootValue(1, hidden[1])]
+        for child, parent in parents.items():
+            a, b = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-3, -2, -1, 1, 2, 3))
+            formulas.append(Linear(parent, child, a, b, a * hidden[parent] + b * hidden[child]))
+        return formulas
+
+    @staticmethod
+    def check(formulas: list, target: int, kind: str) -> None:
+        shuffled = random.Random(len(formulas)).sample(formulas, len(formulas))
+        for order in (formulas, formulas[::-1], shuffled):
+            det = without_recursion(solve_exact, order, target)
+            prices, _ = without_recursion(solve_all, order)
+            assert det.kind == kind
+            assert det == walk_verdict(prices, target)
+            assert type(det.value) is type(prices[target])
+
+    def test_chain_cut_in_the_middle(self):
+        chain = self.tree({v: v - 1 for v in range(2, 3001)}, seed=1)
+        self.check([f for f in chain if f.child_var != 1500], 3000, "underdetermined")
+
+    def test_chain_with_leaves_on_one_spine_variable(self):
+        parents = {v: v - 1 for v in range(2, 3001)} | {v: 1500 for v in range(3001, 6001)}
+        self.check(self.tree(parents, seed=2), 3000, "unique")
+
+    def test_variable_with_500_children_and_the_target_behind_it(self):
+        # x2 holds 501 rows; x502's child x503 is the target
+        parents = {2: 1} | {v: 2 for v in range(3, 503)} | {503: 502}
+        self.check(self.tree(parents, seed=3), 503, "unique")
+
+
 # each pins x2 = 5 for the elimination, but is not a forest for the root walk
 NOT_FORESTS = {
     "variable defined twice": [RootValue(1, 5), RootValue(1, 5), Linear(1, 2, 1, -1, 0)],
@@ -186,6 +241,13 @@ class TestSolveAll:
 
     def test_any_order_gives_the_same_prices(self):
         assert solve_all(list(reversed(reference_formulas()))) == solve_all(reference_formulas())
+
+    def test_whole_price_after_a_fractional_one_is_an_int(self):
+        # x1 = 5/3, then x2 = 10 - 3*x1 = 5: both solvers give 5 as an int
+        formulas = [RootValue(0, 1), Linear(0, 1, 1, 3, 6), Linear(1, 2, 3, 1, 10)]
+        prices, _ = solve_all(formulas)
+        assert prices == {0: 1, 1: Fraction(5, 3), 2: 5}
+        assert type(prices[2]) is int and type(solve_exact(formulas, 2).value) is int
 
     def test_agrees_with_elimination_on_generated_instances(self):
         config = make_config(order="random", count=1)
@@ -228,6 +290,7 @@ class TestVerifyInstance:
         ans_report = verify_instance(answerable)
         assert ans_report.label_confirmed
         assert ans_report.determination == Determination.unique(Fraction(answerable.gold_answer))
+        assert type(ans_report.determination.value) is int
         assert ans_report.path_solver_agrees is True
         una_report = verify_instance(unanswerable)
         assert una_report.label_confirmed

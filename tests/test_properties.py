@@ -80,6 +80,7 @@ def test_oracle_certifies_both_variants(config: GenConfig, index: int):
     una_report = verify_instance(unanswerable)
     assert ans_report.label_confirmed and una_report.label_confirmed
     assert ans_report.determination.value == answerable.gold_answer
+    assert type(ans_report.determination.value) is int
     assert 5 <= answerable.gold_answer <= 15
     component, equations = walk_component(unanswerable.formulas, unanswerable.questioned_var)
     assert component == cut_subtree(unanswerable)
@@ -262,7 +263,9 @@ def test_root_walk_matches_elimination_wherever_it_answers(system):
     if walked is not None:
         prices, _ = walked
         for var in {*prices, target}:
-            assert walk_verdict(prices, var) == solve_exact(formulas, var), var
+            det = solve_exact(formulas, var)
+            assert walk_verdict(prices, var) == det, var
+            assert type(det.value) is type(prices.get(var)), var  # an int when whole, in both solvers
 
 
 @st.composite
