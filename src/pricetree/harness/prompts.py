@@ -28,6 +28,7 @@ INSTRUCTION = (
 )
 
 EXEMPLARS_PER_VARIANT = 3  # answerable, and as many unanswerable, in a few-shot prompt
+FEW_SHOT_HEADER = f"{INSTRUCTION} Here are some worked examples."
 
 
 @dataclass
@@ -109,7 +110,8 @@ class FewShotPool:
 
     answerable: tuple[ProblemInstance, ...]
     unanswerable: tuple[ProblemInstance, ...]
-    blocks: tuple[tuple[str, ...], tuple[str, ...]]  # the worked text of each instance above
+    ids: tuple[str, ...]  # of the answerable instances above, then the unanswerable ones
+    blocks: tuple[str, ...]  # the worked text of each instance, in the order of `ids`
 
     @classmethod
     def prepare(cls, pool: Dataset, target: Dataset) -> "FewShotPool":
@@ -132,8 +134,8 @@ class FewShotPool:
                 f"few-shot pool needs at least {EXEMPLARS_PER_VARIANT} instances of each variant, "
                 f"got {len(answerable)} answerable and {len(unanswerable)} unanswerable"
             )
-        blocks = tuple(tuple(map(_exemplar_block, variant)) for variant in (answerable, unanswerable))
-        return cls(answerable, unanswerable, blocks)
+        ordered = answerable + unanswerable
+        return cls(answerable, unanswerable, tuple(p.id for p in ordered), tuple(map(_exemplar_block, ordered)))
 
 
 def build_few_shot_prompt(
@@ -146,13 +148,9 @@ def build_few_shot_prompt(
 
     `pool` comes from :meth:`FewShotPool.prepare` on the corpus `instance` belongs to.
     """
-    picked = [
-        (variant[i], blocks[i])
-        for variant, blocks in zip((pool.answerable, pool.unanswerable), pool.blocks)
-        for i in rng.distinct_indices(len(variant), EXEMPLARS_PER_VARIANT)
-    ]
-    exemplars = [picked[i] for i in rng.permutation(len(picked))]
-
-    header = f"{INSTRUCTION} Here are some worked examples."
-    body = "\n\n".join([header, *(block for _, block in exemplars), _question(instance)])
-    return FewShotPrompt(messages=_messages(profile, body), exemplar_ids=[e.id for e, _ in exemplars])
+    split = len(pool.answerable)  # picks index pool.ids and pool.blocks: unanswerable ones start here
+    picked = rng.distinct_indices(split, EXEMPLARS_PER_VARIANT)
+    picked += [split + i for i in rng.distinct_indices(len(pool.unanswerable), EXEMPLARS_PER_VARIANT)]
+    order = [picked[i] for i in rng.permutation(len(picked))]
+    body = "\n\n".join([FEW_SHOT_HEADER, *[pool.blocks[i] for i in order], _question(instance)])
+    return FewShotPrompt(_messages(profile, body), [pool.ids[i] for i in order])

@@ -17,18 +17,24 @@ pool, then hashes only the spawn word, for every index in one pass of
 
 :class:`PcgStream` draws from PCG64's raw words in plain Python, by the
 rules numpy's ``Generator`` uses for ``integers``, ``permutation`` and
-``choice(replace=False)``.  Each stage of a pair takes all of its draws in
-one call: all prices, then all extra-node parents, all edge coefficients,
-the condition-order permutation, the item picks and all phrasing coins.
-Nothing compares the streams with numpy at run time: the byte contract
-rests on the tests that the seeding words give numpy's PCG64 states and
-that every draw equals ``Generator``'s, call by call
+``choice(replace=False)``.  Its words come from ``random_raw`` batches,
+low half first.  One ``struct`` call unpacks the first batch, which every
+stream mostly draws, into Python ints; later batches are read a word at a
+time, so past the first 32 words no word becomes an int unless it is
+drawn.  Each stage of a pair takes all of its draws in one call: all
+prices, then all extra-node parents, all edge coefficients, the
+condition-order permutation, the item picks and all phrasing coins.  A
+few-shot record takes two ``distinct_indices`` calls and one
+``permutation``.  Nothing compares the streams with numpy at run time: the
+byte contract rests on the tests that the seeding words give numpy's PCG64
+states and that every draw equals ``Generator``'s, call by call
 (``tests/test_rng.py``).
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from itertools import chain, repeat
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -45,9 +51,13 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# PCG64 outputs per random_raw batch: a few-shot record (about 16 words) or a
-# small pair fits in the first, a 45-variable pair (about 340 words) in two
+# PCG64 outputs per random_raw batch, two words each.  The first batch holds
+# a few-shot record (about 16 words) or a 4-variable pair and is unpacked
+# into ints at once; a later one, which a 10-variable pair (about 70 words)
+# barely starts and a 45-variable pair (about 340) mostly uses, makes each
+# word an int only when it is drawn.
 _FIRST_BATCH, _BATCH = 16, 256
+_UNPACK_FIRST = struct.Struct(f"<{2 * _FIRST_BATCH}I").unpack  # little-endian words
 _TAIL_SHUFFLE_MIN_N = 10_000  # numpy's choice shuffles the tail of range(n) above this n ...
 _TAIL_SHUFFLE_CUTOFF = 50  # ... when k > n // 50
 
@@ -63,8 +73,9 @@ class PcgStream:
     """
 
     def __init__(self, seed_seq: ISeedSequence):
-        self._bitgen = PCG64(seed_seq)
-        batches = map(_raw_words, repeat(self._bitgen), chain((_FIRST_BATCH,), repeat(_BATCH)))
+        bitgen = self._bitgen = PCG64(seed_seq)
+        # each batch, the first too, is taken by the first draw that needs it
+        batches = chain(map(_first_words, (bitgen,)), map(_later_words, repeat(bitgen)))
         self._words = chain.from_iterable(batches)  # endless, so a zip with it never stops early
 
     def pick_each(self, choices: Sequence[Sequence[T]]) -> list[T]:
@@ -97,15 +108,15 @@ class PcgStream:
         _check_size(n)
         word = self._words.__next__
         perm = list(range(n))
-        top = n - 1
-        for bits in range(top.bit_length(), 0, -1):  # positions 2**(bits-1) .. 2**bits - 1 share a mask
-            mask = (1 << bits) - 1
-            for i, w in zip(range(top, mask >> 1, -1), self._words):
-                j = w & mask
-                while j > i:
-                    j = word() & mask
-                perm[i], perm[j] = perm[j], perm[i]
-            top = mask >> 1
+        mask = (1 << (n - 1).bit_length()) - 1
+        half = mask >> 1
+        for i, w in zip(range(n - 1, 0, -1), self._words):
+            if i == half:  # i has one bit fewer from here down
+                mask, half = half, half >> 1
+            j = w & mask
+            while j > i:
+                j = word() & mask
+            perm[i], perm[j] = perm[j], perm[i]
         return perm
 
     def distinct_indices(self, n: int, k: int) -> list[int]:
@@ -120,18 +131,17 @@ class PcgStream:
         if not 0 <= k <= n:
             raise ValueError(f"cannot take {k} distinct indices from range({n})")
         _check_size(n)
-        if n > _TAIL_SHUFFLE_MIN_N and k > n // _TAIL_SHUFFLE_CUTOFF:
-            indices = list(range(n))
-            self._shuffle(indices, max(n - k, 1))
-            return indices[n - k :]
-        # Floyd: step j, for j = n - k .. n - 1, draws from [0, j] and takes j if the draw is taken
         word = self._words.__next__
-        if k == n:  # step j finds 0 .. j - 1 taken, so it takes j: only its draw is needed
+        stop = 1  # the shuffle's last position
+        if n > _TAIL_SHUFFLE_MIN_N and k > n // _TAIL_SHUFFLE_CUTOFF:
+            picks = list(range(n))
+            stop = max(n - k, 1)
+        elif k == n:  # Floyd's step j finds 0 .. j - 1 taken, so it takes j: only its draw is needed
             for b, w in zip(range(2, n + 1), self._words):  # a draw from [0, 0] takes no word
                 if (m := w * b) & _MASK32 < b:
                     _redraw(word, m, b)
             picks = list(range(n))
-        else:
+        else:  # Floyd: step j, for j = n - k .. n - 1, draws from [0, j] and takes j if the draw is taken
             picks, seen = [], set()
             for b, w in zip(range(n - k + 1, n + 1), self._words):
                 if (m := w * b) & _MASK32 < b:
@@ -141,23 +151,24 @@ class PcgStream:
                     pick = b - 1
                 seen.add(pick)
                 picks.append(pick)
-        self._shuffle(picks, 1)
-        return picks
-
-    def _shuffle(self, data: list, stop: int) -> None:
-        """Swap each position i of `data`, from the last down to `stop`, with a bounded draw from [0, i]."""
-        word = self._words.__next__
-        for i, w in zip(range(len(data) - 1, stop - 1, -1), self._words):
-            b = i + 1
+        # the shuffle: each position i, from the last down to `stop`, swaps with a draw from [0, i]
+        for b, w in zip(range(len(picks), stop, -1), self._words):
             if (m := w * b) & _MASK32 < b:
                 m = _redraw(word, m, b)
             j = m >> 32
-            data[i], data[j] = data[j], data[i]
+            picks[b - 1], picks[j] = picks[j], picks[b - 1]
+        del picks[: len(picks) - k]  # the tail shuffle keeps its last k entries
+        return picks
 
 
-def _raw_words(bitgen: PCG64, outputs: int) -> memoryview:
-    """The next `outputs` PCG64 outputs as 32-bit words, low half first, on any host."""
-    return memoryview(np.asarray(bitgen.random_raw(outputs), "<u8").view("<u4").astype("=u4"))
+def _first_words(bitgen: PCG64) -> tuple[int, ...]:
+    """The first _FIRST_BATCH PCG64 outputs as 32-bit words, low half first, on any host."""
+    return _UNPACK_FIRST(np.asarray(bitgen.random_raw(_FIRST_BATCH), "<u8").tobytes())
+
+
+def _later_words(bitgen: PCG64) -> memoryview:
+    """The next _BATCH outputs as :func:`_first_words` orders them, each made an int only when it is drawn."""
+    return memoryview(np.asarray(bitgen.random_raw(_BATCH), "<u8").view("<u4").astype("=u4"))
 
 
 def _redraw(word: Callable[[], int], m: int, bound: int) -> int:
@@ -184,7 +195,9 @@ class SeedWords(ISeedSequence):
         self._words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:  # a numpy that seeds PCG64 otherwise
+        # PCG64 asks with np.uint64 itself, tested first; a request for other than 4 uint64
+        # words means a numpy that seeds PCG64 otherwise
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise RuntimeError(f"seed words are 4 uint64, asked for {n_words} {np.dtype(dtype)}")
         return self._words
 

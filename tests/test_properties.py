@@ -204,6 +204,9 @@ def test_path_solver_falls_back_to_fractions(system):
     prices, _ = solve_all(formulas)
     assert solve_exact(formulas, target) == Determination.unique(prices[target])
     assert type(prices[2]) is Fraction and prices[2].denominator == 2
+    # a whole price is an int in both solvers, also below a fractional one (x2 is never whole)
+    for var, price in prices.items():
+        assert type(solve_exact(formulas, var).value) is type(price), (var, price)
 
 
 def dense_rref(formulas: list[Formula], target_var: int) -> Determination:

@@ -91,6 +91,8 @@ def stream_call(stream: PcgStream, name: str, arg):
 _BOUNDS = st.sampled_from([1, 2, 6, 11, 2**31, 2**32 - 1, 2**32]) | st.integers(1, 2**32)
 # choice(n, k) shuffles the tail of range(n) when n > 10000 and k > n // 50, and runs Floyd otherwise
 _TAIL_EDGES = [(n, k) for n in (10_001, 20_000) for k in (n // 50, n // 50 + 1)]
+# permutation's mask narrows by a bit as position i falls below each power of two
+_MASK_EDGES = [2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]
 
 
 @st.composite
@@ -114,6 +116,13 @@ _CALLS = st.lists(
 @example(seed=2, calls=[("distinct_indices", nk) for nk in [(0, 0), (7, 0), (7, 7), (45, 45), (10_000, 10_000)]])
 @example(seed=3, calls=[("distinct_indices", nk) for nk in [(20_000, 20_000), *_TAIL_EDGES]])
 @example(seed=4, calls=[("pick_each", [2**32] * 3), ("permutation", 6), ("distinct_indices", (1, 1))])
+@example(seed=5, calls=[("distinct_indices", (200, 3)), ("distinct_indices", (200, 3)), ("permutation", 6)])
+@example(seed=6, calls=[("permutation", n) for n in _MASK_EDGES])
+# the stream's first batch holds 32 words and the next 512: draws that end around its edges
+@example(seed=7, calls=[("pick_each", [6] * 31), ("pick_each", [11] * 3)])
+@example(seed=7, calls=[("pick_each", [6] * 32), ("pick_each", [11] * 3)])
+@example(seed=7, calls=[("pick_each", [6] * 33), ("pick_each", [11] * 3)])
+@example(seed=8, calls=[("pick_each", [6] * 700), ("permutation", 6)])
 def test_stream_calls_equal_numpy_generator(seed, calls):
     stream = PcgStream(SeedSequence(seed))
     gen = Generator(PCG64(SeedSequence(seed)))
@@ -193,12 +202,21 @@ def test_substreams_seed_pcg64_as_numpy_does(seed, count):
     assert states == [numpy_state(seed, index) for index in range(count)]
 
 
-@pytest.mark.parametrize("n_words, dtype", [(8, np.uint64), (4, np.uint32), (2, np.uint64)])
+@pytest.mark.parametrize(
+    "n_words, dtype", [(8, np.uint64), (4, np.uint32), pytest.param(4, "uint32", id="4-str-uint32"), (2, np.uint64)]
+)
 def test_seed_words_serve_only_what_pcg64_asks_for(n_words, dtype):
     words = SeedSequence(3).generate_state(4, np.uint64)
     assert SeedWords(words).generate_state(4, np.uint64) is words
     with pytest.raises(RuntimeError, match="seed words are 4 uint64"):
         SeedWords(words).generate_state(n_words, dtype)
+
+
+@pytest.mark.parametrize("dtype", ["uint64", "u8", np.dtype(np.uint64)], ids=["str-uint64", "str-u8", "dtype-uint64"])
+def test_seed_words_take_any_spelling_of_uint64(dtype):
+    # PCG64 passes np.uint64 itself; the words are served for any other name of that dtype too
+    words = SeedSequence(3).generate_state(4, np.uint64)
+    assert SeedWords(words).generate_state(4, dtype) is words
 
 
 def test_substreams_build_each_generator_when_it_is_taken(monkeypatch):
