@@ -7,7 +7,8 @@ opens files and makes directories.  A missing, unreadable, non-UTF-8 or badly
 framed file, or a repeat of the key a JSON Lines reader names as unique, is a
 PricetreeError naming the path, and the line if there is one.  `write_text`
 writes every output (corpora, records, the report's text, JSON and CSV files)
-whole, and makes its missing directories.
+whole, as a new file that replaces a regular file at its path, and makes its
+missing directories.
 
 A dataclass field ``snake_case`` is stored under the key ``snakeCase``, in
 field order; a field made with `omitted_when_none` is left out when it is None
@@ -45,7 +46,9 @@ import functools
 import json
 import os
 import re
+import stat
 import typing
+from contextlib import suppress
 from json.encoder import c_make_encoder, encode_basestring  # encode_basestring: the escaper of ensure_ascii=False
 from pathlib import Path
 from typing import Any, Callable, Iterable, Union
@@ -151,9 +154,22 @@ def make_parents(path: str | Path) -> None:
 
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write `chunks` to a UTF-8 file as they come, line ends as given, making its missing directories."""
+    """Write `chunks` to a new UTF-8 file as they come, line ends as given, making its missing directories.
+
+    A regular file at `path` is unlinked first, never truncated: a hard link to
+    it keeps the old bytes, and its mode is not kept.  A symlink is followed
+    (``/dev/stdout`` is one), and a pipe or a device is written in place.
+    Nothing is fsynced, and ext4 starts no writeback at close for a new file as
+    it does for a truncated one: a crash soon after an overwrite can leave the
+    output empty or missing.
+    """
     try:
         try:
+            # truncating a file whose data is on disk frees its blocks and starts
+            # writeback at close; a new file's data can stay in the page cache
+            with suppress(FileNotFoundError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.unlink(path)
             fh = open(path, "w", encoding="utf-8", newline="")
         except (FileNotFoundError, NotADirectoryError):  # a missing directory, or a file in its place
             # mkdir only now: on an existing directory it cost 25-45 us, half a small corpus file's write

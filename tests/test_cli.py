@@ -121,6 +121,15 @@ class TestGenerate:
         assert f"wrote 8 instances to {out}" in capsys.readouterr().out
         assert len(read_dataset(out).instances) == 8
 
+    def test_generating_over_the_same_path_gives_the_same_bytes(self, tmp_path, config_file):
+        out = tmp_path / "out" / "c.jsonl"
+        argv = ["generate", "--config", str(config_file), "--out", str(out)]
+        assert main(argv) == 0
+        first = out.read_bytes()
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+        assert [p.name for p in out.parent.iterdir()] == ["c.jsonl"]
+
     def test_config_out_under_a_file_is_a_clean_error(self, tmp_path, config_file, capsys):
         taken = tmp_path / "taken"
         taken.write_text("keep", encoding="utf-8")
@@ -341,6 +350,19 @@ class TestEvalAndReport:
         assert len(metrics) == 3 and stdout[:3] == metrics
         for line in stdout + metrics:
             assert line == line.rstrip(), repr(line)
+
+    def test_reporting_into_the_same_directory_gives_the_same_files(self, tmp_path, config_file, profile_file):
+        corpus = generate(tmp_path, config_file)
+        records_path = tmp_path / "records.jsonl"
+        args = ["--profile", str(profile_file), "--mode", "zero", "--transport", "mock:gold"]
+        assert main(["eval", "--in", str(corpus), *args, "--out", str(records_path)]) == 0
+        report_dir = tmp_path / "rep"
+        argv = ["report", "--in", str(records_path), "--group", "ansDepth,cutDepth", "--out", str(report_dir)]
+        assert main(argv) == 0
+        first = {p.name: p.read_bytes() for p in report_dir.iterdir()}
+        assert main(argv) == 0
+        assert {p.name: p.read_bytes() for p in report_dir.iterdir()} == first
+        assert sorted(first) == ["by_cut_depth.csv", "by_structure.csv", "metrics.json", "metrics.txt"]
 
     def test_report_out_naming_a_file_is_a_clean_error(self, tmp_path, config_file, profile_file, capsys):
         corpus = generate(tmp_path, config_file)

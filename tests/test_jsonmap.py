@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 
 import pytest
@@ -355,6 +357,39 @@ def test_write_text_makes_the_directory_and_keeps_line_ends(tmp_path):
     assert path.read_bytes() == "a,b\r\n1,2\r\né\n".encode("utf-8")
     write_json_lines(str(tmp_path / "fresh" / "r.jsonl"), iter(['{"a": 1}', '{"b": 2}']))
     assert (tmp_path / "fresh" / "r.jsonl").read_bytes() == b'{"a": 1}\n{"b": 2}\n'
+    write_text(path, ["x\n"])  # a long file rewritten with shorter text keeps no tail of the old one
+    assert path.read_bytes() == b"x\n"
+
+
+def test_write_text_leaves_a_hard_link_to_the_old_file_as_it_was(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_text(path, ["old\n"])
+    (tmp_path / "kept.jsonl").hardlink_to(path)
+    write_text(path, ["new\n"])
+    assert path.read_bytes() == b"new\n"
+    assert (tmp_path / "kept.jsonl").read_bytes() == b"old\n"
+
+
+def test_write_text_follows_a_symlink_and_writes_a_pipe_in_place(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"target, longer than the new text\n")
+    link = tmp_path / "series.csv"
+    link.symlink_to(target)
+    write_text(link, ["new\n"])
+    assert link.is_symlink()
+    assert target.read_bytes() == b"new\n"
+    pipe = tmp_path / "out.jsonl"  # as given by `--out /dev/stdout` or `--out /dev/fd/63`, both symlinks
+    os.mkfifo(pipe)
+    (tmp_path / "stdout").symlink_to(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # open now, so write_text's open does not wait
+    try:
+        write_text(pipe, ['{"a": 1}\n'])
+        write_text(tmp_path / "stdout", ['{"b": 2}\n'])
+        assert os.read(reader, 1024) == b'{"a": 1}\n{"b": 2}\n'
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert (tmp_path / "stdout").is_symlink()
 
 
 def test_write_text_under_a_file_is_one_error_naming_it(tmp_path):
