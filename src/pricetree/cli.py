@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 from .corpus_io import load_gen_config, read_dataset, write_dataset
 from .errors import PricetreeError
@@ -33,6 +34,15 @@ from .tree import ROOT, children_by_parent
 from .wording import check_vocabulary, load_vocabulary
 
 
+def _summary_stream(out: str | Path) -> TextIO:
+    """Where a command's summary of writing `out` goes: stderr when `out` is the file on stdout (fd 1, as for
+    ``--out /dev/stdout``), so a piped corpus or records file holds only its JSON lines; stdout otherwise."""
+    try:
+        return sys.stderr if os.path.samestat(os.stat(out), os.fstat(1)) else sys.stdout
+    except OSError:  # fd 1 closed, or `out` gone
+        return sys.stdout
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     overrides = {
         field: value
@@ -50,7 +60,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     for config, path in outputs:
         dataset = generate_corpus(config)
         write_dataset(dataset, path)
-        print(f"wrote {len(dataset.instances)} instances to {path}")
+        print(f"wrote {len(dataset.instances)} instances to {path}", file=_summary_stream(path))
     return 0
 
 
@@ -152,7 +162,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     )
     write_records(records, args.out)
     excluded = sum(1 for r in records if r.transport_failed)
-    print(f"wrote {len(records)} records to {args.out} ({excluded} transport failures)")
+    print(f"wrote {len(records)} records to {args.out} ({excluded} transport failures)", file=_summary_stream(args.out))
     return 0
 
 

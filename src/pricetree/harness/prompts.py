@@ -70,11 +70,15 @@ def load_profile(path: str | Path) -> ModelProfile:
     return read_json_file(ModelProfile, path, "profile")
 
 
+# one object in every prompt; nothing mutates a prompt's messages
+_SYSTEM = Message("system", SYSTEM_MESSAGE)
+
+
 def _messages(profile: ModelProfile, user: str) -> list[Message]:
     """The user message, after the system message unless the profile is a reasoning one."""
     if profile.is_reasoning:
         return [Message("user", user)]
-    return [Message("system", SYSTEM_MESSAGE), Message("user", user)]
+    return [_SYSTEM, Message("user", user)]
 
 
 def _question(instance: ProblemInstance) -> str:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import InvalidConfigError, TransportError
-from ..jsonmap import check_scalar_object, from_json, read_json_lines, to_json_line, write_json_lines
+from ..jsonmap import check_scalar_object, from_json, long_text, read_json_lines, to_json_line, write_json_lines
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
 from ..rng import PcgStream, substreams
 from .prompts import FewShotPool, ModelProfile, build_few_shot_prompt, build_zero_shot_prompt
@@ -99,7 +99,7 @@ class EvalRecord:
     verdict: Optional[str]
     value: Optional[int]
     raw_tail: str
-    response: Optional[str]  # persisted verbatim so scoring can be re-run
+    response: Optional[str] = long_text()  # persisted verbatim so scoring can be re-run
     latency_ms: Optional[float]
     transport_failed: bool
     config_cell: dict

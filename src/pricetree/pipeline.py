@@ -12,7 +12,7 @@ from typing import Optional
 
 from .errors import CertificationError, InvalidConfigError
 from .formulas import COEFFICIENT_CHOICES, CONDITION_ORDERS, Formula, order_formulas, sample_formula
-from .jsonmap import check_scalar_object, from_json, omitted_when_none, to_json
+from .jsonmap import check_scalar_object, from_json, long_text, omitted_when_none, to_json
 from .oracle import ANSWERABLE, UNANSWERABLE, verify_instance
 from .rng import PcgStream, substream, substreams
 from .tree import ROOT, bfs_edges, build_tree, check_shape, sample_var_values
@@ -82,13 +82,13 @@ def cell_label(config: GenConfig) -> str:
 class ProblemInstance:
     id: str
     variant: str  # "answerable" | "unanswerable"
-    full_text: str
+    full_text: str = long_text()
     condition_sentences: tuple[str, ...]
     formulas: tuple[Formula, ...]
     item_map: ItemMap
     questioned_var: int
     gold_answer: Optional[int] = omitted_when_none()  # an unanswerable line has no goldAnswer key
-    gold_solution_text: str
+    gold_solution_text: str = long_text()
     pair_id: str
     metadata: dict
 

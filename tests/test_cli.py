@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pricetree
 from pricetree import oracle
 from pricetree.cli import main
 from pricetree.corpus_io import read_dataset
@@ -536,6 +541,30 @@ _FILE_INPUTS = {
                                    "--transport", f"replay:{bad}", "--out", p["out"]],
     "vocabulary file": lambda p, bad: ["generate", "--config", p["vocab_config"], "--out", p["out"]],
 }
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_written_to_stdout_holds_only_its_json_lines(tmp_path, config_file, profile_file):
+    """generate and eval print their summary line to stderr when --out is the file on stdout."""
+    corpus, records = generate(tmp_path, config_file), tmp_path / "records.jsonl"
+    eval_args = ["eval", "--in", str(corpus), "--profile", str(profile_file), "--mode", "zero"]
+    eval_args += ["--transport", "mock:gold"]
+    assert main([*eval_args, "--out", str(records)]) == 0
+    src = str(Path(pricetree.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def lines(text: str) -> list:  # latencyMs is wall time
+        return [{k: v for k, v in json.loads(line).items() if k != "latencyMs"} for line in text.splitlines()]
+
+    for args, written, summary in (
+        (["generate", "--config", str(config_file), "--seed", "7"], corpus, "wrote 8 instances to /dev/stdout\n"),
+        (eval_args, records, "wrote 8 records to /dev/stdout (0 transport failures)\n"),
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "pricetree.cli", *args, "--out", "/dev/stdout"], capture_output=True, env=env
+        )
+        assert (run.returncode, run.stderr.decode()) == (0, summary)
+        assert lines(run.stdout.decode()) == lines(written.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("state", ["missing", "not-utf8"])

@@ -19,6 +19,7 @@ from pricetree.harness.prompts import FewShotPool, build_few_shot_prompt, build_
 from pricetree.harness.report import write_report
 from pricetree.harness.scoring import read_records, run_eval, write_records
 from pricetree.harness.transport import ReplayTransport
+from pricetree.jsonmap import LONG_TEXT
 from pricetree.pipeline import GenConfig, generate_corpus
 from pricetree.rng import substream
 from pricetree.wording import DEFAULT_DISHES, QUESTION_PHRASINGS
@@ -27,6 +28,7 @@ from factories import make_corpus, make_profile
 
 CORPUS_SHA256 = "10101f603fb8b9fb64d5a7589d703726332fd2272b2ee174a685796f92ba9334"
 RECORDS_SHA256 = "c7fe98782549996e1b6b2cbdfa5725791c5ded77053e43a41d442a1ef71e48b3"
+LONG_RECORDS_SHA256 = "605aaad7654851526f11c1aa62d85de2b3524bca1ff1343a793b035a20361b38"
 METRICS_SHA256 = "538184bb5e1fa5e206bf0a41e009879ce52e58f2b1c45c962f3f450e77feedcb"
 METRICS_TXT_SHA256 = "3b20d38df4a065ba5673001ea6d561cf4b21fe0060673447c83d592c441957ca"
 RENDER_SHA256 = "a60513543a4eedfa7681d5fc08c49ea5658d43bf067601038a2ab3251105d6f7"
@@ -114,6 +116,36 @@ def test_record_bytes_are_pinned_and_reserialize(tmp_path):
     write_records(read_records(path), again)
     assert again.read_bytes() == path.read_bytes()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDS_SHA256
+
+
+def _long_responses(dataset) -> dict[str, str]:
+    """Multi-line worked replies of 2-8 KB, as a model writes them, in every outcome bucket.
+
+    Each holds newlines and quotes; every second one also backslashes, and
+    every third one tabs and carriage returns as well.
+    """
+    responses = {}
+    for k, inst in enumerate(dataset.instances):
+        gold = inst.gold_answer if inst.gold_answer is not None else 9
+        steps = [f'Step {n}: "{sentence}"' for n, sentence in enumerate(inst.condition_sentences, start=1)]
+        if k % 2:
+            steps = [f"{step} So \\(x_{n}\\) is fixed." for n, step in enumerate(steps)]
+        if k % 3 == 2:
+            steps = [f"\t{step}\r" for step in steps]
+        tail = ("Answer: unknown.", f"Answer: {gold}", f"The answer is ${gold + 1},000.", "I cannot tell.")[k % 4]
+        responses[inst.id] = "\n".join(steps * (2 + k % 5)) + f"\n\n{tail}"
+    return responses
+
+
+def test_long_response_record_bytes_are_pinned(tmp_path):
+    corpus = make_corpus(num_vars=12, ans_depth=8, cut_depth=4, composite_name=True, order="random", count=6)
+    responses = _long_responses(corpus)
+    assert min(map(len, responses.values())) > LONG_TEXT
+    records = run_eval(corpus, make_profile(concurrency=1, max_retries=0), "zero", ReplayTransport(responses))
+    path = tmp_path / "records.jsonl"
+    write_records([replace(r, latency_ms=0.0) for r in records], path)
+    assert read_records(path) == [replace(r, latency_ms=0.0) for r in records]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LONG_RECORDS_SHA256
 
 
 def test_report_bytes_are_pinned(tmp_path):

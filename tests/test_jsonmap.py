@@ -3,7 +3,8 @@ from __future__ import annotations
 import json
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from json.encoder import ESCAPE_DCT, encode_basestring
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from pricetree.formulas import Linear, RootValue
 from pricetree.harness.prompts import ModelProfile
 from pricetree.harness.scoring import EvalRecord
 from pricetree.jsonmap import (
+    LONG_TEXT,
     from_file_json,
     from_json,
     json_line,
@@ -165,7 +167,26 @@ def test_decoder_accepts_a_null_restaurant():
 
 # Strings that need escaping, are not ASCII or hold lone surrogates, ints past 64 bits, and float
 # fields holding ints, -0.0, NaN and infinities: the inputs where an encoder may part from the stdlib's.
-_texts = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é€😀\ud800\udfff'), st.characters()))
+# Long strings, at and around jsonmap.LONG_TEXT characters and up to 4 KB, hold up to 5 of the 34
+# escaped characters (often a backslash, a quote, a newline or a tab), so a long_text field takes
+# both the replace path and its C-escaper fallback.
+_UNESCAPED = ["a", " ", "\x7f", "\u2028", "é", "😀", "\ud800", "\udfff"]
+_LONG_LENGTHS = [LONG_TEXT - 1, LONG_TEXT, LONG_TEXT + 1, 2 * LONG_TEXT + 1, 3 * LONG_TEXT, 4 * LONG_TEXT]
+_ESCAPED = st.one_of(st.sampled_from('\\"\n\t'), st.sampled_from(list(ESCAPE_DCT)))
+
+
+@st.composite
+def _long_texts(draw) -> str:
+    escaped = draw(st.lists(_ESCAPED, max_size=5, unique=True))
+    unit = draw(st.text(st.sampled_from(escaped + _UNESCAPED), min_size=1, max_size=40)) + "".join(escaped)
+    length = draw(st.sampled_from(_LONG_LENGTHS))
+    return (unit * (length // len(unit) + 1))[:length]
+
+
+_texts = st.one_of(
+    st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é€😀\ud800\udfff'), st.characters())),
+    _long_texts(),
+)
 _ints = st.one_of(st.integers(), st.integers(min_value=2**70), st.integers(max_value=-(2**70)))
 _floats = st.one_of(st.floats(), st.integers())
 _json_values = st.recursive(
@@ -238,6 +259,50 @@ def test_text_encoder_writes_the_stdlib_line(obj):
     parsed = json.loads(line)
     assert line == stdlib_line(parsed)  # the stdlib's encoding of its own parse, which is to_json(obj)
     assert to_json_line(from_json(type(obj), parsed)) == line
+
+
+_MIXES = {
+    "nothing escaped": "The soup costs $4 more than é or 😀.\u2028\x7f ",
+    "newlines": "Step 1: the soup costs $4 more.\n",
+    "newlines and quotes": 'Step 1: the "soup" costs $4 more.\n',
+    "three escaped": 'Step 1: the "soup" costs \\(4\\) more.\n',
+    "four escaped": 'Step 1:\tthe "soup" costs \\(4\\) more.\n',
+    "every escaped": "".join(ESCAPE_DCT) + "é😀\ud800",
+    "dense": "a\n",
+}
+
+
+@pytest.mark.parametrize("length", [LONG_TEXT - 1, LONG_TEXT, LONG_TEXT + 1, 3 * LONG_TEXT + 1])
+@pytest.mark.parametrize("mix", list(_MIXES))
+def test_long_text_is_escaped_as_the_stdlib_escapes_it(mix, length):
+    text = (_MIXES[mix] * length)[:length]
+    assert jsonmap._escaped(text) == encode_basestring(text)
+    record = replace(_EVERY_OPTIONAL_NONE[1], response=text)
+    assert json.loads(to_json_line(record))["response"] == text
+    assert to_json_line(record) == stdlib_line(to_json(record))
+
+
+@settings(max_examples=500)
+@given(text=_long_texts())
+def test_escaped_is_the_stdlib_escape(text):
+    assert jsonmap._escaped(text) == encode_basestring(text)
+
+
+@pytest.mark.parametrize("char", list(ESCAPE_DCT))
+def test_each_escaped_character_is_escaped_in_a_long_text_alone_and_after_a_backslash(char):
+    for text in (f"{char}é" * LONG_TEXT, f"\\{char}é" * LONG_TEXT):
+        assert jsonmap._escaped(text) == encode_basestring(text)
+
+
+@pytest.mark.parametrize("value", [7, ["x"] * (LONG_TEXT + 1), b"x" * LONG_TEXT])
+def test_a_long_text_field_holding_a_value_that_is_not_a_str_raises(value):
+    for obj in (replace(_EVERY_OPTIONAL_NONE[1], response=value), replace(_EVERY_OPTIONAL_NONE[0], full_text=value)):
+        with pytest.raises(TypeError) as error:
+            to_json_line(obj)
+        with pytest.raises(TypeError) as stdlib_error:
+            encode_basestring(value)
+        assert str(error.value) == str(stdlib_error.value)
+        assert error.value.__context__ is None  # not raised while handling len()'s error
 
 
 def test_a_missing_gold_answer_is_left_out_of_the_line():

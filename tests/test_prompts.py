@@ -12,6 +12,7 @@ from pricetree.harness.prompts import (
     EXEMPLARS_PER_VARIANT,
     SYSTEM_MESSAGE,
     FewShotPool,
+    Message,
     ModelProfile,
     build_few_shot_prompt,
     build_zero_shot_prompt,
@@ -71,6 +72,21 @@ class TestZeroShot:
         assert [m.role for m in messages] == ["system", "user"]
         assert messages[0].content == SYSTEM_MESSAGE
         assert "please answer in the form 'Answer: unknown.'" in messages[1].content
+
+    def test_every_prompt_shares_one_system_message_that_run_eval_leaves_unchanged(self):
+        target, pool = make_corpus(count=3, corpus_seed=12), make_corpus(count=5, corpus_seed=34)
+        seen = []
+
+        class Recording(ReplayTransport):
+            def complete(self, messages, instance_id=None):
+                seen.append(messages[0])
+                return super().complete(messages, instance_id)
+
+        transport = Recording(mock_responses("gold", target))
+        run_eval(target, make_profile(concurrency=4), "zero", transport)
+        run_eval(target, make_profile(concurrency=4), "few", transport, pool=pool)
+        assert len(seen) == 12 and all(message is prompts._SYSTEM for message in seen)
+        assert prompts._SYSTEM == Message("system", SYSTEM_MESSAGE)
 
     def test_reasoning_gets_user_only(self):
         corpus = make_corpus(count=1)
