@@ -8,6 +8,7 @@ of each variant from a held-out pool, interleaved in stream order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -62,8 +63,11 @@ class ModelProfile:
         ):
             if value < least:
                 raise InvalidConfigError(f"{key} must be >= {least}, got {value}")
-        if not self.timeout_seconds > 0:  # also rejects NaN
-            raise InvalidConfigError(f"timeoutSeconds must be > 0, got {self.timeout_seconds}")
+        # each test also rejects NaN; a socket timeout past about 9.2e9 s overflows at the first request
+        if not 0 <= self.temperature < math.inf:
+            raise InvalidConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not 0 < self.timeout_seconds <= 1e9:
+            raise InvalidConfigError(f"timeoutSeconds must be > 0 and <= 1e9, got {self.timeout_seconds}")
 
 
 def load_profile(path: str | Path) -> ModelProfile:
@@ -112,10 +116,9 @@ class FewShotPool:
     and each exemplar's worked text are not repeated for every prompt.
     """
 
-    answerable: tuple[ProblemInstance, ...]
-    unanswerable: tuple[ProblemInstance, ...]
-    ids: tuple[str, ...]  # of the answerable instances above, then the unanswerable ones
+    ids: tuple[str, ...]  # of the answerable instances, then the unanswerable ones
     blocks: tuple[str, ...]  # the worked text of each instance, in the order of `ids`
+    answerable_count: int  # the unanswerable instances start at this index of `ids` and `blocks`
 
     @classmethod
     def prepare(cls, pool: Dataset, target: Dataset) -> "FewShotPool":
@@ -139,7 +142,7 @@ class FewShotPool:
                 f"got {len(answerable)} answerable and {len(unanswerable)} unanswerable"
             )
         ordered = answerable + unanswerable
-        return cls(answerable, unanswerable, tuple(p.id for p in ordered), tuple(map(_exemplar_block, ordered)))
+        return cls(tuple(p.id for p in ordered), tuple(map(_exemplar_block, ordered)), len(answerable))
 
 
 def build_few_shot_prompt(
@@ -152,9 +155,9 @@ def build_few_shot_prompt(
 
     `pool` comes from :meth:`FewShotPool.prepare` on the corpus `instance` belongs to.
     """
-    split = len(pool.answerable)  # picks index pool.ids and pool.blocks: unanswerable ones start here
+    split = pool.answerable_count  # picks index pool.ids and pool.blocks
     picked = rng.distinct_indices(split, EXEMPLARS_PER_VARIANT)
-    picked += [split + i for i in rng.distinct_indices(len(pool.unanswerable), EXEMPLARS_PER_VARIANT)]
+    picked += [split + i for i in rng.distinct_indices(len(pool.ids) - split, EXEMPLARS_PER_VARIANT)]
     order = [picked[i] for i in rng.permutation(len(picked))]
     body = "\n\n".join([FEW_SHOT_HEADER, *[pool.blocks[i] for i in order], _question(instance)])
     return FewShotPrompt(_messages(profile, body), [pool.ids[i] for i in order])

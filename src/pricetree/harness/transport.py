@@ -157,10 +157,10 @@ def make_transport(spec: str, profile: ModelProfile, dataset: Dataset):
     """Parse a transport spec: live | replay:<file> | mock:<name>."""
     if spec == "live":
         return LiveTransport(profile)
-    kind, sep, arg = spec.partition(":")
-    if kind == "replay" and sep:
+    kind, _, arg = spec.partition(":")
+    if kind == "replay" and arg:
         return ReplayTransport.from_file(arg)
-    if kind == "mock" and sep:
+    if kind == "mock" and arg:
         return ReplayTransport(mock_responses(arg, dataset))
     raise InvalidConfigError(
         f"transport must be live, replay:<file> or mock:<name>, got {spec!r}"

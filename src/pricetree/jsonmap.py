@@ -19,10 +19,12 @@ gets two functions, generated once as straight-line source and exec'd:
   ``%``-template, nested dataclasses, sequences, tagged unions and int-keyed
   dicts inline.  Strings go through the stdlib's C escaper (the one
   ``JSONEncoder(ensure_ascii=False)`` uses), except a `long_text` field's
-  value of LONG_TEXT (1,024) characters or more.  `_escaped` writes that
-  with one ``str.replace`` per escaped character it holds, backslash first,
-  when it holds at most one such character per 1,024 characters and at most
-  three; it leaves any other to the C escaper.  Ints go through ``%d``, and
+  value, which goes to `_escaped` whatever it holds.  `_escaped` alone
+  decides, by type and length: a str of LONG_TEXT (1,024) characters or more
+  it writes with one ``str.replace`` per escaped character it holds,
+  backslash first, when it holds at most one such character per 1,024
+  characters and at most three; any other value, a shorter one or one that
+  is not a str, it leaves to the C escaper.  Ints go through ``%d``, and
   float and ``dict`` values through `json_line`, so the text is `json_line`
   of its own parse byte for byte.  `json_line` is one C encoder of the stdlib, built
   at import as ``JSONEncoder(ensure_ascii=False)`` builds one on every call;
@@ -216,10 +218,10 @@ def omitted_when_none() -> Any:
 def long_text() -> Any:
     """A str (or Optional[str]) dataclass field whose value may run to kilobytes: a corpus text or a model response.
 
-    Its text is written by `_escaped` from LONG_TEXT characters on.  Other
-    fields keep the bare C escaper: the length test would cost every short
-    string about 20 ns.  A value that is not a str raises the C escaper's
-    TypeError, as in any field.
+    Each of its values goes to `_escaped`, which picks the escaper by type
+    and length.  Other fields keep the bare C escaper: the call and its length
+    test would cost every short string about 45 ns.  A value that is not a
+    str raises the C escaper's TypeError, as in any field.
     """
     return dataclasses.field(metadata={_LONG: True})
 
@@ -275,7 +277,11 @@ _ESCAPES = tuple(ESCAPE_DCT.items())  # backslash first: the escapes of the othe
 
 
 def _escaped(text: str) -> str:
-    """``encode_basestring(text)`` of a text of LONG_TEXT characters or more, in a few whole-string passes.
+    """``encode_basestring(text)``: the escaper of every `long_text` value, chosen here by its type and length.
+
+    A value that is not a str (which the C escaper rejects with its own
+    TypeError), a str subclass, or a text shorter than LONG_TEXT goes to the
+    C escaper.  A longer text is escaped in a few whole-string passes.
 
     JSON escapes only ``\\``, ``"`` and U+0000-U+001F, each as ESCAPE_DCT
     writes it.  One ``in`` scan per such character finds those the text
@@ -287,7 +293,7 @@ def _escaped(text: str) -> str:
     as the scans find one too many.  A text in which one character in ten
     or more is escaped is slower here than in the C escaper.
     """
-    if type(text) is not str:  # raise as _str does, or take a str subclass
+    if type(text) is not str or len(text) < LONG_TEXT:
         return encode_basestring(text)
     most = 3 if len(text) >= 3 * LONG_TEXT else len(text) // LONG_TEXT  # replaces worth making
     found = []
@@ -311,7 +317,6 @@ class _Source:
             "json_line": json_line,
         }
         self.count = 0
-        self.long_texts = True  # False: long_text fields go through _str, as every other str does
 
     def name(self, prefix: str) -> str:
         self.count += 1
@@ -342,11 +347,8 @@ def _to_text(tp, src: str, key: str, out: _Source, long: bool = False) -> tuple[
     `long`: a `long_text` field."""
     form, detail = _shape(tp, key)
     if form == "plain":
-        if tp is str and long and out.long_texts:
-            text = out.name("s")
-            return "%s", [f"(_str({text}) if len({text} := {src}) < {LONG_TEXT} else _escaped({text}))"]
         if tp is str:
-            return "%s", [f"_str({src})"]
+            return "%s", [f"{'_escaped' if long else '_str'}({src})"]
         if tp is int:
             return "%d", [src]
         if tp is bool:
@@ -474,13 +476,6 @@ def _compiled(cls: type) -> tuple[Callable, Callable]:
     out = _Source()
     text = _filled(*_text_object(cls, "obj", out))
     out.lines += ["def encode(obj):", f"    return {text}"]
-    if "_escaped(" in text:
-        # A long_text value without a length fails in len(); the text with every str through _str, run
-        # only then, raises the C escaper's TypeError, as any str field does.  From Python 3.11 on, the
-        # try costs nothing.
-        out.long_texts = False
-        out.lines[-1:] = ["    try:", f"        return {text}", "    except TypeError:", "        pass",
-                          f"    return {_filled(*_text_object(cls, 'obj', out))}"]
     out.lines.append("def decode(data):")
     out.lines.append(f"    return {_decode_object(cls, 'data', out, '    ')}")
     exec("\n".join(out.lines), out.env)

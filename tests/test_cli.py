@@ -612,7 +612,7 @@ _MISTYPED_FILES = {
     "isReasoning": ("profile", {"isReasoning": "false"}, "isReasoning must be bool, got str"),
     "concurrency-0": ("profile", {"concurrency": 0}, "concurrency must be >= 1, got 0"),
     "maxRetries-negative": ("profile", {"maxRetries": -1}, "maxRetries must be >= 0, got -1"),
-    "timeoutSeconds-0": ("profile", {"timeoutSeconds": 0}, "timeoutSeconds must be > 0, got 0"),
+    "timeoutSeconds-0": ("profile", {"timeoutSeconds": 0}, "timeoutSeconds must be > 0 and <= 1e9, got 0"),
     "maxTokens-0": ("profile", {"maxTokens": 0}, "maxTokens must be >= 1, got 0"),
     "maxCompletionTokens-0": ("profile", {"maxCompletionTokens": 0}, "maxCompletionTokens must be >= 1, got 0"),
 }

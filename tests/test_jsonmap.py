@@ -294,15 +294,31 @@ def test_each_escaped_character_is_escaped_in_a_long_text_alone_and_after_a_back
         assert jsonmap._escaped(text) == encode_basestring(text)
 
 
-@pytest.mark.parametrize("value", [7, ["x"] * (LONG_TEXT + 1), b"x" * LONG_TEXT])
-def test_a_long_text_field_holding_a_value_that_is_not_a_str_raises(value):
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("length", [10, LONG_TEXT - 1, LONG_TEXT])
+def test_a_long_text_field_holding_a_str_subclass_writes_the_stdlib_line(length):
+    value = _Text(('Step 1: the "soup" costs \\(4\\) more.\n' * length)[:length])
     for obj in (replace(_EVERY_OPTIONAL_NONE[1], response=value), replace(_EVERY_OPTIONAL_NONE[0], full_text=value)):
+        line = to_json_line(obj)
+        assert line == stdlib_line(json.loads(line))
+        assert value in json.loads(line).values()
+
+
+@pytest.mark.parametrize("value", [7, None, ["x"] * (LONG_TEXT + 1), b"x" * LONG_TEXT])
+def test_a_long_text_field_holding_a_value_that_is_not_a_str_raises(value):
+    objs = [replace(_EVERY_OPTIONAL_NONE[0], full_text=value)]  # not Optional: None is not a str there
+    if value is not None:
+        objs.append(replace(_EVERY_OPTIONAL_NONE[1], response=value))
+    for obj in objs:
         with pytest.raises(TypeError) as error:
             to_json_line(obj)
         with pytest.raises(TypeError) as stdlib_error:
             encode_basestring(value)
         assert str(error.value) == str(stdlib_error.value)
-        assert error.value.__context__ is None  # not raised while handling len()'s error
+        assert error.value.__context__ is None  # not raised while handling another error
 
 
 def test_a_missing_gold_answer_is_left_out_of_the_line():

@@ -63,6 +63,34 @@ class TestProfiles:
         assert profile.is_reasoning and profile.api_key_env == "EXAMPLE_KEY"
         assert isinstance(profile, ModelProfile)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"temperature": float("nan")}, "temperature must be finite and >= 0, got nan"),
+            ({"temperature": float("inf")}, "temperature must be finite and >= 0, got inf"),
+            ({"temperature": -0.5}, "temperature must be finite and >= 0, got -0.5"),
+            ({"timeoutSeconds": float("inf")}, "timeoutSeconds must be > 0 and <= 1e9, got inf"),
+            ({"timeoutSeconds": 1e300}, "timeoutSeconds must be > 0 and <= 1e9, got 1e+300"),
+            ({"timeoutSeconds": float("nan")}, "timeoutSeconds must be > 0 and <= 1e9, got nan"),
+        ],
+    )
+    def test_load_profile_rejects_values_a_request_cannot_carry(self, tmp_path, value, message):
+        # an infinite timeout overflowed socket.settimeout at the first live request, and a NaN
+        # temperature was sent as NaN, which is not JSON
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"endpoint": "x", "model": "m", **value}))  # json writes NaN and Infinity
+        with pytest.raises(InvalidConfigError) as error:
+            load_profile(path)
+        assert str(error.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "key, field, value", [("temperature", "temperature", 0), ("timeoutSeconds", "timeout_seconds", 1e9)]
+    )
+    def test_load_profile_takes_values_at_the_bounds(self, tmp_path, key, field, value):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"endpoint": "x", "model": "m", key: value}))
+        assert getattr(load_profile(path), field) == value
+
 
 class TestZeroShot:
     def test_non_reasoning_gets_system_plus_user(self):
@@ -168,8 +196,9 @@ class TestFewShot:
     def test_pool_split_keeps_pool_order(self):
         pool = self.pool()
         prepared = self.prepared()
-        assert list(prepared.answerable) == [p for p in pool.instances if p.variant == "answerable"]
-        assert list(prepared.unanswerable) == [p for p in pool.instances if p.variant == "unanswerable"]
+        split = prepared.answerable_count
+        assert list(prepared.ids[:split]) == [p.id for p in pool.instances if p.variant == "answerable"]
+        assert list(prepared.ids[split:]) == [p.id for p in pool.instances if p.variant == "unanswerable"]
 
     def test_each_exemplar_text_is_built_once_per_run(self, monkeypatch):
         target, pool = make_corpus(count=12, corpus_seed=12), make_corpus(count=5, corpus_seed=34)

@@ -136,6 +136,13 @@ class TestMakeTransport:
         with pytest.raises(InvalidConfigError):
             make_transport("telepathy", profile, corpus)
 
+    @pytest.mark.parametrize("spec", ["replay:", "mock:"])
+    def test_a_spec_without_its_argument_is_rejected_by_name(self, spec):
+        # "replay:" once read the working directory and failed with "error: : cannot read (Is a directory)"
+        with pytest.raises(InvalidConfigError) as error:
+            make_transport(spec, make_profile(), make_corpus(count=1))
+        assert str(error.value) == f"transport must be live, replay:<file> or mock:<name>, got {spec!r}"
+
 
 class FlakyTransport:
     def __init__(self, failures: int, response: str = "Answer: 3"):
