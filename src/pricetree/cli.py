@@ -20,7 +20,7 @@ from .formulas import formula_edges
 from .harness.prompts import load_profile
 from .harness.report import format_text_table, write_report
 from .harness.scoring import MODES, check_eval_request, read_records, run_eval, write_records
-from .harness.transport import MOCK_NAMES, make_transport
+from .harness.transport import MOCK_NAMES, check_transport_spec, make_transport
 from .jsonmap import make_parents
 from .oracle import SOLVER_FAILURE, UNDERDETERMINED, component_of, verify_instance
 from .pipeline import (
@@ -151,7 +151,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    check_eval_request(args.mode, args.pool is not None, args.seed)  # before any file is read
+    # argument errors come before any file is read
+    check_eval_request(args.mode, args.pool is not None, args.seed)
+    check_transport_spec(args.transport)
     make_parents(args.out)  # before any request, whose response would be lost
     dataset = read_dataset(args.input)
     profile = load_profile(args.profile)

@@ -146,25 +146,37 @@ MOCKS: dict[str, Callable[[ProblemInstance], str]] = {
 MOCK_NAMES = tuple(MOCKS)
 
 
-def mock_responses(name: str, dataset: Dataset) -> dict[str, str]:
-    """The named mock's response per instance id, for a ReplayTransport."""
+def _check_mock(name: str) -> None:
     if name not in MOCKS:
         raise InvalidConfigError(f"unknown mock {name!r}, expected one of {MOCK_NAMES}")
+
+
+def mock_responses(name: str, dataset: Dataset) -> dict[str, str]:
+    """The named mock's response per instance id, for a ReplayTransport."""
+    _check_mock(name)
     return {inst.id: MOCKS[name](inst) for inst in dataset.instances}
 
 
+def check_transport_spec(spec: str) -> None:
+    """Raise unless the spec is live, replay:<file> or mock:<a known name>; reads no file."""
+    kind, _, arg = spec.partition(":")
+    if spec != "live" and not (kind in ("replay", "mock") and arg):
+        raise InvalidConfigError(
+            f"transport must be live, replay:<file> or mock:<name>, got {spec!r}"
+        )
+    if kind == "mock":
+        _check_mock(arg)
+
+
 def make_transport(spec: str, profile: ModelProfile, dataset: Dataset):
-    """Parse a transport spec: live | replay:<file> | mock:<name>."""
+    """The transport a spec names, once `check_transport_spec` passes it: live | replay:<file> | mock:<name>."""
+    check_transport_spec(spec)
     if spec == "live":
         return LiveTransport(profile)
     kind, _, arg = spec.partition(":")
-    if kind == "replay" and arg:
+    if kind == "replay":
         return ReplayTransport.from_file(arg)
-    if kind == "mock" and arg:
-        return ReplayTransport(mock_responses(arg, dataset))
-    raise InvalidConfigError(
-        f"transport must be live, replay:<file> or mock:<name>, got {spec!r}"
-    )
+    return ReplayTransport(mock_responses(arg, dataset))
 
 
 def query_model(

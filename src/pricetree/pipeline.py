@@ -22,11 +22,12 @@ from .wording import (
     QUESTION_PHRASINGS,
     ItemMap,
     Vocabulary,
+    _needs_coin,
+    _render_formula,
+    _sentence_form,
     assemble_text,
     assign_items,
     load_vocabulary,
-    needs_phrasing_coin,
-    render_formula_fixed,
     render_gold_solution,
     render_question,
 )
@@ -166,10 +167,11 @@ def build_pair(
     ordered = order_formulas(bfs_formulas, config.order, rng)
     items = assign_items(config.num_vars, config.composite_name, vocab, rng)
 
-    coined = [f.child_var for f in ordered if needs_phrasing_coin(f)]
+    forms = [_sentence_form(f) for f in ordered]
+    coined = [f.child_var for f, form in zip(ordered, forms) if _needs_coin(form)]
     heads = rng.pick_each([(False, True)] * len(coined))
     phrasing = {var: PHRASING_MORE if coin else PHRASING_LESS for var, coin in zip(coined, heads)}
-    sentences = [render_formula_fixed(f, items, phrasing.get(f.child_var)) for f in ordered]
+    sentences = [_render_formula(f, form, items, phrasing.get(f.child_var)) for f, form in zip(ordered, forms)]
 
     questioned = config.ans_depth
     question = render_question(items, questioned, config.question_phrasing)

@@ -12,11 +12,12 @@ information-count argument over the questioned variable's component
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import CertificationError, InvalidConfigError
-from .formulas import Formula, Linear, RootValue
+from .formulas import Formula, Linear
 from .jsonmap import nonblank_lines, read_lines
 from .oracle import Walk, component_of
 from .rng import PcgStream
@@ -57,8 +58,22 @@ DEFAULT_RESTAURANTS = (
 
 @dataclass(frozen=True)
 class Vocabulary:
+    """Dishes and restaurants.  Each naming mode's `ItemName`s are built on first use and shared
+    by every pair drawn; name k is dish k // R at restaurant k % R (simple names: R = 1, no restaurant)."""
+
     dishes: tuple[Dish, ...]
     restaurants: tuple[str, ...]
+
+    @cached_property
+    def simple_names(self) -> tuple[ItemName, ...]:
+        return tuple(ItemName(dish.singular, dish.plural) for dish in self.dishes)
+
+    @cached_property
+    def composite_names(self) -> tuple[ItemName, ...]:
+        return tuple(ItemName(dish.singular, dish.plural, r) for dish in self.dishes for r in self.restaurants)
+
+
+DEFAULT_VOCABULARY = Vocabulary(dishes=DEFAULT_DISHES, restaurants=DEFAULT_RESTAURANTS)
 
 
 def _vocabulary_entries(path: str | Path, what: str, parse) -> tuple:
@@ -88,8 +103,10 @@ def load_vocabulary(dish_path: Optional[str], restaurant_path: Optional[str]) ->
     """The vocabulary from UTF-8 files, one unique entry per non-blank line; None: the built-in list.
 
     Dish file: "singular|plural", or "singular" alone for the plural
-    singular+"s".  Restaurant file: the display name.
+    singular+"s".  Restaurant file: the display name.  No file: `DEFAULT_VOCABULARY`.
     """
+    if not dish_path and not restaurant_path:
+        return DEFAULT_VOCABULARY
     dishes = _vocabulary_entries(dish_path, "dish", _dish) if dish_path else DEFAULT_DISHES
     restaurants = (
         _vocabulary_entries(restaurant_path, "restaurant", lambda line: (line, line))
@@ -106,21 +123,33 @@ def load_vocabulary(dish_path: Optional[str], restaurant_path: Optional[str]) ->
 
 @dataclass
 class ItemName:
+    """One item's name; each phrase is computed on first use and kept, so treat it as read-only."""
+
     dish: str
     plural: str
     restaurant: Optional[str] = None
 
-    @property
+    @cached_property
     def display(self) -> str:
         return f"{self.dish} at {self.restaurant}" if self.restaurant else self.dish
 
-    @property
+    @cached_property
     def display_plural(self) -> str:
         return f"{self.plural} at {self.restaurant}" if self.restaurant else self.plural
 
-    @property
+    @cached_property
     def article(self) -> str:
         return "an" if self.dish[0].lower() in VOWELS else "a"
+
+    @cached_property
+    def one(self) -> str:
+        """The one-item phrase, "a burger at Texas BBQ"."""
+        return f"{self.article} {self.display}"
+
+    @cached_property
+    def one_capitalized(self) -> str:
+        """The one-item phrase opening a sentence, "A burger at Texas BBQ"."""
+        return f"{self.article.capitalize()} {self.display}"
 
 
 @dataclass
@@ -129,27 +158,23 @@ class ItemMap:
     names: dict[int, ItemName]
 
 
-def _restaurant_part(vocab: Vocabulary, composite: bool) -> tuple:
-    """The restaurant half of a name: a simple name is a composite one with no restaurant."""
-    return vocab.restaurants if composite else (None,)
+def _name_pool(vocab: Vocabulary, composite: bool) -> tuple[ItemName, ...]:
+    return vocab.composite_names if composite else vocab.simple_names
 
 
 def check_vocabulary(vocab: Vocabulary, num_vars: int, composite: bool) -> None:
     """Raise unless the vocabulary can name num_vars distinct items in this mode."""
-    pool = len(vocab.dishes) * len(_restaurant_part(vocab, composite))
+    pool = len(_name_pool(vocab, composite))
     if num_vars > pool:
         mode, unit = ("composite", "dish/restaurant pairs") if composite else ("simple", "dishes")
         raise InvalidConfigError(f"{mode} naming needs at least {num_vars} {unit}, vocabulary offers {pool}")
 
 
 def assign_items(num_vars: int, composite: bool, vocab: Vocabulary, rng: PcgStream) -> ItemMap:
-    """Injective uniform draw of display names for x1..x_num_vars."""
+    """Injective uniform draw of names for x1..x_num_vars from the vocabulary's shared ones."""
     check_vocabulary(vocab, num_vars, composite)
-    restaurants = _restaurant_part(vocab, composite)
-    names = {}
-    for var, k in enumerate(rng.distinct_indices(len(vocab.dishes) * len(restaurants), num_vars), start=1):
-        dish = vocab.dishes[k // len(restaurants)]
-        names[var] = ItemName(dish.singular, dish.plural, restaurants[k % len(restaurants)])
+    pool = _name_pool(vocab, composite)
+    names = {var: pool[k] for var, k in enumerate(rng.distinct_indices(len(pool), num_vars), start=1)}
     return ItemMap(composite=composite, names=names)
 
 
@@ -163,8 +188,7 @@ PHRASING_LESS = "less"
 
 def _quantity(count: int, item: ItemName, capitalize: bool = False) -> str:
     if count == 1:
-        article = item.article.capitalize() if capitalize else item.article
-        return f"{article} {item.display}"
+        return item.one_capitalized if capitalize else item.one
     return f"{count} {item.display_plural}"
 
 
@@ -196,9 +220,18 @@ def _template_form(f: Linear):
     return ("diff", minus, plus, -c)
 
 
+def _sentence_form(f: Formula):
+    """`_template_form` of a Linear, None for a RootValue: one per formula, for coin and sentence."""
+    return _template_form(f) if isinstance(f, Linear) else None
+
+
+def _needs_coin(form) -> bool:
+    return form is not None and form[0] == "diff"
+
+
 def needs_phrasing_coin(f: Formula) -> bool:
     """True for the difference shape, whose wording is a two-way choice."""
-    return isinstance(f, Linear) and _template_form(f)[0] == "diff"
+    return _needs_coin(_sentence_form(f))
 
 
 def render_formula_fixed(f: Formula, items: ItemMap, phrasing: Optional[str] = None) -> str:
@@ -207,11 +240,15 @@ def render_formula_fixed(f: Formula, items: ItemMap, phrasing: Optional[str] = N
     `phrasing` is "more" or "less" and is required exactly when
     `needs_phrasing_coin(f)` holds.
     """
-    if isinstance(f, RootValue):
-        item = items.names[f.var]
-        return f"{_quantity(1, item, capitalize=True)} costs {f.value} dollars"
+    return _render_formula(f, _sentence_form(f), items, phrasing)
 
-    shape, first, second, amount = _template_form(f)
+
+def _render_formula(f: Formula, form, items: ItemMap, phrasing: Optional[str]) -> str:
+    """`render_formula_fixed` given the formula's `_sentence_form`."""
+    if form is None:
+        return f"{items.names[f.var].one_capitalized} costs {f.value} dollars"
+
+    shape, first, second, amount = form
     (n1, v1), (n2, v2) = first, second
     item1, item2 = items.names[v1], items.names[v2]
     if shape == "sum":
@@ -247,7 +284,7 @@ QUESTION_PHRASINGS = tuple(QUESTION_TEMPLATES)
 def render_question(items: ItemMap, questioned_var: int, phrasing: str = "how-much") -> str:
     if phrasing not in QUESTION_PHRASINGS:
         raise InvalidConfigError(f"question phrasing must be one of {QUESTION_PHRASINGS}, got {phrasing!r}")
-    return QUESTION_TEMPLATES[phrasing].format(_quantity(1, items.names[questioned_var]))
+    return QUESTION_TEMPLATES[phrasing].format(items.names[questioned_var].one)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +294,7 @@ def render_question(items: ItemMap, questioned_var: int, phrasing: str = "how-mu
 
 def assemble_text(sentences: Sequence[str], question: str) -> str:
     """The problem text: each condition sentence with its period, then the question."""
-    return " ".join(f"{s}." for s in sentences) + " " + question
+    return ". ".join(sentences) + ". " + question if sentences else " " + question
 
 
 def _lowercase_first(sentence: str) -> str:
@@ -299,7 +336,7 @@ def render_gold_solution(
             # str() gives the same digits for an int and an integral Fraction
             parts.append(
                 f"Combine with the fact that {_lowercase_first(sentence)}, "
-                f"we get {_quantity(1, items.names[var])} costs {prices[var]!s} dollars."
+                f"we get {items.names[var].one} costs {prices[var]!s} dollars."
             )
             var = f.parent
         parts.append(f"It is given as a fact that {_lowercase_first(by_child[end][1])}.")
@@ -314,5 +351,5 @@ def render_gold_solution(
         f"All we know about the prices of {_join_names(names)} is: "
         f"{'. '.join(facts)}. "
         f"There are {len(component)} variables but only {len(facts)} {formula_word}, "
-        f"so we cannot calculate the price of {_quantity(1, target)}."
+        f"so we cannot calculate the price of {target.one}."
     )

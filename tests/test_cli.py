@@ -498,6 +498,32 @@ class TestEvalAndReport:
             assert capsys.readouterr().err == f"error: {error}\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            ("replay:", "transport must be live, replay:<file> or mock:<name>, got 'replay:'"),
+            ("mock:", "transport must be live, replay:<file> or mock:<name>, got 'mock:'"),
+            ("bogus", "transport must be live, replay:<file> or mock:<name>, got 'bogus'"),
+            ("mock:nope", "unknown mock 'nope', expected one of ('unknown', 'five', 'gold')"),
+        ],
+    )
+    def test_bad_transport_spec_fails_before_reading_files(self, tmp_path, capsys, spec, error):
+        # no input exists, and --out's directory is not made
+        out = tmp_path / "nodir" / "r.jsonl"
+        code = main(
+            [
+                "eval",
+                "--in", str(tmp_path / "missing.jsonl"),
+                "--profile", str(tmp_path / "missing-profile.json"),
+                "--mode", "zero",
+                "--transport", spec,
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.parent.exists()
+
     def test_replay_transport_round_trip(self, tmp_path, config_file, profile_file):
         corpus = generate(tmp_path, config_file)
         dataset = read_dataset(corpus)

@@ -22,6 +22,7 @@ from pricetree.harness.transport import (
     LiveTransport,
     ReplayTransport,
     build_payload,
+    check_transport_spec,
     make_transport,
     mock_responses,
     query_model,
@@ -142,6 +143,13 @@ class TestMakeTransport:
         with pytest.raises(InvalidConfigError) as error:
             make_transport(spec, make_profile(), make_corpus(count=1))
         assert str(error.value) == f"transport must be live, replay:<file> or mock:<name>, got {spec!r}"
+
+    def test_spec_check_reads_no_file(self, tmp_path):
+        for spec in ("live", "mock:gold", f"replay:{tmp_path / 'missing.jsonl'}"):
+            check_transport_spec(spec)  # the replay file is read by make_transport alone
+        with pytest.raises(InvalidConfigError) as error:
+            check_transport_spec("mock:nope")
+        assert str(error.value) == "unknown mock 'nope', expected one of ('unknown', 'five', 'gold')"
 
 
 class FlakyTransport:

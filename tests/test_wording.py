@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
 from pricetree.errors import CertificationError, InvalidConfigError
 from pricetree.formulas import Linear, RootValue
+from pricetree.jsonmap import from_json, to_json
 from pricetree.oracle import solve_all
+from pricetree.pipeline import GenConfig, generate_corpus
 from pricetree.rng import PcgStream
 from pricetree.wording import (
     DEFAULT_DISHES,
@@ -255,6 +259,15 @@ class TestAssembleText:
         text = assemble_text(["A pie costs 5 dollars", "A burger costs 3 dollars"], "Question: how much?")
         assert text == "A pie costs 5 dollars. A burger costs 3 dollars. Question: how much?"
 
+    @settings(max_examples=300)
+    @given(st.lists(st.text()), st.text())
+    @example([], "Question: how much?")
+    @example(["A pie costs 5 dollars"], "Question: how much?")
+    @example(["", ".", ". "], "")
+    def test_equals_each_sentence_with_its_period_then_the_question(self, sentences, question):
+        expected = " ".join(f"{s}." for s in sentences) + " " + question
+        assert assemble_text(sentences, question) == expected
+
 
 class TestGoldSolutions:
     def test_reference_pair_narratives(self):
@@ -329,3 +342,115 @@ class TestSentenceRoundTrip:
             for phrasing in (("more", "less") if needs_phrasing_coin(formula) else (None,)):
                 sentence = render_formula_fixed(formula, items, phrasing)
                 assert sentence_parser.roundtrips(formula, sentence, items), sentence
+
+
+# dish and restaurant files for a file vocabulary: vowel-initial, uppercase and lowercase dishes
+_DISH_LINES = "apple pie|apple pies\nIrish stew\nBLT sandwich|BLT sandwiches\nomelette\ntaco\n"
+_RESTAURANT_LINES = "Harbor Grill\nUrban Plate\nOak & Ivy\n"
+
+
+@pytest.fixture(params=["built-in", "files"])
+def any_vocab(request, tmp_path) -> Vocabulary:
+    if request.param == "built-in":
+        return load_vocabulary(None, None)
+    dishes, restaurants = tmp_path / "dishes.txt", tmp_path / "restaurants.txt"
+    dishes.write_text(_DISH_LINES, encoding="utf-8")
+    restaurants.write_text(_RESTAURANT_LINES, encoding="utf-8")
+    return load_vocabulary(dishes, restaurants)
+
+
+def _phrases(name: ItemName) -> tuple:
+    return (name.display, name.display_plural, name.article, name.one, name.one_capitalized)
+
+
+class TestPooledNames:
+    @pytest.mark.parametrize("composite", [False, True], ids=["simple", "composite"])
+    def test_assign_items_equals_names_built_per_pair(self, any_vocab, composite):
+        # the reference builds each name from its draw index k: dish k // R, restaurant k % R
+        restaurants = any_vocab.restaurants if composite else (None,)
+        pool = len(any_vocab.dishes) * len(restaurants)
+        for seed in range(300):
+            num_vars = 1 + seed % pool
+            items = assign_items(num_vars, composite, any_vocab, PcgStream(SeedSequence(seed)))
+            draws = PcgStream(SeedSequence(seed)).distinct_indices(pool, num_vars)
+            reference = {}
+            for var, k in enumerate(draws, start=1):
+                dish = any_vocab.dishes[k // len(restaurants)]
+                reference[var] = ItemName(dish.singular, dish.plural, restaurants[k % len(restaurants)])
+            assert items == ItemMap(composite=composite, names=reference)
+            assert [_phrases(n) for n in items.names.values()] == [_phrases(n) for n in reference.values()]
+
+    def test_built_in_vocabulary_is_one_object(self):
+        assert load_vocabulary(None, None) is load_vocabulary(None, None)
+
+    def test_pairs_from_one_vocabulary_share_name_objects(self):
+        # 45 composite variables use every built-in name, so each pair holds all 45
+        config = GenConfig(num_vars=45, ans_depth=8, cut_depth=4, composite_name=True, count=2, corpus_seed=3)
+        first, _, second, _ = generate_corpus(config).instances
+        pooled = load_vocabulary(None, None).composite_names
+        by_display = {name.display: name for name in first.item_map.names.values()}
+        assert len(by_display) == 45
+        for name in second.item_map.names.values():
+            assert by_display[name.display] is name
+            assert any(name is p for p in pooled)
+
+    @pytest.mark.parametrize("composite", [False, True], ids=["simple", "composite"])
+    def test_decoded_names_have_the_pooled_phrases(self, any_vocab, composite):
+        pool = any_vocab.composite_names if composite else any_vocab.simple_names
+        for pooled in pool:
+            pooled.one_capitalized  # cached before the encode: it must not reach the JSON
+            decoded = from_json(ItemName, to_json(pooled))
+            assert decoded == pooled and decoded is not pooled
+            assert _phrases(decoded) == _phrases(pooled)
+            assert to_json(pooled) == to_json(ItemName(pooled.dish, pooled.plural, pooled.restaurant))
+
+    @pytest.mark.parametrize(
+        "name, phrases",
+        [
+            (ItemName("apple pie", "apple pies"), ("apple pie", "apple pies", "an", "an apple pie", "An apple pie")),
+            (
+                ItemName("Irish stew", "Irish stews", "Oak & Ivy"),
+                ("Irish stew at Oak & Ivy", "Irish stews at Oak & Ivy", "an", "an Irish stew at Oak & Ivy",
+                 "An Irish stew at Oak & Ivy"),
+            ),
+            (
+                ItemName("BLT sandwich", "BLT sandwiches"),
+                ("BLT sandwich", "BLT sandwiches", "a", "a BLT sandwich", "A BLT sandwich"),
+            ),
+            (
+                ItemName("Greek salad", "Greek salads", "Texas BBQ"),
+                ("Greek salad at Texas BBQ", "Greek salads at Texas BBQ", "a", "a Greek salad at Texas BBQ",
+                 "A Greek salad at Texas BBQ"),
+            ),
+            (
+                ItemName("burger", "burgers", "Texas BBQ"),
+                ("burger at Texas BBQ", "burgers at Texas BBQ", "a", "a burger at Texas BBQ",
+                 "A burger at Texas BBQ"),
+            ),
+        ],
+        ids=["vowel", "uppercase-vowel-composite", "uppercase", "uppercase-composite", "composite"],
+    )
+    def test_decoded_name_phrases(self, name, phrases):
+        decoded = from_json(ItemName, to_json(name))
+        assert _phrases(decoded) == _phrases(name) == phrases
+
+
+_SHAPES = [
+    GenConfig(num_vars=4, ans_depth=2, cut_depth=1, composite_name=False, count=20, corpus_seed=1),
+    GenConfig(num_vars=9, ans_depth=6, cut_depth=3, composite_name=False, order="forward", count=20, corpus_seed=2),
+    GenConfig(num_vars=10, ans_depth=8, cut_depth=5, composite_name=True, order="backward", count=20, corpus_seed=3),
+    GenConfig(num_vars=45, ans_depth=40, cut_depth=20, composite_name=True, count=5, corpus_seed=4),
+]
+
+
+class TestSharedSentenceShape:
+    @pytest.mark.parametrize("config", _SHAPES, ids=lambda c: f"v{c.num_vars}-d{c.ans_depth}-{c.order}")
+    def test_coins_and_sentences_follow_the_public_renderer(self, config):
+        for answerable, unanswerable in zip(*[iter(generate_corpus(config).instances)] * 2):
+            coins = answerable.metadata["phrasing"]
+            assert unanswerable.metadata["phrasing"] == coins
+            assert set(coins.values()) <= {"more", "less"}
+            assert set(coins) == {str(f.child_var) for f in answerable.formulas if needs_phrasing_coin(f)}
+            for inst in (answerable, unanswerable):
+                for f, sentence in zip(inst.formulas, inst.condition_sentences):
+                    assert render_formula_fixed(f, inst.item_map, coins.get(str(f.child_var))) == sentence
