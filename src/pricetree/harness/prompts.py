@@ -3,7 +3,8 @@
 Non-reasoning profiles get a chain-of-thought system message plus the user
 message; reasoning profiles get the user message only and never receive a
 temperature.  Few-shot prompts prepend EXEMPLARS_PER_VARIANT worked examples
-of each variant from a held-out pool, interleaved in stream order.
+of each variant from a held-out pool, in the order each record's stream
+draws (:meth:`FewShotPool.orders`).
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from ..errors import InvalidConfigError
 from ..jsonmap import read_json_file
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
-from ..rng import PcgStream
+from ..rng import EXEMPLARS_PER_VARIANT, exemplar_orders
 
 SYSTEM_MESSAGE = (
     "As an expert problem solver, solve step by step the following mathematical questions."
@@ -28,8 +29,8 @@ INSTRUCTION = (
     "please answer in the form 'Answer: unknown.'."
 )
 
-EXEMPLARS_PER_VARIANT = 3  # answerable, and as many unanswerable, in a few-shot prompt
 FEW_SHOT_HEADER = f"{INSTRUCTION} Here are some worked examples."
+MAX_CONCURRENCY = 1024  # requests in flight at once, the most a profile may ask for
 
 
 @dataclass
@@ -63,6 +64,8 @@ class ModelProfile:
         ):
             if value < least:
                 raise InvalidConfigError(f"{key} must be >= {least}, got {value}")
+        if self.concurrency > MAX_CONCURRENCY:  # run_eval starts a thread per worker
+            raise InvalidConfigError(f"concurrency must be <= {MAX_CONCURRENCY}, got {self.concurrency}")
         # each test also rejects NaN; a socket timeout past about 9.2e9 s overflows at the first request
         if not 0 <= self.temperature < math.inf:
             raise InvalidConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
@@ -144,20 +147,26 @@ class FewShotPool:
         ordered = answerable + unanswerable
         return cls(tuple(p.id for p in ordered), tuple(map(_exemplar_block, ordered)), len(answerable))
 
+    def orders(self, seed: int, count: int) -> Iterator[list[int]]:
+        """The exemplars of each record i < count, as indices into `ids` and `blocks`, shuffled.
+
+        Record i takes EXEMPLARS_PER_VARIANT distinct answerable and as many
+        unanswerable exemplars, drawn from ``substream(seed, i)``
+        (:func:`rng.exemplar_orders`).
+        """
+        return exemplar_orders(seed, count, self.answerable_count, len(self.ids))
+
 
 def build_few_shot_prompt(
     instance: ProblemInstance,
     pool: FewShotPool,
-    rng: PcgStream,
+    order: Sequence[int],
     profile: ModelProfile,
 ) -> FewShotPrompt:
-    """EXEMPLARS_PER_VARIANT worked examples of each variant, shuffled, before the target question.
+    """The worked examples `order` picks, in that order, before the target question.
 
-    `pool` comes from :meth:`FewShotPool.prepare` on the corpus `instance` belongs to.
+    `pool` comes from :meth:`FewShotPool.prepare` on the corpus `instance`
+    belongs to, and `order` from its :meth:`FewShotPool.orders`.
     """
-    split = pool.answerable_count  # picks index pool.ids and pool.blocks
-    picked = rng.distinct_indices(split, EXEMPLARS_PER_VARIANT)
-    picked += [split + i for i in rng.distinct_indices(len(pool.ids) - split, EXEMPLARS_PER_VARIANT)]
-    order = [picked[i] for i in rng.permutation(len(picked))]
     body = "\n\n".join([FEW_SHOT_HEADER, *[pool.blocks[i] for i in order], _question(instance)])
     return FewShotPrompt(_messages(profile, body), [pool.ids[i] for i in order])

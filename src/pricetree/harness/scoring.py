@@ -15,12 +15,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..errors import InvalidConfigError, TransportError
 from ..jsonmap import check_scalar_object, from_json, long_text, read_json_lines, to_json_line, write_json_lines
 from ..pipeline import ANSWERABLE, Dataset, ProblemInstance
-from ..rng import PcgStream, substreams
 from .prompts import FewShotPool, ModelProfile, build_few_shot_prompt, build_zero_shot_prompt
 from .transport import query_model
 
@@ -137,24 +136,25 @@ def run_eval(
 
     The caller is one of those workers.  The arguments (:func:`check_eval_request`)
     and the few-shot pool are checked once, before any request is sent.  Few-shot
-    record i draws its exemplars from ``substream(eval_seed, i)``.  Records come
+    record i draws its exemplars from ``substream(eval_seed, i)``; the orders are
+    drawn a chunk of records at a time (:meth:`FewShotPool.orders`).  Records come
     back in dataset order.  Transport failures (after retries) yield records
     flagged as excluded; any other exception stops every worker from taking
     another instance and is re-raised once the caller's own request is done.
     """
     check_eval_request(mode, pool is not None, eval_seed)
     if pool is None:
-        streams = itertools.repeat(None)
+        orders = itertools.repeat(None)
     else:
         exemplars = FewShotPool.prepare(pool, dataset)
-        streams = substreams(eval_seed, len(dataset.instances))
+        orders = exemplars.orders(eval_seed, len(dataset.instances))
 
-    def evaluate(instance: ProblemInstance, rng: Optional[PcgStream]) -> EvalRecord:
+    def evaluate(instance: ProblemInstance, order: Optional[Sequence[int]]) -> EvalRecord:
         exemplar_ids = None
-        if rng is None:
+        if order is None:
             messages = build_zero_shot_prompt(instance, profile)
         else:
-            prompt = build_few_shot_prompt(instance, exemplars, rng, profile)
+            prompt = build_few_shot_prompt(instance, exemplars, order, profile)
             messages = prompt.messages
             exemplar_ids = prompt.exemplar_ids
         failed = False
@@ -181,7 +181,7 @@ def run_eval(
         )
 
     records: list[Optional[EvalRecord]] = [None] * len(dataset.instances)
-    todo = enumerate(zip(dataset.instances, streams))
+    todo = enumerate(zip(dataset.instances, orders))
     lock = threading.Lock()
     stop = threading.Event()
     errors: list[BaseException] = []

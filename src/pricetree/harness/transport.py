@@ -108,9 +108,12 @@ class LiveTransport:
             error = TransientTransportError if status == 429 or status >= 500 else TransportError
             raise error(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
         try:
-            return json.loads(body)["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, str):  # null for a refusal or a reply cut short, or a list of parts
+            raise TransportError(f"malformed completion response: content {json.dumps(content)[:100]} is not a string")
+        return content
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,17 @@ stream mostly draws, into Python ints; later batches are read a word at a
 time, so past the first 32 words no word becomes an int unless it is
 drawn.  Each stage of a pair takes all of its draws in one call: all
 prices, then all extra-node parents, all edge coefficients, the
-condition-order permutation, the item picks and all phrasing coins.  A
-few-shot record takes two ``distinct_indices`` calls and one
-``permutation``.  Nothing compares the streams with numpy at run time: the
-byte contract rests on the tests that the seeding words give numpy's PCG64
-states and that every draw equals ``Generator``'s, call by call
-(``tests/test_rng.py``).
+condition-order permutation, the item picks and all phrasing coins.
+
+A few-shot record's exemplars are two ``distinct_indices`` calls and one
+``permutation`` on its stream.  :func:`exemplar_orders` draws them for
+1,024 records at a time: each record's first 32 words go into one row of a
+matrix, and each draw runs down all rows at once in numpy, by the same
+rules; a row that needs more words is drawn again by the stream's own
+calls.  Nothing compares the streams with numpy at run time: the byte
+contract rests on the tests that the seeding words give numpy's PCG64
+states, that every draw equals ``Generator``'s, call by call, and that
+each exemplar order equals both (``tests/test_rng.py``).
 """
 
 from __future__ import annotations
@@ -52,14 +57,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # PCG64 outputs per random_raw batch, two words each.  The first batch holds
-# a few-shot record (about 16 words) or a 4-variable pair and is unpacked
-# into ints at once; a later one, which a 10-variable pair (about 70 words)
-# barely starts and a 45-variable pair (about 340) mostly uses, makes each
-# word an int only when it is drawn.
+# a 4-variable pair and is unpacked into ints at once; a later one, which a
+# 10-variable pair (about 70 words) barely starts and a 45-variable pair
+# (about 340) mostly uses, makes each word an int only when it is drawn.
 _FIRST_BATCH, _BATCH = 16, 256
 _UNPACK_FIRST = struct.Struct(f"<{2 * _FIRST_BATCH}I").unpack  # little-endian words
 _TAIL_SHUFFLE_MIN_N = 10_000  # numpy's choice shuffles the tail of range(n) above this n ...
 _TAIL_SHUFFLE_CUTOFF = 50  # ... when k > n // 50
+EXEMPLARS_PER_VARIANT = 3  # answerable, and as many unanswerable, in a few-shot record's exemplars
+# exemplar_orders: records drawn at once, and the PCG64 outputs taken for each, two words apiece.
+# A record takes 15 words and rejects a few more, so few rows ever run out of 32.
+_ORDER_CHUNK, _ORDER_OUTPUTS = 1024, 16
 
 
 class PcgStream:
@@ -68,8 +76,8 @@ class PcgStream:
     The stream serves 32-bit words in the order of PCG64's ``next_uint32``:
     the low half, then the high half, of each 64-bit output.  They come from
     ``random_raw`` batches taken as they are needed.  A stream belongs to
-    one pair or one few-shot record; its word buffer is not shared between
-    threads.
+    one pair, or to one few-shot record whose row of :func:`exemplar_orders`
+    ran out of words; its word buffer is not shared between threads.
     """
 
     def __init__(self, seed_seq: ISeedSequence):
@@ -223,8 +231,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> 16
 
 
-def _seed_words(seed: int, count: int) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` for each i < count, a row each.
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` for each start <= i < stop, a row each.
 
     numpy mixes the seed into ``SeedSequence(seed).pool`` as it does under a
     spawn key, zero padding included.  The spawn word, one more word hashed
@@ -235,7 +243,7 @@ def _seed_words(seed: int, count: int) -> np.ndarray:
     # the seed took 4 hashmix calls per uint32 word, and a seed of up to 4 words counts as 4
     k = _POOL_SIZE * max(_POOL_SIZE, -(-operator.index(seed).bit_length() // 32))
     consts = np.array(_hash_consts(_INIT_A, _MULT_A, k + _POOL_SIZE), dtype=np.uint32)[k:, None]
-    pool = _mix(pool, _hashmix(np.arange(count, dtype=np.uint32), consts[:-1], consts[1:]))
+    pool = _mix(pool, _hashmix(np.arange(start, stop, dtype=np.uint32), consts[:-1], consts[1:]))
     state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_CONSTS[:-1], _OUT_CONSTS[1:])  # 8 words per index
     rows = np.ascontiguousarray(state.T, dtype="<u4")  # numpy's word order on any host
     return rows.view("<u8").astype(np.uint64)
@@ -257,6 +265,134 @@ def substreams(seed: int, count: int) -> Iterator[PcgStream]:
     The seeding words of every index are computed here, in one pass at 32
     bytes per index; each stream's PCG64 is built only when it is taken.
     """
+    _check_count(count)
+    return (PcgStream(SeedWords(words)) for words in _seed_words(seed, 0, count))
+
+
+def _check_count(count: int) -> None:
     if not 0 <= count <= 2**32:  # each index is one uint32 spawn word
         raise ValueError(f"count must be in [0, 2**32], got {count}")
-    return (PcgStream(SeedWords(words)) for words in _seed_words(seed, count))
+
+
+def exemplar_orders(seed: int, count: int, split: int, total: int) -> Iterator[list[int]]:
+    """The exemplar order of each record i < count, as ``substream(seed, i)`` draws it, in order.
+
+    A record's order is what these calls on its stream give, with k =
+    EXEMPLARS_PER_VARIANT: ``distinct_indices(split, k)``, then ``split +``
+    each index of ``distinct_indices(total - split, k)``, then those 2k picks
+    in the order of ``permutation(2 * k)``.  The orders are drawn
+    _ORDER_CHUNK records at a time: each record's first _ORDER_OUTPUTS PCG64
+    outputs go into one row of a word matrix, and every draw runs over all
+    rows at once in numpy, by the rules of :class:`PcgStream`.  A record
+    whose draws need more words than its row holds is drawn again in full by
+    :func:`_stream_order`.  At k = 3 ``choice`` never takes numpy's tail
+    shuffle (n above 10,000 and k above n // 50), so none is drawn here.
+    """
+    _check_count(count)
+    for n in (split, total - split):
+        if n < EXEMPLARS_PER_VARIANT:
+            raise ValueError(f"cannot take {EXEMPLARS_PER_VARIANT} distinct indices from range({n})")
+        _check_size(n)
+    chunks = (_seed_words(seed, start, min(start + _ORDER_CHUNK, count)) for start in range(0, count, _ORDER_CHUNK))
+    return chain.from_iterable(_chunk_orders(seeds, split, total) for seeds in chunks)
+
+
+def _stream_order(stream: PcgStream, split: int, total: int) -> list[int]:
+    """One record's exemplar order (:func:`exemplar_orders`) from its stream's own calls."""
+    k = EXEMPLARS_PER_VARIANT
+    picks = stream.distinct_indices(split, k)
+    picks += [split + i for i in stream.distinct_indices(total - split, k)]
+    return [picks[i] for i in stream.permutation(2 * k)]
+
+
+def _chunk_orders(seeds: np.ndarray, split: int, total: int) -> list[list[int]]:
+    """:func:`exemplar_orders` for the records whose seeding words are the rows of `seeds`."""
+    rows, k = _WordRows(seeds), EXEMPLARS_PER_VARIANT
+    picks = np.hstack([rows.distinct_indices(split, k), split + rows.distinct_indices(total - split, k)])
+    orders = np.take_along_axis(picks, rows.permutation(2 * k), axis=1).tolist()
+    for r in np.flatnonzero(rows.spent):
+        orders[r] = _stream_order(PcgStream(SeedWords(seeds[r])), split, total)
+    return orders
+
+
+class _WordRows:
+    """The draws of :class:`PcgStream` over many streams at once, one row of 32-bit words per stream.
+
+    Each row has its own read position, since a rejected draw takes another
+    word of its row only.  A row whose words run out reads 0 from a pad
+    column from then on, which ends every rejection loop; it is marked
+    :attr:`spent`, and its draws are to be discarded.
+    """
+
+    def __init__(self, seeds: np.ndarray):
+        """The first _ORDER_OUTPUTS outputs of each row of seeding words' PCG64."""
+        outputs = np.zeros((len(seeds), _ORDER_OUTPUTS + 1), np.uint64)  # the last output of each row is the pad
+        for row, words in zip(outputs, seeds):
+            row[:-1] = PCG64(SeedWords(words)).random_raw(_ORDER_OUTPUTS)
+        # low half first on any host; held as uint64 so that a word times a bound is a uint64
+        # product under every numpy's casting rules, not a uint32 one that wraps
+        self._words = outputs.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+        self._width = 2 * _ORDER_OUTPUTS
+        self._all = np.arange(len(seeds))
+        self._pos = np.zeros(len(seeds), np.intp)
+
+    @property
+    def spent(self) -> np.ndarray:
+        """Whether each row read past its last word."""
+        return self._pos > self._width
+
+    def _next(self, rows: np.ndarray) -> np.ndarray:
+        pos = self._pos[rows]
+        self._pos[rows] = pos + 1
+        return self._words[rows, np.minimum(pos, self._width)]
+
+    def _live(self, rows: np.ndarray) -> np.ndarray:
+        return rows[self._pos[rows] <= self._width]
+
+    def _bounded(self, bound: int) -> np.ndarray:
+        """Each row's draw from [0, bound), Lemire's method as in :meth:`PcgStream.pick_each`."""
+        if bound == 1:  # a draw from [0, 0] takes no word
+            return np.zeros(len(self._all), np.int64)
+        m = self._next(self._all) * np.uint64(bound)  # below 2**64: a word is below 2**32, the bound at most 2**32
+        threshold = (1 << 32) % bound
+        redo = self._live(np.flatnonzero(m & _MASK32 < threshold))
+        while redo.size:
+            m[redo] = self._next(redo) * np.uint64(bound)
+            redo = self._live(redo[m[redo] & _MASK32 < threshold])
+        return (m >> 32).astype(np.int64)
+
+    def _swap(self, table: np.ndarray, i: int, j: np.ndarray) -> None:
+        """Swap column i of each row with that row's column j."""
+        column = table[:, i].copy()
+        table[:, i] = table[self._all, j]
+        table[self._all, j] = column
+
+    def distinct_indices(self, n: int, k: int) -> np.ndarray:
+        """Each row's :meth:`PcgStream.distinct_indices` picks, a row each; no tail shuffle.
+
+        At k == n Floyd's step j finds 0 .. j - 1 taken, so it takes j.
+        """
+        picks = np.empty((len(self._all), k), np.int64)
+        for t, bound in enumerate(range(n - k + 1, n + 1)):
+            pick = self._bounded(bound)
+            taken = (picks[:, :t] == pick[:, None]).any(axis=1)
+            picks[:, t] = np.where(taken, bound - 1, pick)
+        for bound in range(k, 1, -1):
+            self._swap(picks, bound - 1, self._bounded(bound))
+        return picks
+
+    def permutation(self, n: int) -> np.ndarray:
+        """Each row's :meth:`PcgStream.permutation` of range(n), a row each."""
+        perm = np.tile(np.arange(n), (len(self._all), 1))
+        mask = (1 << (n - 1).bit_length()) - 1
+        half = mask >> 1
+        for i in range(n - 1, 0, -1):
+            if i == half:
+                mask, half = half, half >> 1
+            j = self._next(self._all) & np.uint64(mask)
+            redo = self._live(np.flatnonzero(j > i))
+            while redo.size:
+                j[redo] = self._next(redo) & np.uint64(mask)
+                redo = self._live(redo[j[redo] > i])
+            self._swap(perm, i, j.astype(np.intp))
+        return perm

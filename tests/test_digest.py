@@ -21,7 +21,6 @@ from pricetree.harness.scoring import read_records, run_eval, write_records
 from pricetree.harness.transport import ReplayTransport
 from pricetree.jsonmap import LONG_TEXT
 from pricetree.pipeline import GenConfig, generate_corpus
-from pricetree.rng import substream
 from pricetree.wording import DEFAULT_DISHES, QUESTION_PHRASINGS
 
 from factories import make_corpus, make_profile
@@ -167,8 +166,8 @@ def test_prompt_texts_are_pinned():
     digest = hashlib.sha256()
     for is_reasoning in (False, True):
         profile = make_profile(is_reasoning=is_reasoning)
-        for index, instance in enumerate(corpus.instances):
-            few = build_few_shot_prompt(instance, pool, substream(5, index), profile)
+        for instance, order in zip(corpus.instances, pool.orders(5, len(corpus.instances))):
+            few = build_few_shot_prompt(instance, pool, order, profile)
             for messages in (build_zero_shot_prompt(instance, profile), few.messages):
                 for message in messages:
                     digest.update(f"{message.role}\0{message.content}\0".encode("utf-8"))

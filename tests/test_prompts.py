@@ -4,8 +4,6 @@ import json
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from numpy.random import SeedSequence
-
 from pricetree.errors import InvalidConfigError
 from pricetree.harness import prompts
 from pricetree.harness.prompts import (
@@ -20,7 +18,6 @@ from pricetree.harness.prompts import (
 )
 from pricetree.harness.scoring import run_eval
 from pricetree.harness.transport import ReplayTransport, mock_responses
-from pricetree.rng import PcgStream, substream
 
 from factories import make_corpus, make_profile
 
@@ -83,8 +80,24 @@ class TestProfiles:
             load_profile(path)
         assert str(error.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("value", [0, 1025, 100_000])
+    def test_load_profile_bounds_concurrency(self, tmp_path, value):
+        # run_eval starts concurrency - 1 threads, so a typo of 100000 started one per record
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"endpoint": "x", "model": "m", "concurrency": value}))
+        with pytest.raises(InvalidConfigError) as error:
+            load_profile(path)
+        bound = ">= 1" if value < 1 else "<= 1024"
+        assert str(error.value) == f"{path}: concurrency must be {bound}, got {value}"
+
     @pytest.mark.parametrize(
-        "key, field, value", [("temperature", "temperature", 0), ("timeoutSeconds", "timeout_seconds", 1e9)]
+        "key, field, value",
+        [
+            ("temperature", "temperature", 0),
+            ("timeoutSeconds", "timeout_seconds", 1e9),
+            ("concurrency", "concurrency", 1),
+            ("concurrency", "concurrency", 1024),
+        ],
     )
     def test_load_profile_takes_values_at_the_bounds(self, tmp_path, key, field, value):
         path = tmp_path / "profile.json"
@@ -141,15 +154,18 @@ class TestFewShot:
     def prepared(self):
         return FewShotPool.prepare(self.pool(), self.target_corpus())
 
-    def test_deterministic_given_stream(self):
+    def order(self, seed: int = 1) -> list[int]:
+        return next(self.prepared().orders(seed, 1))
+
+    def test_deterministic_given_seed(self):
         pool, target, profile = self.prepared(), self.target(), make_profile()
-        first = build_few_shot_prompt(target, pool, PcgStream(SeedSequence(5)), profile)
-        second = build_few_shot_prompt(target, pool, PcgStream(SeedSequence(5)), profile)
+        first = build_few_shot_prompt(target, pool, next(pool.orders(5, 1)), profile)
+        second = build_few_shot_prompt(target, pool, next(pool.orders(5, 1)), profile)
         assert first == second
 
     def test_three_of_each_variant(self):
         pool, target = self.pool(), self.target()
-        prompt = build_few_shot_prompt(target, self.prepared(), PcgStream(SeedSequence(1)), make_profile())
+        prompt = build_few_shot_prompt(target, self.prepared(), self.order(), make_profile())
         assert len(prompt.exemplar_ids) == 6
         variants = [pool.by_id(i).variant for i in prompt.exemplar_ids]
         assert variants.count("answerable") == 3
@@ -157,7 +173,7 @@ class TestFewShot:
 
     def test_exemplars_carry_solution_and_answer(self):
         pool, target = self.pool(), self.target()
-        prompt = build_few_shot_prompt(target, self.prepared(), PcgStream(SeedSequence(1)), make_profile())
+        prompt = build_few_shot_prompt(target, self.prepared(), self.order(), make_profile())
         body = prompt.messages[-1].content
         for exemplar_id in prompt.exemplar_ids:
             exemplar = pool.by_id(exemplar_id)
@@ -213,6 +229,6 @@ class TestFewShot:
         pool, target, profile = self.pool(), self.target(), make_profile()
         prepared = self.prepared()
         for seed in range(1000):
-            prompt = build_few_shot_prompt(target, prepared, substream(seed, 0), profile)
+            prompt = build_few_shot_prompt(target, prepared, next(prepared.orders(seed, 1)), profile)
             assert target.id not in prompt.exemplar_ids
             assert all(pool.by_id(i).pair_id != target.pair_id for i in prompt.exemplar_ids)

@@ -6,6 +6,8 @@ draw, computed in plain Python from PCG64's raw words, equals numpy's
 ``Generator`` on the same PCG64, call by call: `pick_each` as one
 ``integers(len(seq))`` call per sequence, `permutation` as
 ``permutation(n)`` and `distinct_indices` as ``choice(n, k, replace=False)``.
+The few-shot exemplar orders, drawn for many records at once by
+`exemplar_orders`, equal both those calls on each record's stream.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from pricetree import rng
 from pricetree.formulas import COEFFICIENT_CHOICES
-from pricetree.rng import PcgStream, SeedWords, substream, substreams
+from pricetree.rng import PcgStream, SeedWords, exemplar_orders, substream, substreams
 from pricetree.tree import PRICE_MAX, PRICE_MIN, PRICES
 
 
@@ -241,3 +243,72 @@ def test_negative_seed_or_index_raises_as_seed_sequence_does(call):
 def test_count_above_2_to_the_32_raises():
     with pytest.raises(ValueError, match=r"count must be in \[0, 2\*\*32\], got 4294967297"):
         substreams(0, 2**32 + 1)
+
+
+def numpy_order(seed: int, index: int, split: int, total: int) -> list[int]:
+    """Record `index`'s exemplar order from numpy's Generator on its PCG64."""
+    k = rng.EXEMPLARS_PER_VARIANT
+    gen = Generator(PCG64(SeedSequence(seed, spawn_key=(index,))))
+    picks = gen.choice(split, k, replace=False).tolist()
+    picks += [split + i for i in gen.choice(total - split, k, replace=False).tolist()]
+    return [picks[i] for i in gen.permutation(2 * k)]
+
+
+def stream_order(stream: PcgStream, split: int, total: int) -> list[int]:
+    """A record's exemplar order from its stream's scalar calls."""
+    k = rng.EXEMPLARS_PER_VARIANT
+    picks = stream.distinct_indices(split, k)
+    picks += [split + i for i in stream.distinct_indices(total - split, k)]
+    return [picks[i] for i in stream.permutation(2 * k)]
+
+
+# (split, total): each pool's Floyd bounds run from its size - 2 to its size.  Splits 3 and
+# total - split 3 take every index (k == n).  Bounds just above 2**31 reject about half their
+# draws, so about 1 row in 80 of the last case needs more than its 32 words; 2**32, the largest
+# bound, makes a word times the bound fill 64 bits.
+_ORDER_CASES = [(3, 10), (4, 7), (200, 403), (10_001, 10_201), (2**31 + 1, 2**31 + 1 + 2**32), (2**31 + 3, 2**32 + 6)]
+
+
+@pytest.mark.parametrize("split, total", _ORDER_CASES)
+def test_exemplar_orders_equal_numpy_generator_and_stream_calls(split, total):
+    count = 1025  # one row past a chunk
+    orders = list(exemplar_orders(11, count, split, total))
+    assert orders == [numpy_order(11, i, split, total) for i in range(count)]
+    assert orders == [stream_order(stream, split, total) for stream in substreams(11, count)]
+
+
+def test_exemplar_order_cases_include_rows_that_run_out_of_words():
+    split, total = _ORDER_CASES[-1]
+    streams = list(substreams(11, 1025))
+    for stream in streams:
+        stream_order(stream, split, total)
+    # a stream that drew past its first 16 outputs took a second batch
+    first_batch = [PCG64(SeedSequence(11, spawn_key=(i,))).advance(16).state for i in range(len(streams))]
+    assert sum(stream_state(s) != state for s, state in zip(streams, first_batch)) > 0
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+def test_exemplar_orders_across_chunk_edges(count):
+    orders = exemplar_orders(5, count, 200, 403)
+    assert isinstance(orders, Iterator)
+    assert list(orders) == [stream_order(stream, 200, 403) for stream in substreams(5, count)]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 3, 2, 10), r"cannot take 3 distinct indices from range\(2\)"),
+        ((0, 3, 10, 12), r"cannot take 3 distinct indices from range\(2\)"),
+        ((0, 3, 2**32 + 1, 2**32 + 4), r"draw bounds above 2\*\*32 are not supported"),
+        ((0, 2**32 + 1, 3, 6), r"count must be in \[0, 2\*\*32\], got 4294967297"),
+    ],
+)
+def test_exemplar_orders_reject_what_they_cannot_draw_before_drawing(args, message):
+    with pytest.raises(ValueError, match=message):
+        exemplar_orders(*args)
+
+
+def test_exemplar_words_are_uint64_so_a_word_times_a_bound_cannot_wrap():
+    # numpy 1's value-based casting keeps uint32 * np.uint64(small bound) in uint32
+    rows = rng._WordRows(rng._seed_words(0, 0, 2))
+    assert rows._next(rows._all).dtype == np.uint64

@@ -30,7 +30,9 @@ from pricetree.harness.scoring import (
     score_outcome,
     write_records,
 )
+from pricetree.harness.prompts import FewShotPool
 from pricetree.harness.transport import ReplayTransport, mock_responses
+from pricetree.rng import substream
 
 from factories import make_corpus, make_profile
 
@@ -225,6 +227,23 @@ class TestRunEval:
             assert [r.instance_id for r in records] == [i.id for i in corpus.instances]
             runs.append([replace(r, latency_ms=0.0) for r in records])
         assert runs[0] == runs[1]
+
+    def test_few_shot_records_past_a_chunk_of_orders_keep_their_own_exemplars(self):
+        # 1,030 records: the orders from record 1,024 on are drawn by whichever worker takes that record
+        corpus = make_corpus(num_vars=4, ans_depth=2, count=515, corpus_seed=12)
+        pool = make_corpus(count=5, corpus_seed=34)
+        prepared = FewShotPool.prepare(pool, corpus)
+        expected = []
+        for index in range(len(corpus.instances)):
+            stream, split = substream(7, index), prepared.answerable_count
+            picked = stream.distinct_indices(split, 3)
+            picked += [split + i for i in stream.distinct_indices(len(prepared.ids) - split, 3)]
+            expected.append([prepared.ids[picked[i]] for i in stream.permutation(6)])
+        for concurrency in (1, 4):
+            records = run_eval_bounded(
+                corpus, make_profile(concurrency=concurrency), "few", mock("gold", corpus), pool=pool, eval_seed=7
+            )
+            assert [r.exemplar_ids for r in records] == expected
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
         corpus = make_corpus(count=12, corpus_seed=12)

@@ -392,6 +392,30 @@ class TestLiveTransport:
             transport.complete([Message("user", "hello")])
         assert not isinstance(excinfo.value, TransientTransportError)
 
+    @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "Answer: 7"}]], ids=["null", "parts"])
+    def test_content_that_is_not_a_string_is_permanent(self, chat_server, content):
+        # a refusal, or a reply cut at the token limit, comes back with null content
+        _, url = chat_server
+        _ChatHandler.responses = [(200, {"choices": [{"message": {"content": content}}]})]
+        transport = LiveTransport(make_profile(endpoint=url))
+        with pytest.raises(TransportError) as excinfo:
+            transport.complete([Message("user", "hello")])
+        assert not isinstance(excinfo.value, TransientTransportError)
+        assert str(excinfo.value) == f"malformed completion response: content {json.dumps(content)} is not a string"
+
+    @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "Answer: 7"}]], ids=["null", "parts"])
+    def test_eval_excludes_only_the_record_whose_content_is_not_a_string(self, chat_server, content):
+        # such a reply once crashed the whole run in extract_answer, losing every response gathered
+        _, url = chat_server
+        _ChatHandler.responses = [(200, {"choices": [{"message": {"content": content}}]})]
+        corpus = make_corpus(count=2)
+        profile = make_profile(endpoint=url, concurrency=1, max_retries=2, timeout_seconds=30)
+        records = run_eval(corpus, profile, "zero", LiveTransport(profile))
+        assert [r.transport_failed for r in records] == [True, False, False, False]
+        assert records[0].outcome is None and records[0].response is None
+        assert [r.response for r in records[1:]] == ["Answer: 7"] * 3
+        assert len(_ChatHandler.seen_payloads) == 4  # the permanent error is not retried
+
     def test_success_status_other_than_200_is_permanent(self, chat_server):
         _, url = chat_server
         _ChatHandler.responses = [(201, {"id": "queued"})]
