@@ -14,12 +14,12 @@ import sys
 from pathlib import Path
 from typing import Optional, TextIO
 
-from .corpus_io import load_gen_config, read_dataset, write_dataset
+from .corpus_io import iter_instances, load_gen_config, read_dataset, write_dataset
 from .errors import PricetreeError
 from .formulas import formula_edges
 from .harness.prompts import load_profile
 from .harness.report import format_text_table, write_report
-from .harness.scoring import MODES, check_eval_request, read_records, run_eval, write_records
+from .harness.scoring import MODES, check_eval_request, iter_records, run_eval, write_records
 from .harness.transport import MOCK_NAMES, check_transport_spec, make_transport
 from .jsonmap import make_parents
 from .oracle import SOLVER_FAILURE, UNDERDETERMINED, component_of, verify_instance
@@ -65,10 +65,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    dataset = read_dataset(args.input)
-    failures = 0
-    path_disagreements = 0
-    for instance in dataset.instances:
+    """Certify each instance as it is read, keeping only the tallies; a FAIL line may come before a later
+    line's read error."""
+    total = failures = path_disagreements = 0
+    for instance in iter_instances(args.input):
+        total += 1
         report = verify_instance(instance)
         if report.label_confirmed:
             continue
@@ -77,7 +78,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             path_disagreements += 1
         else:
             failures += 1
-    total = len(dataset.instances)
     print(
         f"certified {total - failures - path_disagreements}/{total} instances "
         f"({failures} label failures, {path_disagreements} solver disagreements)"
@@ -169,9 +169,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    records = read_records(args.input)
     group_by = [key.strip() for key in args.group.split(",") if key.strip()]
-    table = write_report(records, group_by, args.out)
+    table = write_report(iter_records(args.input), group_by, args.out)  # tallied as read
     print(format_text_table(table))
     print(f"report written to {args.out} ({len(table.cells)} cells)")
     return 0

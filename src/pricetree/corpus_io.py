@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .errors import DatasetParseError, InvalidConfigError
 from .jsonmap import (
@@ -18,6 +19,7 @@ from .jsonmap import (
     nonblank_lines,
     read_json_file,
     read_lines,
+    read_rest,
     to_json,
     to_json_line,
     write_json_lines,
@@ -40,32 +42,49 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
     write_json_lines(path, dataset_to_lines(dataset))
 
 
-def dataset_from_lines(lines: list[str], source: str = "<memory>") -> Dataset:
+def _corpus(lines: Iterable[str], source: str) -> tuple[GenConfig, dict, Iterator[ProblemInstance]]:
+    """The config and certification of a corpus's header, read and checked at once, and its instances,
+    each read and checked as it is taken.  The twins of a pair share one ItemMap, as they do when
+    generated, and the lines share their ItemNames."""
     numbered = nonblank_lines(lines)
-    if not numbered:
-        raise DatasetParseError(f"{source}: empty corpus file")
-
-    (header,) = json_lines(numbered[:1], source, dict, None)
-    n = numbered[0][0]
-    version = header.get("schemaVersion")
-    if type(version) is not int or version != SCHEMA_VERSION:  # True and 1.0 equal 1 too
-        raise DatasetParseError(
-            f"{source} line {n}: expected schemaVersion {SCHEMA_VERSION}, got {version!r}"
-        )
-    for key in ("config", "certification"):
-        if not isinstance(header.get(key), dict):
-            raise DatasetParseError(f"{source} line {n}: header {key!r} must be a JSON object")
     try:
-        config = from_file_json(GenConfig, header["config"], "config")
-    except (InvalidConfigError, TypeError, ValueError) as exc:
-        raise DatasetParseError(f"{source} line {n}: invalid header config ({exc})") from exc
+        first = next(numbered, None)
+        if first is None:
+            raise DatasetParseError(f"{source}: empty corpus file")
+        (header,) = json_lines([first], source, dict, None)
+        n = first[0]
+        version = header.get("schemaVersion")
+        if type(version) is not int or version != SCHEMA_VERSION:  # True and 1.0 equal 1 too
+            raise DatasetParseError(
+                f"{source} line {n}: expected schemaVersion {SCHEMA_VERSION}, got {version!r}"
+            )
+        for key in ("config", "certification"):
+            if not isinstance(header.get(key), dict):
+                raise DatasetParseError(f"{source} line {n}: header {key!r} must be a JSON object")
+        try:
+            config = from_file_json(GenConfig, header["config"], "config")
+        except (InvalidConfigError, TypeError, ValueError) as exc:
+            raise DatasetParseError(f"{source} line {n}: invalid header config ({exc})") from exc
+    except DatasetParseError:
+        read_rest(numbered)
+        raise
+    memo: dict = {}
+    instances = json_lines(numbered, source, lambda data: ProblemInstance.from_json_dict(data, memo), "id")
+    return config, header["certification"], instances
 
-    instances = json_lines(numbered[1:], source, ProblemInstance.from_json_dict, "id")
-    return Dataset(config=config, instances=instances, certification=header["certification"])
+
+def dataset_from_lines(lines: Iterable[str], source: str = "<memory>") -> Dataset:
+    config, certification, instances = _corpus(lines, source)
+    return Dataset(config=config, instances=list(instances), certification=certification)
 
 
 def read_dataset(path: str | Path) -> Dataset:
     return dataset_from_lines(read_lines(path), source=str(path))
+
+
+def iter_instances(path: str | Path) -> Iterator[ProblemInstance]:
+    """The instances of a corpus file, each read and checked as it is taken, once its header is checked."""
+    return _corpus(read_lines(path), str(path))[2]
 
 
 def load_gen_config(path: str | Path) -> GenConfig:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..errors import InvalidConfigError
 from ..jsonmap import write_text
@@ -98,7 +98,7 @@ def format_rate(rate: Optional[Fraction]) -> str:
     return f"{float(rate) * 100:.1f}%"
 
 
-def aggregate(records: list[EvalRecord], group_by: list[str]) -> MetricsTable:
+def aggregate(records: Iterable[EvalRecord], group_by: list[str]) -> MetricsTable:
     """Group scored records by configuration keys and tally exact rates.
 
     Transport-failed records are excluded from every rate but counted per
@@ -107,8 +107,9 @@ def aggregate(records: list[EvalRecord], group_by: list[str]) -> MetricsTable:
     return _roll_up(_tally(records), group_by)
 
 
-def _tally(records: list[EvalRecord]) -> dict[tuple, CellMetrics]:
-    """The counts of each combination of all GROUPABLE_KEYS, in order of first record."""
+def _tally(records: Iterable[EvalRecord]) -> dict[tuple, CellMetrics]:
+    """The counts of each combination of all GROUPABLE_KEYS, in order of first record; each record is
+    counted as it is taken, and none is kept."""
     cells: dict[tuple, CellMetrics] = {}
     for record in records:
         key_tuple = tuple(map(record.config_cell.get, GROUPABLE_KEYS))
@@ -199,8 +200,9 @@ SERIES = {
 }
 
 
-def write_report(records: list[EvalRecord], group_by: list[str], out_dir: str | Path) -> MetricsTable:
-    """Emit metrics.txt, metrics.json and the two plot-data CSV series."""
+def write_report(records: Iterable[EvalRecord], group_by: list[str], out_dir: str | Path) -> MetricsTable:
+    """Emit metrics.txt, metrics.json and the two plot-data CSV series; `records` is read once, before
+    any file is written."""
     tally = _tally(records)  # one pass over the records; the table and each series roll it up
     table = _roll_up(tally, group_by)
     out = Path(out_dir)

@@ -15,7 +15,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..errors import InvalidConfigError, TransportError
 from ..jsonmap import check_scalar_object, from_json, long_text, read_json_lines, to_json_line, write_json_lines
@@ -226,5 +226,10 @@ def _record(data: dict) -> EvalRecord:
     return record
 
 
-def read_records(path: str | Path) -> list[EvalRecord]:
+def iter_records(path: str | Path) -> Iterator[EvalRecord]:
+    """The records of a records file, each read and checked as it is taken."""
     return read_json_lines(path, _record, None)  # one instance may have several records
+
+
+def read_records(path: str | Path) -> list[EvalRecord]:
+    return list(iter_records(path))

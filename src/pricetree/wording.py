@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import CertificationError, InvalidConfigError
 from .formulas import Formula, Linear
-from .jsonmap import nonblank_lines, read_lines
+from .jsonmap import nonblank_lines, read_lines, read_rest
 from .oracle import Walk, component_of
 from .rng import PcgStream
 
@@ -79,14 +79,19 @@ DEFAULT_VOCABULARY = Vocabulary(dishes=DEFAULT_DISHES, restaurants=DEFAULT_RESTA
 def _vocabulary_entries(path: str | Path, what: str, parse) -> tuple:
     """`parse(line)` -> (name, entry), or ValueError saying what the line lacks; names must be unique."""
     entries = {}
-    for n, line in nonblank_lines(read_lines(path)):
-        try:
-            name, entry = parse(line)
-        except ValueError as exc:
-            raise InvalidConfigError(f"{path} line {n}: {what} entry {line!r} {exc}") from None
-        if name in entries:
-            raise InvalidConfigError(f"{path} line {n}: duplicate {what} entry {name!r}")
-        entries[name] = entry
+    numbered = nonblank_lines(read_lines(path))
+    try:
+        for n, line in numbered:
+            try:
+                name, entry = parse(line)
+            except ValueError as exc:
+                raise InvalidConfigError(f"{path} line {n}: {what} entry {line!r} {exc}") from None
+            if name in entries:
+                raise InvalidConfigError(f"{path} line {n}: duplicate {what} entry {name!r}")
+            entries[name] = entry
+    except InvalidConfigError:
+        read_rest(numbered)
+        raise
     if not entries:
         raise InvalidConfigError(f"{path}: no {what} entries")
     return tuple(entries.values())

@@ -205,7 +205,8 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize(
-        "field", ["parentCoeff", "itemMap key", "questionedVar", "conditionSentences", "goldAnswer", "id"]
+        "field",
+        ["parentCoeff", "itemMap key", "itemMap composite", "questionedVar", "conditionSentences", "goldAnswer", "id"],
     )
     def test_mistyped_corpus_field_names_the_line(self, tmp_path, config_file, capsys, field):
         # line 3 is an unanswerable instance, which a mistyped questionedVar used to leave certified
@@ -219,6 +220,8 @@ class TestVerify:
         elif field == "itemMap key":
             names = record["itemMap"]["names"]
             names["one"] = names.pop("1")
+        elif field == "itemMap composite":  # == line 2's itemMap, whose composite is true, but not its JSON
+            record["itemMap"]["composite"] = 1
         elif field == "questionedVar":
             record["questionedVar"] = str(record["questionedVar"])
         elif field == "goldAnswer":  # such a line used to pass verify, and render printed the 7
@@ -613,6 +616,17 @@ def test_unreadable_input_file_is_a_clean_error(tmp_path, config_file, profile_f
     expected = "cannot read" if state == "missing" else "line 2: not UTF-8"
     assert err.startswith(f"error: {bad}") and expected in err, err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_bad_byte_after_a_bad_instance_line_is_the_error_reported(tmp_path, config_file, capsys):
+    # verify reads one line at a time; a file with a bad byte anywhere still fails as not UTF-8
+    out = generate(tmp_path, config_file)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"questionedVar": ', '"questionedVar": "x", "_": ')
+    out.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"\xff\n")
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {out} line 10: not UTF-8 (invalid start byte)\n")
 
 
 @pytest.mark.parametrize("which", [which for which in _FILE_INPUTS if which != "vocabulary file"])

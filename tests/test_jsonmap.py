@@ -372,7 +372,7 @@ _VALID_LINES = [
 
 @pytest.mark.parametrize("line", _VALID_LINES)
 def test_json_lines_decodes_as_json_loads(line):
-    assert repr(json_lines([(1, line)], "src", lambda data: data, None)) == repr([json.loads(line)])
+    assert repr(list(json_lines([(1, line)], "src", lambda data: data, None))) == repr([json.loads(line)])
 
 
 _MALFORMED_LINES = {
@@ -402,7 +402,7 @@ def test_json_lines_reports_what_json_loads_reports(fault):
         assert not isinstance(data, dict)
         reason = "expected a JSON object"
     with pytest.raises(DatasetParseError) as caught:
-        json_lines([(1, '{"ok": 1}'), (7, line)], "records.jsonl", dict, None)
+        list(json_lines([(1, '{"ok": 1}'), (7, line)], "records.jsonl", dict, None))
     assert str(caught.value) == f"records.jsonl line 7: {reason}"
 
 
@@ -411,13 +411,13 @@ _REPEATING = [(1, '{"id": "a", "n": 1}'), (3, '{"id": "b", "n": 2}'), (4, '{"id"
 
 def test_json_lines_without_a_key_keeps_repeated_ids():
     lines = _REPEATING[:3]
-    assert json_lines(lines, "records.jsonl", dict, None) == [json.loads(text) for _, text in lines]
+    assert list(json_lines(lines, "records.jsonl", dict, None)) == [json.loads(text) for _, text in lines]
 
 
 def test_json_lines_with_a_key_rejects_the_repeat_naming_both_lines():
     # the repeat is found in the one pass, before the malformed line after it is read
     with pytest.raises(DatasetParseError) as caught:
-        json_lines(_REPEATING, "corpus.jsonl", dict, "id")
+        list(json_lines(_REPEATING, "corpus.jsonl", dict, "id"))
     assert str(caught.value) == "corpus.jsonl line 4: id 'a' repeats line 1"
 
 
@@ -428,7 +428,7 @@ def test_json_lines_checks_the_key_after_converting_the_line():
         return data
 
     with pytest.raises(DatasetParseError) as caught:
-        json_lines(_REPEATING, "corpus.jsonl", convert, "id")
+        list(json_lines(_REPEATING, "corpus.jsonl", convert, "id"))
     assert str(caught.value) == "corpus.jsonl line 4: n must not be 3"
 
 

@@ -243,7 +243,13 @@ class TestSerialization:
                 assert "goldAnswer" not in record
             else:
                 assert isinstance(record["goldAnswer"], int)
-        assert read_dataset(path).instances == dataset.instances
+        back = read_dataset(path).instances
+        assert back == dataset.instances
+        for instances in (dataset.instances, back):  # the twins of a pair share one ItemMap, read or generated
+            assert [a.item_map is u.item_map for a, u in zip(instances[::2], instances[1::2])] == [True, True]
+        # and a read file's lines share one ItemName per distinct name
+        names = [name for instance in back for name in instance.item_map.names.values()]
+        assert len(set(map(id, names))) == len({(n.dish, n.plural, n.restaurant) for n in names})
 
     def test_truncated_line_names_the_line(self, tmp_path):
         dataset = generate_corpus(make_config(count=2))

@@ -204,6 +204,70 @@ def test_substreams_seed_pcg64_as_numpy_does(seed, count):
     assert states == [numpy_state(seed, index) for index in range(count)]
 
 
+# SeedSequence (NEP 19) and PCG64 (XSL-RR 128/64) in Python ints, from their published definitions,
+# so that a numpy release that changed either would fail here by name, not only as a digest mismatch
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+
+
+def _uint32_words(value: int) -> list[int]:
+    return [value >> shift & _M32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def reference_seed_words(seed: int, index: int) -> list[int]:
+    """``SeedSequence(seed, spawn_key=(index,)).generate_state(4, np.uint64)``."""
+    entropy = _uint32_words(seed)
+    entropy += [0] * (4 - len(entropy)) + _uint32_words(index)  # the seed padded to the pool when spawned
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (x * 0xCA01F9DD - y * 0x4973F715) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, const = [], 0x8B51F9DD
+    for k in range(8):
+        value = pool[k % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        out.append(value ^ value >> 16)
+    return [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def reference_raw(words: list[int], count: int) -> list[int]:
+    """``PCG64`` seeded with `words` (state words 0-1, increment words 2-3): its first `count` outputs."""
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _M128
+    state = ((inc + (words[0] << 64 | words[1])) * _PCG_MULT + inc) & _M128  # srandom: step, add, step
+    raw = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _M128
+        xored, rotation = (state >> 64 ^ state) & _M64, state >> 122
+        raw.append((xored >> rotation | xored << (-rotation & 63)) & _M64)
+    return raw
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (3, 1), (2**32, 7), (2**128 - 1, 2**32 - 2), (2**160 + 9, 5)])
+def test_seeding_and_pcg64_equal_a_reference_without_numpy(seed, index):
+    words = reference_seed_words(seed, index)
+    assert SeedSequence(seed, spawn_key=(index,)).generate_state(4, np.uint64).tolist() == words
+    assert rng._seed_words(seed, index, index + 1).tolist() == [words]
+    assert PCG64(SeedSequence(seed, spawn_key=(index,))).random_raw(40).tolist() == reference_raw(words, 40)
+
+
 @pytest.mark.parametrize(
     "n_words, dtype", [(8, np.uint64), (4, np.uint32), pytest.param(4, "uint32", id="4-str-uint32"), (2, np.uint64)]
 )

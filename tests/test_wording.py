@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
-from pricetree.errors import CertificationError, InvalidConfigError
+from pricetree.errors import CertificationError, InvalidConfigError, PricetreeError
 from pricetree.formulas import Linear, RootValue
 from pricetree.jsonmap import from_json, to_json
 from pricetree.oracle import solve_all
@@ -139,6 +139,14 @@ class TestVocabularyFiles:
         with pytest.raises(InvalidConfigError) as exc:
             load_vocabulary(path, None)
         assert str(exc.value) == f"{path} line 2: dish entry {line!r} needs a singular and a plural"
+
+    def test_a_bad_byte_after_a_bad_entry_is_the_error_reported(self, tmp_path):
+        # the file is read one line at a time; a bad byte anywhere still fails it as not UTF-8
+        path = tmp_path / "dishes.txt"
+        path.write_bytes(b"|pies\nwrap\n\xff\n")
+        with pytest.raises(PricetreeError) as exc:
+            load_vocabulary(path, None)
+        assert str(exc.value) == f"{path} line 3: not UTF-8 (invalid start byte)"
 
     def test_restaurant_file_too_small_for_composite_pool(self, tmp_path):
         rest = tmp_path / "rest.txt"
