@@ -124,11 +124,11 @@ def _render_tree(instance: ProblemInstance, prices: Optional[dict]) -> list[str]
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    dataset = read_dataset(args.input)
-    try:
-        instance = dataset.by_id(args.id)
-    except KeyError:
-        raise PricetreeError(f"no instance with id {args.id!r} in {args.input}") from None
+    # every line is read, keeping only the match, so a later line's error is still the command's
+    found = [instance for instance in iter_instances(args.input) if instance.id == args.id]
+    if not found:
+        raise PricetreeError(f"no instance with id {args.id!r} in {args.input}")
+    instance = found[0]
     report = verify_instance(instance)
     prices, ends = report.walk or (None, None)  # None when the formulas are not a forest
     print(f"id: {instance.id}  variant: {instance.variant}")

@@ -9,7 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DatasetParseError, InvalidConfigError
 from .jsonmap import (
@@ -44,8 +44,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def _corpus(lines: Iterable[str], source: str) -> tuple[GenConfig, dict, Iterator[ProblemInstance]]:
     """The config and certification of a corpus's header, read and checked at once, and its instances,
-    each read and checked as it is taken.  The twins of a pair share one ItemMap, as they do when
-    generated, and the lines share their ItemNames."""
+    each read and checked as it is taken."""
     numbered = nonblank_lines(lines)
     try:
         first = next(numbered, None)
@@ -68,9 +67,35 @@ def _corpus(lines: Iterable[str], source: str) -> tuple[GenConfig, dict, Iterato
     except DatasetParseError:
         read_rest(numbered)
         raise
-    memo: dict = {}
-    instances = json_lines(numbered, source, lambda data: ProblemInstance.from_json_dict(data, memo), "id")
-    return config, header["certification"], instances
+    return config, header["certification"], json_lines(numbered, source, _instance_reader(), "id")
+
+
+def _instance_reader() -> Callable[[dict], ProblemInstance]:
+    """`from_json_dict` for the instance lines of one file, whose twins share one ItemMap, as generated.
+
+    A line whose raw itemMap equals the previous line's takes that line's
+    ItemMap, checked there; ``==`` takes 1 for true, so composite, the map's
+    only number, must also be a bool.  A map decoded afresh takes the file's
+    first ItemName of each (dish, plural, restaurant).
+    """
+    names: dict = {}
+    last_raw, last_map = None, None
+
+    def read(data: dict) -> ProblemInstance:
+        nonlocal last_raw, last_map
+        raw = data.get("itemMap")  # a missing key is from_json's error, in field order
+        if raw is not None and raw == last_raw and type(raw["composite"]) is bool:
+            data["itemMap"] = last_map
+            return ProblemInstance.from_json_dict(data)
+        instance = ProblemInstance.from_json_dict(data)
+        last_raw, last_map = raw, instance.item_map
+        last_map.names = {
+            var: names.setdefault((name.dish, name.plural, name.restaurant), name)
+            for var, name in last_map.names.items()
+        }
+        return instance
+
+    return read
 
 
 def dataset_from_lines(lines: Iterable[str], source: str = "<memory>") -> Dataset:

@@ -3,8 +3,9 @@
 A file is text lines (vocabularies), one JSON object (configs, profiles) or
 JSON Lines (corpora, records, replays: one object per line, blank lines
 skipped, UTF-8, non-ASCII kept, ``\\n`` after every line).  Only this module
-opens files and makes directories.  Text lines and JSON Lines are read one
-line at a time, so a reader holds no more of the file than the line it is on.
+opens files and makes directories.  Every file is read through `read_lines`,
+one line at a time, so a text-lines or JSON Lines reader holds no more of the
+file than the line it is on; a one-object file is joined whole.
 A missing, unreadable, non-UTF-8 or badly framed file, or a repeat of the key
 a JSON Lines reader names as unique, is a PricetreeError naming the path, and
 the line if there is one; a file with a bad byte anywhere fails as not UTF-8.
@@ -36,8 +37,8 @@ gets two functions, generated once as straight-line source and exec'd:
 - `from_json` reads the keys in field order, depth first, and checks the JSON
   type of every value inline, nested ones too, so the first missing key
   (KeyError) or mistyped value (TypeError naming its key) is the one reported.
-  A `shared` field's value that repeats the previous line's is not decoded
-  again: it takes that line's object.
+  A nested dataclass field whose value is already an instance of its class
+  takes it as it is: so a reader may hand it an object it decoded before.
 
 `to_json`, the same form as dicts and lists, is the parse of that line, so the
 generated encoder is the one statement of each class's JSON form; it serves the
@@ -62,7 +63,7 @@ from contextlib import suppress
 # encode_basestring: the escaper of ensure_ascii=False; ESCAPE_DCT: the text of each escape it writes
 from json.encoder import ESCAPE_DCT, c_make_encoder, encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Union
 
 from .errors import DatasetParseError, InvalidConfigError, PricetreeError
 
@@ -97,18 +98,6 @@ def _cannot_read(path: str | Path, exc: OSError) -> PricetreeError:
 
 def _not_utf8(path: str | Path, line: int, exc: UnicodeDecodeError) -> PricetreeError:
     return PricetreeError(f"{path} line {line}: not UTF-8 ({exc.reason})")
-
-
-def _read_text(path: str | Path) -> str:
-    """A whole UTF-8 file: one JSON object written by hand."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise _cannot_read(path, exc) from exc
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, data.count(b"\n", 0, exc.start) + 1, exc) from exc
 
 
 def read_lines(path: str | Path) -> Iterator[str]:
@@ -235,7 +224,7 @@ def write_json_lines(path: str | Path, lines: Iterable[str]) -> None:
 def read_json_file(cls: type, path: str | Path, what: str):
     """`cls` from a file holding one JSON object written by hand: a config or a profile."""
     try:
-        data = json.loads(_read_text(path))  # a read failure is a PricetreeError, not caught here
+        data = json.loads("".join(read_lines(path)))  # a read failure is a PricetreeError, not caught here
         if not isinstance(data, dict):
             raise TypeError("expected a JSON object")
         return from_file_json(cls, data, what)
@@ -247,7 +236,6 @@ _PLAIN = {int: (int,), float: (float, int), bool: (bool,), str: (str,), dict: (d
 
 _OMIT_NONE = "pricetree.jsonmap.omitNone"
 _LONG = "pricetree.jsonmap.longText"
-_SHARED = "pricetree.jsonmap.shared"
 
 
 def omitted_when_none() -> Any:
@@ -266,28 +254,14 @@ def long_text() -> Any:
     return dataclasses.field(metadata={_LONG: True})
 
 
-def shared() -> Any:
-    """A dataclass field whose value often repeats the previous line's in a file: a pair's item map.
-
-    A value equal to the previous line's as JSON takes that line's decoded
-    object, with no checks: it passed them there.  ``==`` takes 1 for true,
-    so each int or bool field of the value's own class must also have its
-    type, and no number may sit deeper in it.  A value decoded afresh gets,
-    for each dataclass inside it whose fields are all str or None (an item
-    name), the object an earlier line of the file decoded from the same
-    values.  `from_json`'s memo, one per file, holds those objects.
-    """
-    return dataclasses.field(metadata={_SHARED: True})
-
-
 @functools.cache
 def _fields(cls: type) -> tuple:
-    """(camelCase key, field name, annotation, left out when None, long text, shared) of each field of a
-    dataclass, in field order."""
+    """(camelCase key, field name, annotation, left out when None, long text) of each field of a dataclass,
+    in field order."""
     hints = typing.get_type_hints(cls)
     return tuple(
         (re.sub("_(.)", lambda m: m[1].upper(), f.name), f.name, hints[f.name], _OMIT_NONE in f.metadata,
-         _LONG in f.metadata, _SHARED in f.metadata)
+         _LONG in f.metadata)
         for f in dataclasses.fields(cls)
     )
 
@@ -361,25 +335,16 @@ def _escaped(text: str) -> str:
     return f'"{text}"'
 
 
-_NOTHING = (object(), None)  # the memo slot of a `shared` field before any line: equal to no JSON value
-_INTERNED = {str, Optional[str]}  # field types whose equal values have equal JSON
-
-
 class _Source:
-    """Generated source: its lines, fresh local names, and the objects it names.
-
-    While `interning`, a decoded dataclass whose fields are all _INTERNED is
-    taken from the memo when the same values were decoded before.
-    """
+    """Generated source: its lines, fresh local names, and the objects it names."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
         self.env: dict[str, Any] = {
             "_mistyped": _mistyped, "_untagged": _untagged, "_str": encode_basestring, "_escaped": _escaped,
-            "json_line": json_line, "_NOTHING": _NOTHING,
+            "json_line": json_line,
         }
         self.count = 0
-        self.interning = False
 
     def name(self, prefix: str) -> str:
         self.count += 1
@@ -441,7 +406,7 @@ def _text_object(cls: type, src: str, out: _Source, kind: bool = False) -> tuple
     template, args = "{", []
     if kind:
         template += _literal(f'"kind": {encode_basestring(cls.kind)}')
-    for key, name, tp, omit, long, _ in _fields(cls):
+    for key, name, tp, omit, long in _fields(cls):
         value, more = _to_text(tp, f"{src}.{name}", key, out, long)
         pair = ("" if template == "{" else ", ") + _literal(encode_basestring(key) + ": ") + value
         if not omit:
@@ -491,10 +456,14 @@ def _decode(tp, src: str, key: str, out: _Source, indent: str) -> str:
             if origin is tuple:
                 lines.append(f"{indent}{value} = tuple({value})")
         return value
-    _check(src, (dict,), key, out, indent)
-    if form == "object":
-        return _decode_object(detail, src, out, indent)
     value = out.name("v")
+    if form == "object":  # an instance of the class is taken as it is
+        lines.append(f"{indent}if type({src}) is not dict:")
+        lines.append(f"{indent}    if type({src}) is not {out.ref(detail)}: _mistyped({key!r}, (dict,), {src})")
+        lines.append(f"{indent}    {value} = {src}")
+        lines.append(f"{indent}else:")
+        return _decode_object(detail, src, out, indent + "    ", value)
+    _check(src, (dict,), key, out, indent)
     if form == "tagged":
         tag = out.name("t")
         lines.append(f"{indent}{tag} = {src}.get('kind')")
@@ -520,58 +489,13 @@ def _decode_object(cls: type, src: str, out: _Source, indent: str, instance: str
     """Add the lines that read each field of `cls` from the dict `src`, in field order,
     and build the instance into the local `instance` (a fresh one if not given); return its name."""
     values = []
-    for key, name, tp, omit, _, shared in _fields(cls):
+    for key, name, tp, omit, _ in _fields(cls):
         value = out.name("v")
         out.lines.append(f"{indent}{value} = {src}{f'.get({key!r})' if omit else f'[{key!r}]'}")
-        values.append((_decode_shared if shared else _decode)(tp, value, key, out, indent))
-    instance, built = instance or out.name("v"), f"{out.ref(cls)}({', '.join(values)})"
-    if out.interning and all(tp in _INTERNED for _, _, tp, *_ in _fields(cls)):
-        memo_key = out.name("k")
-        out.lines.append(f"{indent}{memo_key} = ({out.ref(cls)}, {', '.join(values)})")
-        out.lines.append(f"{indent}{instance} = memo.get({memo_key})")
-        out.lines.append(f"{indent}if {instance} is None:")
-        out.lines.append(f"{indent}    {instance} = memo[{memo_key}] = {built}")
-    else:
-        out.lines.append(f"{indent}{instance} = {built}")
+        values.append(_decode(tp, value, key, out, indent))
+    instance = instance or out.name("v")
+    out.lines.append(f"{indent}{instance} = {out.ref(cls)}({', '.join(values)})")
     return instance
-
-
-def _holds_number(tp, key: str) -> bool:
-    """Whether a JSON value of annotation `tp` may hold a number (an int key is a string in JSON)."""
-    form, detail = _shape(tp, key)
-    if form == "plain":
-        return tp is not str
-    if form == "object":
-        return any(_holds_number(field_tp, field_key) for field_key, _, field_tp, *_ in _fields(detail))
-    if form == "tagged":
-        return any(_holds_number(cls, key) for cls in detail)
-    return _holds_number(detail[1] if form == "sequence" else detail, key)
-
-
-def _decode_shared(tp, src: str, key: str, out: _Source, indent: str) -> str:
-    """Add the lines that take the value of the `shared` field `src` from the previous line's, when equal,
-    and that otherwise decode it, interning the dataclasses inside it, and keep it in the memo; return
-    the local name of the value."""
-    form, cls = _shape(tp, key)
-    if form != "object":
-        raise NotImplementedError(f"{key}: only a dataclass field can be shared")
-    exact = ""  # == takes 1 for true and 1.0 for 1
-    for field_key, _, field_tp, *_ in _fields(cls):
-        if field_tp in (int, bool):
-            exact += f" and type({src}[{field_key!r}]) is {field_tp.__name__}"
-        elif _holds_number(field_tp, field_key):
-            raise NotImplementedError(f"{key}: a shared value may hold numbers only in its own int and bool fields")
-    slot, previous, value = out.ref(object()), out.name("p"), out.name("v")
-    out.lines.append(f"{indent}{previous} = memo.get({slot}, _NOTHING)")
-    out.lines.append(f"{indent}if {src} == {previous}[0]{exact}:")
-    out.lines.append(f"{indent}    {value} = {previous}[1]")
-    out.lines.append(f"{indent}else:")
-    _check(src, (dict,), key, out, indent + "    ")
-    out.interning = True
-    _decode_object(cls, src, out, indent + "    ", value)
-    out.interning = False
-    out.lines.append(f"{indent}    memo[{slot}] = ({src}, {value})")
-    return value
 
 
 @functools.cache
@@ -584,7 +508,7 @@ def _compiled(cls: type) -> tuple[Callable, Callable]:
     out = _Source()
     text = _filled(*_text_object(cls, "obj", out))
     out.lines += ["def encode(obj):", f"    return {text}"]
-    out.lines.append("def decode(data, memo):")
+    out.lines.append("def decode(data):")
     out.lines.append(f"    return {_decode_object(cls, 'data', out, '    ')}")
     exec("\n".join(out.lines), out.env)
     return out.env["encode"], out.env["decode"]
@@ -600,14 +524,9 @@ def to_json_line(obj) -> str:
     return _compiled(type(obj))[0](obj)
 
 
-def from_json(cls: type, data: dict, memo: dict | None = None):
-    """Build `cls` from data this package wrote; a missing key is a KeyError, a mistyped value a TypeError.
-
-    `memo` is one dict per file read, which the lines of that file pass in
-    turn: it holds what their `shared` fields share.  Without one, nothing is
-    shared.
-    """
-    return _compiled(cls)[1](data, {} if memo is None else memo)
+def from_json(cls: type, data: dict):
+    """Build `cls` from data this package wrote; a missing key is a KeyError, a mistyped value a TypeError."""
+    return _compiled(cls)[1](data)
 
 
 def from_file_json(cls: type, data: dict, what: str):

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .errors import CertificationError, InvalidConfigError
 from .formulas import COEFFICIENT_CHOICES, CONDITION_ORDERS, Formula, order_formulas, sample_formula
-from .jsonmap import check_scalar_object, from_json, long_text, omitted_when_none, shared, to_json
+from .jsonmap import check_scalar_object, from_json, long_text, omitted_when_none, to_json
 from .oracle import ANSWERABLE, UNANSWERABLE, verify_instance
 from .rng import PcgStream, substream, substreams
 from .tree import ROOT, bfs_edges, build_tree, check_shape, sample_var_values
@@ -86,7 +86,7 @@ class ProblemInstance:
     full_text: str = long_text()
     condition_sentences: tuple[str, ...]
     formulas: tuple[Formula, ...]
-    item_map: ItemMap = shared()  # a pair's twins share one; so do the twins of a read corpus
+    item_map: ItemMap  # a pair's twins share one; so do the twins of a read corpus (corpus_io)
     questioned_var: int
     gold_answer: Optional[int] = omitted_when_none()  # an unanswerable line has no goldAnswer key
     gold_solution_text: str = long_text()
@@ -94,15 +94,15 @@ class ProblemInstance:
     metadata: dict
 
     @classmethod
-    def from_json_dict(cls, data: dict, memo: Optional[dict] = None) -> "ProblemInstance":
-        """`from_json` of a corpus line, with the `memo` of its file; the variant must be known, the id must be
-        pairId-variant, goldAnswer must be present exactly when the variant is
-        answerable, every formula variable and the questioned one must be named in
-        itemMap, and metadata.config, whose items group eval records, must be an
-        object of JSON scalars."""
+    def from_json_dict(cls, data: dict) -> "ProblemInstance":
+        """`from_json` of a corpus line, whose itemMap may be an ItemMap already read (its checks passed
+        then); the variant must be known, the id must be pairId-variant, goldAnswer must be present
+        exactly when the variant is answerable, every formula variable and the questioned one must be
+        named in itemMap, and metadata.config, whose items group eval records, must be an object of
+        JSON scalars."""
         if data["variant"] not in (ANSWERABLE, UNANSWERABLE):
             raise ValueError(f"unknown variant {data['variant']!r}")
-        instance = from_json(cls, data, memo)
+        instance = from_json(cls, data)
         if instance.id != f"{instance.pair_id}-{instance.variant}":
             raise ValueError(f"id must be pairId-variant {instance.pair_id}-{instance.variant}, got {instance.id!r}")
         if (instance.gold_answer is None) == (instance.variant == ANSWERABLE):

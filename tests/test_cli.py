@@ -313,6 +313,18 @@ class TestRender:
         assert main(argv[command]) == 1
         assert capsys.readouterr().err == f"error: {out} line 2: variables not in itemMap.names: 99\n"
 
+    def test_an_error_after_the_instance_is_the_error(self, tmp_path, config_file, capsys):
+        # render keeps only the instance it prints but still reads every line: here line 2 repeated at the end
+        out = generate(tmp_path, config_file)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        out.write_text("\n".join(lines + lines[1:2]) + "\n", encoding="utf-8")
+        instance_id = json.loads(lines[1])["id"]
+        capsys.readouterr()
+        assert main(["render", "--in", str(out), "--id", instance_id]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out} line 10: id {instance_id!r} repeats line 2\n"
+
     def test_unknown_id(self, tmp_path, config_file, capsys):
         out = generate(tmp_path, config_file)
         assert main(["render", "--in", str(out), "--id", "nope"]) == 1

@@ -165,6 +165,41 @@ def test_decoder_accepts_a_null_restaurant():
     assert instance.item_map.names[1].dish == record["itemMap"]["names"]["1"]["dish"]
 
 
+# The corpus reader (corpus_io) gives a line whose itemMap equals the previous line's that line's ItemMap,
+# and a freshly decoded map the file's first ItemName of each name.  A line 3 whose itemMap no longer equals
+# line 2's is checked afresh: _DECODE_FAULTS faults line 3's itemMap after a valid line 2.
+
+
+def test_a_twin_whose_item_map_differs_in_one_name_is_decoded_afresh():
+    lines = _corpus_lines()
+    record = json.loads(lines[2])
+    record["itemMap"]["names"]["1"]["dish"] = "other dish"
+    lines[2] = json.dumps(record, ensure_ascii=False)
+    answerable, unanswerable = dataset_from_lines(lines).instances[:2]
+    assert unanswerable.item_map is not answerable.item_map
+    assert unanswerable.item_map.names[1].dish == "other dish"
+    assert answerable.item_map.names[1].dish != "other dish"
+    assert all(unanswerable.item_map.names[var] is name for var, name in answerable.item_map.names.items() if var != 1)
+
+
+def test_a_first_instance_line_without_an_item_map_is_a_missing_key():
+    lines = _corpus_lines()
+    record = json.loads(lines[1])
+    del record["itemMap"]
+    lines[1] = json.dumps(record, ensure_ascii=False)
+    with pytest.raises(DatasetParseError) as caught:
+        dataset_from_lines(lines, "corpus.jsonl")
+    assert str(caught.value) == "corpus.jsonl line 2: missing key 'itemMap'"
+
+
+def test_an_object_of_another_class_is_not_taken_for_a_nested_one():
+    data = to_json(make_corpus(count=1).instances[0])
+    data["itemMap"] = ItemName("pie", "pies")
+    with pytest.raises(TypeError) as caught:
+        from_json(ProblemInstance, data)
+    assert str(caught.value) == "itemMap must be dict, got ItemName"
+
+
 # Strings that need escaping, are not ASCII or hold lone surrogates, ints past 64 bits, and float
 # fields holding ints, -0.0, NaN and infinities: the inputs where an encoder may part from the stdlib's.
 # Long strings, at and around jsonmap.LONG_TEXT characters and up to 4 KB, hold up to 5 of the 34

@@ -1,4 +1,5 @@
-"""`verify` and `report` read their input one line at a time and keep only tallies.
+"""`verify` and `report` read their input one line at a time and keep only tallies; `render` keeps only
+the instance it prints.
 
 Each command runs in a fresh interpreter, on a 45-variable, ansDepth-40
 corpus (about 20 KB a line) of 50 and of 500 pairs and on its mock records,
@@ -42,20 +43,40 @@ def _peak_mib(*args: str) -> float:
     return int(run.stderr.splitlines()[-1]) / 2**20
 
 
-def test_verify_and_report_peaks_do_not_grow_with_the_file(tmp_path):
+@pytest.fixture(scope="module")
+def deep_files(tmp_path_factory) -> dict[int, tuple[Path, Path]]:
+    """(corpus, its mock records) of 50 and of 500 pairs, at seed 11."""
+    tmp_path = tmp_path_factory.mktemp("deep")
     config = tmp_path / "deep.json"
     config.write_text(json.dumps({"numVars": 45, "ansDepth": 40, "cutDepth": 20, "compositeName": True}))
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({"endpoint": "offline://none", "model": "mock"}))
-    peaks = {}
+    files = {}
     for pairs in (50, 500):
         corpus, records = tmp_path / f"deep{pairs}.jsonl", tmp_path / f"records{pairs}.jsonl"
         generate_args = ["--config", str(config), "--seed", "11", "--count", str(pairs), "--out", str(corpus)]
         assert main(["generate", *generate_args]) == 0
         eval_args = ["--profile", str(profile), "--mode", "zero", "--transport", "mock:gold", "--out", str(records)]
         assert main(["eval", "--in", str(corpus), *eval_args]) == 0
+        files[pairs] = corpus, records
+    return files
+
+
+def test_verify_and_report_peaks_do_not_grow_with_the_file(deep_files, tmp_path):
+    peaks = {}
+    for pairs, (corpus, records) in deep_files.items():
         peaks["verify", pairs] = _peak_mib("verify", "--in", str(corpus))
         report_args = ["--group", "ansDepth", "--out", str(tmp_path / f"report{pairs}")]
         peaks["report", pairs] = _peak_mib("report", "--in", str(records), *report_args)
     for command in ("verify", "report"):
         assert peaks[command, 500] - peaks[command, 50] < GROWTH_MIB, peaks
+
+
+def test_render_peak_does_not_grow_with_the_file(deep_files):
+    """`render` keeps only the instance it prints, here the last pair's answerable one, though it reads every
+    line; while it read the whole corpus it peaked at about 38 MiB at 50 pairs and 63 MiB at 500."""
+    peaks = {
+        pairs: _peak_mib("render", "--in", str(corpus), "--id", f"s11-p{pairs - 1:06d}-answerable")
+        for pairs, (corpus, _) in deep_files.items()
+    }
+    assert peaks[500] - peaks[50] < GROWTH_MIB, peaks
